@@ -3,7 +3,9 @@
 Configuration is a flat key=value file (# comments allowed); command-line
 flags override file values, which override built-in defaults. Every
 subcommand is deterministic for a fixed seed and inputs: reruns produce
-byte-identical output files regardless of --threads.
+byte-identical output files. --threads is accepted for compatibility and
+changes neither the outputs nor the work done: no subcommand starts threads
+of its own.
 
 Exit codes: 0 success, 2 ingestion error, 3 numerical/convergence error
 (including --strict escalations), 4 internal invariant violation.
@@ -22,7 +24,7 @@ from . import __version__
 from .copula import joint_forecast, read_ensemble, substream, write_ensemble
 from .diagnostics import (EnsembleBlock, crps_sample, cross_correlation, ecdf_curve,
                           rank_histogram, rmsb_mab, roc_auc, variogram_score)
-from .estimation import (ScoreConfig, ThetaSearchSpec, energy_score_unbiased,
+from .estimation import (ScoreConfig, ThetaSearchSpec, day_chunks, energy_scores,
                          estimate_theta, write_profile, write_summary)
 from .marginals import (FitConfig, flatten_panel, jglm_fit, make_transform,
                         predict_field, write_coefficients)
@@ -235,6 +237,8 @@ def cmd_diagnose(settings: Settings) -> int:
     day_labels, raw_blocks = read_ensemble(settings.path("ensemble"), locs.ids)
     if list(day_labels) != list(panel.day_labels):
         raise IngestError("ensemble days do not match the rainfall panel")
+    if len({b.shape[0] for b in raw_blocks}) != 1:
+        raise IngestError("ensemble days hold different numbers of replicates")
     blocks = [EnsembleBlock(day=s, samples=raw_blocks[s], obs=panel.values[:, s])
               for s in range(panel.n_days)]
     distance = build_distance_matrix(locs, a=settings.float("a"),
@@ -280,7 +284,9 @@ def cmd_diagnose(settings: Settings) -> int:
 
     crps_vals = [crps_sample(b.samples[:, i], b.obs[i])
                  for b in blocks for i in range(b.n)]
-    energy_vals = [energy_score_unbiased(b.samples, b.obs, beta) for b in blocks]
+    energy_vals = np.concatenate([
+        energy_scores(np.stack(raw_blocks[sl]), panel.values[:, sl].T, beta)
+        for sl in day_chunks(panel.n_days, raw_blocks[0].size)])
     vario_vals = [variogram_score(b, distance) for b in blocks]
     rmsb, mab = rmsb_mab(blocks)
     summary = {

@@ -14,19 +14,28 @@ for a fixed seed: the per-day standard normals depend only on (seed, day),
 and are re-correlated through each candidate's Cholesky factor, so profiles
 are smooth and grid evaluations directly comparable.
 
+Evaluation is batched. A list of candidate thetas is scored together: the
+thetas are split into groups whose Cholesky factors (n x n each) fit one
+fixed element budget, the days into chunks whose (days, m, n) normals fit
+the same budget. Each chunk's normals are drawn once and reused for every
+theta of the group; the chunk is then re-correlated, censored and scored by
+one stacked energy-score kernel. Working memory is therefore bounded by a
+few budget-sized arrays whatever the number of locations or days, and the
+scores do not depend on the budget beyond floating-point rounding. A group's
+factors are released before the next group's are built.
+
 The search itself is derivative-free: a coarse grid locates the minimum
-and golden-section refinement polishes it inside the bracketing interval.
+(all grid thetas scored in one batched call) and golden-section refinement
+polishes it inside the bracketing interval, one theta per step.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .copula import censor, censor_thresholds, obs_to_gaussian, substream
 from .marginals import MarginalField
@@ -38,6 +47,8 @@ __all__ = [
     "ProfilePoint",
     "EstimateResult",
     "energy_score_unbiased",
+    "energy_scores",
+    "day_chunks",
     "sr_objective",
     "estimate_theta",
     "subsample_indices",
@@ -51,6 +62,12 @@ _SEL_DAYS = 1
 _SEL_LOCS = 2
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Float64 elements allowed in one working array (512 KiB): bounds a day
+# chunk's (days, m, n) normals and a theta group's n x n factors alike. Small
+# enough that a chunk's pair differences stay in a core's cache, large enough
+# to amortise numpy's per-call cost over tens of days at n = 20.
+_ELEMENT_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,8 +131,33 @@ class EstimateResult:
     wall_clock_s: float
 
 
+def energy_scores(samples: np.ndarray, obs: np.ndarray, beta: float) -> np.ndarray:
+    """Unbiased energy score of each block in a stack.
+
+    samples is (k, m, n) with m >= 2, obs (k, n); returns the k scores
+    (2/m) sum_j ||x_j - y||^beta minus the mean of ||x_j - x_k||^beta over
+    the m(m-1) ordered pairs. Pair distances come from exact differences,
+    pairing each replicate with the one `shift` places later, so rows that
+    tie exactly (censored coordinates) are exactly 0 apart.
+    """
+    k, m, n = samples.shape
+    if m < 2:
+        raise ValueError("need m >= 2 samples")
+    to_obs = np.sqrt(((samples - obs[:, None, :]) ** 2).sum(axis=2)) ** beta
+    sq_pair = np.empty((k, m * (m - 1) // 2))
+    diff = np.empty((k, m - 1, n))
+    pos = 0
+    for shift in range(1, m):
+        d = diff[:, :m - shift]
+        np.subtract(samples[:, shift:], samples[:, :m - shift], out=d)
+        np.einsum("kjn,kjn->kj", d, d, out=sq_pair[:, pos:pos + m - shift])
+        pos += m - shift
+    pair = (np.sqrt(sq_pair) ** beta).sum(axis=1)
+    return 2.0 * to_obs.mean(axis=1) - 2.0 * pair / (m * (m - 1))
+
+
 def energy_score_unbiased(samples: np.ndarray, obs: np.ndarray, beta: float = 0.5) -> float:
-    """Unbiased sample estimate of the energy score.
+    """Unbiased sample estimate of the energy score of one (m, n) block.
 
     (2/m) sum_j ||x_j - y||^beta minus the mean of ||x_j - x_k||^beta over
     the m(m-1) ordered pairs. Nonnegative for beta <= 1 because ||.||^beta
@@ -125,15 +167,16 @@ def energy_score_unbiased(samples: np.ndarray, obs: np.ndarray, beta: float = 0.
     obs = np.asarray(obs, dtype=float).reshape(-1)
     if samples.ndim != 2:
         raise ValueError("samples must be an (m, n) array")
-    m, n = samples.shape
-    if m < 2:
-        raise ValueError("need m >= 2 samples")
-    if n != obs.size:
-        raise ValueError(f"sample dimension {n} does not match observation {obs.size}")
-    dist_to_obs = np.sqrt(((samples - obs) ** 2).sum(axis=1))
-    term_obs = 2.0 * np.mean(dist_to_obs ** beta)
-    term_pair = 2.0 * np.sum(pdist(samples) ** beta) / (m * (m - 1))
-    return float(term_obs - term_pair)
+    if samples.shape[1] != obs.size:
+        raise ValueError(f"sample dimension {samples.shape[1]} does not match "
+                         f"observation {obs.size}")
+    return float(energy_scores(samples[None], obs[None], beta)[0])
+
+
+def day_chunks(n_days: int, cells_per_day: int) -> list:
+    """Consecutive day slices, each holding at most the element budget of cells."""
+    step = max(1, _ELEMENT_BUDGET // max(cells_per_day, 1))
+    return [slice(s, min(s + step, n_days)) for s in range(0, n_days, step)]
 
 
 def subsample_indices(seed: int, tag: int, n: int, k) -> np.ndarray:
@@ -144,9 +187,30 @@ def subsample_indices(seed: int, tag: int, n: int, k) -> np.ndarray:
     return np.sort(rng.choice(n, size=int(k), replace=False))
 
 
-def _objective_terms(theta, obs_gauss, thresholds, distance: DistanceMatrix,
-                     cfg: ScoreConfig, nu: float, days, locations):
-    """Per-day unbiased scores at one theta; days/locations override subsampling."""
+def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
+                 days: np.ndarray, obs: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Per-day scores of thetas whose factors fit the budget together.
+
+    obs is (days, n), thr (days, 1, n). Each day chunk's normals are drawn
+    once and shared by every theta of the group; everything built here is
+    released on return, before the next group's factors exist.
+    """
+    m, n = cfg.m, distance.n
+    lowers_t = [build_covariance(distance, MaternParams(theta=theta, nu=nu),
+                                 repair=True).factor.lower.T for theta in thetas]
+    scores = np.empty((len(thetas), days.size))
+    for sl in day_chunks(days.size, m * n):
+        z = np.stack([substream(cfg.seed, _DAY_DRAW, int(day)).standard_normal((m, n))
+                      for day in days[sl]])
+        for k, lower_t in enumerate(lowers_t):
+            sims = censor(z @ lower_t, thr[sl])
+            scores[k, sl] = energy_scores(sims, obs[sl], cfg.beta)
+    return scores
+
+
+def _objective_terms(thetas, obs_gauss, thresholds, distance: DistanceMatrix,
+                     cfg: ScoreConfig, nu: float, days, locations) -> np.ndarray:
+    """Per-day unbiased scores, (len(thetas), days); days/locations override subsampling."""
     n_days_total = obs_gauss.shape[1]
     if days is None:
         days = subsample_indices(cfg.seed, _SEL_DAYS, n_days_total, cfg.day_subsample)
@@ -158,16 +222,12 @@ def _objective_terms(theta, obs_gauss, thresholds, distance: DistanceMatrix,
     else:
         locations = np.sort(np.asarray(locations, dtype=int))
 
-    cov = build_covariance(distance.subset(locations), MaternParams(theta=theta, nu=nu),
-                           repair=True)
-    lower_t = cov.factor.lower.T
-    scores = np.empty(days.size)
-    for j, day in enumerate(days):
-        rng = substream(cfg.seed, _DAY_DRAW, int(day))
-        latent = rng.standard_normal((cfg.m, locations.size)) @ lower_t
-        sims = censor(latent, thresholds[locations, day])
-        scores[j] = energy_score_unbiased(sims, obs_gauss[locations, day], cfg.beta)
-    return scores
+    sub = distance.subset(locations)
+    obs = obs_gauss[np.ix_(locations, days)].T
+    thr = thresholds[np.ix_(locations, days)].T[:, None, :]
+    group = max(1, _ELEMENT_BUDGET // (sub.n * sub.n))
+    return np.vstack([_group_terms(thetas[g:g + group], sub, nu, cfg, days, obs, thr)
+                      for g in range(0, len(thetas), group)])
 
 
 def sr_objective(theta: float, panel_values: np.ndarray, field: MarginalField,
@@ -183,7 +243,7 @@ def sr_objective(theta: float, panel_values: np.ndarray, field: MarginalField,
     """
     obs_gauss = obs_to_gaussian(panel_values, field)
     thresholds = censor_thresholds(field)
-    scores = _objective_terms(theta, obs_gauss, thresholds, distance, cfg, nu,
+    scores = _objective_terms([theta], obs_gauss, thresholds, distance, cfg, nu,
                               days, locations)
     return float(scores.sum())
 
@@ -220,21 +280,18 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
     grid minimizer, using the same seed (common random numbers) and the
     day subsample configured on the search spec. A minimizer on a search
     boundary is flagged and warned about.
+
+    ``threads`` is accepted for compatibility and ignored: evaluation runs
+    in the calling thread, so the result and the work done are the same for
+    every value.
     """
     t0 = time.perf_counter()
     obs_gauss = obs_to_gaussian(panel_values, field)
     thresholds = censor_thresholds(field)
     grid = np.linspace(search.lower, search.upper, search.grid_size)
 
-    def grid_terms(theta):
-        return _objective_terms(theta, obs_gauss, thresholds, distance, cfg, nu,
-                                None, None)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_terms = list(pool.map(grid_terms, grid))
-    else:
-        all_terms = [grid_terms(t) for t in grid]
+    all_terms = _objective_terms(grid, obs_gauss, thresholds, distance, cfg, nu,
+                                 None, None)
 
     profile = []
     for theta, scores in zip(grid, all_terms):
@@ -260,7 +317,7 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
                              seed=cfg.seed)
 
     def refine_f(theta):
-        return float(_objective_terms(theta, obs_gauss, thresholds, distance,
+        return float(_objective_terms([theta], obs_gauss, thresholds, distance,
                                       refine_cfg, nu, None, None).sum())
 
     theta_hat, extra = _golden_section(refine_f, float(lo), float(hi), search.tol)

@@ -4,8 +4,8 @@ Rainfall lives in a wide CSV: first column `date` (ISO-8601), remaining
 headers are location ids in the locations-file order, one row per day.
 Feature and marginal-cache CSVs are long format, one row per (date,
 location) cell, date-major (all locations for the first date, then the
-next). Ingestion rejects NaN, negative rainfall, and id mismatches with
-messages naming the file, row, and column.
+next). Ingestion rejects non-finite values (NaN, inf, -inf), negative
+rainfall, and id mismatches with messages naming the file, row, and column.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class RainPanel:
             raise ValueError("day labels must be unique")
         if len(set(self.location_ids)) != n:
             raise ValueError("location ids must be unique")
-        if np.any(np.isnan(self.values)):
-            raise ValueError("panel contains NaN cells")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("panel contains non-finite cells")
         if np.any(self.values < 0.0):
             raise ValueError("panel contains negative rainfall")
 
@@ -51,6 +51,26 @@ class RainPanel:
     @property
     def n_days(self) -> int:
         return self.values.shape[1]
+
+
+def _reject_bad_cells(path, values: np.ndarray, row_nos, header, first_column: int,
+                      nonnegative: bool = False) -> None:
+    """Raise IngestError at the first non-finite (or negative) parsed cell.
+
+    values is (rows, columns) as parsed, row_nos the file row of each, and
+    first_column the 1-based file column of values[:, 0].
+    """
+    bad = ~np.isfinite(values)
+    if nonnegative:
+        bad |= values < 0.0
+    if not bad.any():
+        return
+    r, k = np.unravel_index(np.argmax(bad), bad.shape)
+    v = float(values[r, k])
+    what = f"non-finite value {v!r}" if not np.isfinite(v) else "negative rainfall"
+    col = k + first_column
+    raise IngestError(f"{path}: row {row_nos[r]}: {what} in column {col} "
+                      f"({header[col - 1]})")
 
 
 def _fmt(v: float) -> str:
@@ -83,6 +103,7 @@ def read_rain_csv(path, locs: LocationTable) -> RainPanel:
             )
         labels = []
         rows = []
+        row_nos = []
         for row_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -93,20 +114,15 @@ def read_rain_csv(path, locs: LocationTable) -> RainPanel:
                                   f"got {len(parts)}")
             labels.append(parts[0])
             try:
-                vals = [float(v) for v in parts[1:]]
+                rows.append([float(v) for v in parts[1:]])
             except ValueError:
                 raise IngestError(f"{path}: row {row_no}: non-numeric rainfall") from None
-            for k, v in enumerate(vals):
-                if np.isnan(v):
-                    raise IngestError(f"{path}: row {row_no}: NaN in column {k + 2}")
-                if v < 0.0:
-                    raise IngestError(f"{path}: row {row_no}: negative rainfall "
-                                      f"in column {k + 2}")
-            rows.append(vals)
+            row_nos.append(row_no)
     if not rows:
         raise IngestError(f"{path}: no data rows")
-    return RainPanel(values=np.asarray(rows, dtype=float).T,
-                     location_ids=locs.ids, day_labels=labels)
+    values = np.asarray(rows, dtype=float)
+    _reject_bad_cells(path, values, row_nos, header, first_column=2, nonnegative=True)
+    return RainPanel(values=values.T, location_ids=locs.ids, day_labels=labels)
 
 
 def write_features_csv(path, panel: RainPanel, features: np.ndarray) -> None:
@@ -140,6 +156,7 @@ def _read_long_csv(path, panel: RainPanel, value_names):
             raise IngestError(f"{path}: expected value columns {list(value_names)}, "
                               f"got {names}")
         out = np.empty((n * t, len(names)))
+        row_nos = []
         row_no = 1
         r = 0
         for line in fh:
@@ -161,15 +178,14 @@ def _read_long_csv(path, panel: RainPanel, value_names):
                 raise IngestError(f"{path}: row {row_no}: loc {parts[1]!r} does not "
                                   f"match panel order (expected {panel.location_ids[i]!r})")
             try:
-                vals = [float(v) for v in parts[2:]]
+                out[r] = [float(v) for v in parts[2:]]
             except ValueError:
                 raise IngestError(f"{path}: row {row_no}: non-numeric value") from None
-            if any(np.isnan(v) for v in vals):
-                raise IngestError(f"{path}: row {row_no}: NaN value")
-            out[r] = vals
+            row_nos.append(row_no)
             r += 1
     if r != n * t:
         raise IngestError(f"{path}: {r} rows but the panel has {n * t} cells")
+    _reject_bad_cells(path, out, row_nos, header, first_column=3)
     return names, out
 
 

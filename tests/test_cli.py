@@ -143,6 +143,15 @@ class TestSimulateAndDiagnose:
                     "variogram_score_day_sum", "rmsb", "mab", "auc"):
             assert key in summary
         assert summary["crps_mean"] >= 0.0
+        from raincop.copula import read_ensemble
+        from raincop.estimation import energy_score_unbiased
+        from raincop.panel import read_rain_csv
+        from raincop.spatial import read_locations
+        locs = read_locations(fixture_dir / "locations.csv")
+        obs = read_rain_csv(fixture_dir / "rainfall.csv", locs).values
+        _, ens = read_ensemble(sim_a / "ensemble.csv", locs.ids)
+        per_day = [energy_score_unbiased(b, obs[:, s], 0.5) for s, b in enumerate(ens)]
+        assert summary["energy_score_mean"] == pytest.approx(np.mean(per_day), rel=1e-12)
         for name in ("roc_q0.5.csv", "roc_q5.csv", "rank_hist.csv", "ecdf.csv",
                      "crosscorr.csv"):
             assert (diag / name).exists()
@@ -157,6 +166,21 @@ class TestSimulateAndDiagnose:
         assert rc == 0
         assert (diag / "diagnostics.json").read_bytes() == (diag2 / "diagnostics.json").read_bytes()
         assert (diag / "rank_hist.csv").read_bytes() == (diag2 / "rank_hist.csv").read_bytes()
+
+
+    def test_ragged_ensemble_rejected(self, fixture_dir, tmp_path, capsys):
+        common = ["--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv"]
+        assert run(["simulate", *common, "--theta", "450", "--m", "3",
+                    "--out", tmp_path]) == 0
+        lines = (tmp_path / "ensemble.csv").read_text().splitlines()
+        del lines[5]
+        (tmp_path / "ensemble.csv").write_text("\n".join(lines) + "\n")
+        rc = run(["diagnose", *common, "--ensemble", tmp_path / "ensemble.csv",
+                  "--out", tmp_path / "diag"])
+        assert rc == 2
+        assert "different numbers of replicates" in capsys.readouterr().err
 
 
 class TestFeaturesPath:
@@ -273,6 +297,49 @@ class TestIngestValidation:
                   "--rainfall", bad, "--out", tmp_path])
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,line,field,token", [
+        ("rainfall.csv", 5, 4, "inf"),
+        ("rainfall.csv", 9, 1, "-inf"),
+        ("marginals.csv", 7, 3, "inf"),
+        ("marginals.csv", 30, 2, "nan"),
+        ("features.csv", 4, 2, "-inf"),
+        ("features.csv", 12, 3, "nan"),
+    ])
+    def test_non_finite_rejected_with_location(self, fixture_dir, tmp_path, capsys,
+                                               name, line, field, token):
+        from raincop.panel import read_rain_csv, write_features_csv
+        from raincop.spatial import read_locations
+
+        if name == "features.csv":
+            panel = read_rain_csv(fixture_dir / "rainfall.csv",
+                                  read_locations(fixture_dir / "locations.csv"))
+            feats = np.random.default_rng(4).standard_normal((panel.n_locations
+                                                              * panel.n_days, 2))
+            write_features_csv(tmp_path / "good.csv", panel, feats)
+            lines = (tmp_path / "good.csv").read_text().splitlines()
+        else:
+            lines = (fixture_dir / name).read_text().splitlines()
+        parts = lines[line].split(",")
+        parts[field] = token
+        lines[line] = ",".join(parts)
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+
+        paths = {"rainfall": fixture_dir / "rainfall.csv",
+                 "marginals": fixture_dir / "marginals.csv"}
+        paths[name.split(".")[0]] = bad
+        if name == "features.csv":
+            argv = ["fit-marginals", "--features", bad]
+        else:
+            argv = ["estimate-theta", "--marginals", paths["marginals"],
+                    "--grid", "3", "--m", "4"]
+        rc = run([*argv, "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", paths["rainfall"], "--out", tmp_path / "out"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{name}: row {line + 1}: non-finite value {float(token)!r} " \
+               f"in column {field + 1}" in err
 
     def test_missing_locations_exit_2(self, tmp_path):
         rc = run(["fit-marginals", "--locations", tmp_path / "none.csv",

@@ -4,12 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from raincop.copula import substream
+from raincop import estimation
+from raincop.copula import censor, censor_thresholds, obs_to_gaussian, substream
 from raincop.estimation import (ProfilePoint, ScoreConfig, ThetaSearchSpec,
-                                energy_score_unbiased, estimate_theta, sr_objective,
-                                subsample_indices, write_profile, write_summary,
-                                _SEL_LOCS)
+                                energy_score_unbiased, energy_scores, estimate_theta,
+                                sr_objective, subsample_indices, write_profile,
+                                write_summary, _SEL_LOCS, _objective_terms)
 from raincop.synth import SynthSpec, simulate_dataset
 
 
@@ -184,6 +187,112 @@ class TestEstimateTheta:
                             threads=3)
         assert [p.score for p in r1.profile] == [p.score for p in r2.profile]
         assert r1.theta_hat == r2.theta_hat
+
+
+def reference_terms(samples, obs, beta):
+    """Observation and pair terms of one (m, n) block, one norm at a time."""
+    m = samples.shape[0]
+    to_obs = [np.linalg.norm(samples[j] - obs) ** beta for j in range(m)]
+    pairs = [np.linalg.norm(samples[j] - samples[k]) ** beta
+             for j in range(m) for k in range(m) if j != k]
+    return 2.0 * sum(to_obs) / m, sum(pairs) / (m * (m - 1))
+
+
+@st.composite
+def stacks(draw):
+    """(k, m, n) samples with exactly tied rows and censoring, plus (k, n) obs."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.standard_normal((k, m, n)) * draw(st.sampled_from([0.01, 1.0, 30.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        b, src, dst = rng.integers(k), rng.integers(m), rng.integers(m)
+        samples[b, dst] = samples[b, src]
+    thresholds = draw(st.sampled_from([None, 0.0, 0.5]))
+    if thresholds is not None:
+        samples = censor(samples, np.full(n, thresholds))
+    return samples, rng.standard_normal((k, n)), draw(st.sampled_from([0.3, 0.5, 1.0, 1.7]))
+
+
+class TestStackedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_matches_per_block_reference(self, case):
+        samples, obs, beta = case
+        got = energy_scores(samples, obs, beta)
+        for b in range(samples.shape[0]):
+            term_obs, term_pair = reference_terms(samples[b], obs[b], beta)
+            want = term_obs - term_pair
+            # relative to the terms, since their difference may cancel to ~0
+            tol = 1e-12 * (term_obs + term_pair)
+            assert abs(got[b] - want) <= tol
+            assert abs(energy_score_unbiased(samples[b], obs[b], beta) - want) <= tol
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 8), st.integers(1, 6),
+           st.floats(-3.0, 3.0), st.sampled_from([0.5, 1.0]))
+    def test_fully_censored_blocks_tie_exactly(self, k, m, n, level, beta):
+        # every draw censors to the threshold, and a dry observation sits on
+        # it: all pair and observation distances are exactly zero
+        draws = np.random.default_rng(k * m * n).standard_normal((k, m, n)) - 10.0
+        thresholds = np.full(n, level)
+        sims = censor(draws, thresholds)
+        assert np.all(energy_scores(sims, np.tile(thresholds, (k, 1)), beta) == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stacks(), st.randoms(use_true_random=False))
+    def test_location_permutation_invariance(self, case, rnd):
+        samples, obs, beta = case
+        perm = list(range(samples.shape[2]))
+        rnd.shuffle(perm)
+        a = energy_scores(samples, obs, beta)
+        b = energy_scores(samples[:, :, perm], obs[:, perm], beta)
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def batched_case():
+    res = small_case(seed=9, n=14, days=41)
+    return res, obs_to_gaussian(res.panel.values, res.field), censor_thresholds(res.field)
+
+
+class TestBatchedObjective:
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.floats(150.0, 900.0), min_size=1, max_size=6),
+           st.integers(0, 1000))
+    def test_grid_call_equals_one_theta_calls(self, batched_case, thetas, seed):
+        res, obs_gauss, thresholds = batched_case
+        cfg = ScoreConfig(seed=seed, m=5)
+        args = (obs_gauss, thresholds, res.distance, cfg, 3.5, None, None)
+        grid = _objective_terms(thetas, *args)
+        singles = np.vstack([_objective_terms([t], *args) for t in thetas])
+        assert np.array_equal(grid, singles)
+
+    @pytest.mark.filterwarnings("ignore:grid minimizer")
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 1000))
+    def test_ragged_chunks_and_single_theta_groups(self, batched_case, days_per_chunk,
+                                                   seed):
+        # n = 14, m = 4: a budget of days_per_chunk * m * n elements splits the
+        # 41 grid days and 25 refinement days raggedly, and is too small for
+        # two 14 x 14 factors, so every theta is a group of its own
+        res, _, _ = batched_case
+        cfg = ScoreConfig(seed=seed, m=4)
+        search = ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=7, tol=5.0,
+                                 refine_day_subsample=25)
+        args = (res.panel.values, res.field, res.distance, cfg, search)
+        base = estimate_theta(*args)
+        budget = days_per_chunk * cfg.m * 14
+        assert 41 % days_per_chunk and 25 % days_per_chunk and budget < 2 * 14 * 14
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_ELEMENT_BUDGET", budget)
+            chunked = estimate_theta(*args)
+        np.testing.assert_allclose([p.score for p in chunked.profile],
+                                   [p.score for p in base.profile], rtol=1e-12)
+        np.testing.assert_allclose([p.mc_stderr for p in chunked.profile],
+                                   [p.mc_stderr for p in base.profile], rtol=1e-12)
+        assert chunked.theta_hat == base.theta_hat
 
 
 class TestWriters:

@@ -26,8 +26,9 @@ def panel(locs):
 
 class TestRainPanel:
     def test_validation(self, locs):
-        with pytest.raises(ValueError):
-            RainPanel(np.full((2, 2), np.nan), ("a", "b"), ("d0", "d1"))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                RainPanel(np.full((2, 2), bad), ("a", "b"), ("d0", "d1"))
         with pytest.raises(ValueError):
             RainPanel(-np.ones((2, 2)), ("a", "b"), ("d0", "d1"))
         with pytest.raises(ValueError):
