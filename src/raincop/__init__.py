@@ -18,11 +18,9 @@ from .estimation import (EstimateResult, ProfilePoint, ScoreConfig, ThetaSearchS
                          energy_score_unbiased, estimate_theta, sr_objective)
 from .marginals import (FitConfig, FitResult, GammaMixture, IdentityTransform,
                         JglmCoefficients, MarginalField, StandardizeTransform,
-                        gamma_nll, gm_cdf, gm_pdf, gm_quantile, gm_sample, jglm_fit,
-                        jglm_predict, logistic_loss, predict_field)
-from .numerics import (NotPositiveDefinite, SpdFactor, bessel_k, log_gamma,
-                       reg_lower_inc_gamma, spd_factorize, std_normal_cdf,
-                       std_normal_quantile)
+                        gm_cdf, gm_quantile, gm_sample, jglm_fit, jglm_predict,
+                        predict_field)
+from .numerics import NotPositiveDefinite, SpdFactor, bessel_k, spd_factorize
 from .panel import IngestError, RainPanel
 from .spatial import (CovarianceMatrix, DistanceMatrix, LocationTable, MaternParams,
                       build_covariance, build_distance_matrix, matern_kernel,

@@ -30,7 +30,7 @@ from .marginals import (FitConfig, flatten_panel, jglm_fit, make_transform,
                         predict_field, write_coefficients)
 from .numerics import NotPositiveDefinite
 from .panel import (IngestError, read_features_csv, read_marginals_csv, read_rain_csv,
-                    write_marginals_csv, write_rain_csv)
+                    write_csv, write_marginals_csv, write_rain_csv)
 from .spatial import (MaternParams, build_covariance, build_distance_matrix,
                       read_locations, write_locations)
 from .synth import SynthSpec, simulate_dataset, write_truth
@@ -46,7 +46,7 @@ DEFAULTS = {
     "tau_grid": 1001, "q_levels": "0.5,5.0",
     "ecdf_levels": "0,0.5,1,2,4,8,16,32", "rank_bins": 10,
     "transform": "identity", "max_iter": 5000, "step": 1.0, "rel_tol": 1e-8,
-    "threads": 1, "theta": None,
+    "theta": None,
     "n_locations": 50, "days": 500, "theta_true": 450.0,
     "p": 0.6, "mu": 3.0, "phi": 1.2,
     "lat_min": 49.9, "lat_max": 58.7, "lon_min": -8.2, "lon_max": 1.8,
@@ -192,7 +192,7 @@ def cmd_estimate_theta(settings: Settings, strict: bool) -> int:
         refine_day_subsample=settings.count_or_all("refine_day_subsample"),
     )
     result = estimate_theta(panel.values, field, distance, cfg, search,
-                            nu=settings.float("nu"), threads=settings.int("threads"))
+                            nu=settings.float("nu"))
     out = _out_dir(settings)
     write_profile(os.path.join(out, "profile.csv"), result.profile)
     write_summary(os.path.join(out, "summary.json"), result, cfg, search)
@@ -217,8 +217,7 @@ def cmd_simulate(settings: Settings) -> int:
     theta = float(theta)
     distance = build_distance_matrix(locs, a=settings.float("a"),
                                      topo_scale=settings.float("topo_scale"))
-    cov = build_covariance(distance, MaternParams(theta=theta, nu=settings.float("nu")),
-                           repair=True)
+    cov = build_covariance(distance, MaternParams(theta=theta, nu=settings.float("nu")))
     m = settings.int("m")
     seed = settings.int("seed")
     blocks = [joint_forecast(cov, field, s, m, substream(seed, _SIM_TAG, s))
@@ -252,35 +251,25 @@ def cmd_diagnose(settings: Settings) -> int:
     for q in settings.floats("q_levels"):
         curve = roc_auc(field, panel.values, q, tau_grid)
         aucs[f"{q:g}"] = None if np.isnan(curve.auc) else curve.auc
-        lines = ["tau,fpr,tpr"]
-        lines += [f"{repr(t)},{repr(f)},{repr(y)}"
-                  for t, f, y in zip(curve.taus, curve.fpr, curve.tpr)]
-        with open(os.path.join(out, f"roc_q{q:g}.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(os.path.join(out, f"roc_q{q:g}.csv"), ["tau", "fpr", "tpr"],
+                  _float_rows(curve.taus, curve.fpr, curve.tpr))
 
     bins = settings.int("rank_bins")
     counts, freq = rank_histogram(blocks, bins, substream(seed, _RANK_TAG))
-    lines = ["bin,count,frequency"]
-    lines += [f"{b},{int(c)},{repr(float(f))}" for b, (c, f) in enumerate(zip(counts, freq))]
-    with open(os.path.join(out, "rank_hist.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(out, "rank_hist.csv"), ["bin", "count", "frequency"],
+              ([str(b), str(int(c)), repr(float(f))]
+               for b, (c, f) in enumerate(zip(counts, freq))))
 
     levels = np.array(settings.floats("ecdf_levels"))
     model_freq, obs_freq = ecdf_curve(blocks, levels)
-    lines = ["level,model_freq,obs_freq"]
-    lines += [f"{repr(float(x))},{repr(float(mf))},{repr(float(of))}"
-              for x, mf, of in zip(levels, model_freq, obs_freq)]
-    with open(os.path.join(out, "ecdf.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(out, "ecdf.csv"), ["level", "model_freq", "obs_freq"],
+              _float_rows(levels, model_freq, obs_freq))
 
     center_id, obs_corr = cross_correlation(panel.values, locs)
     pooled = np.hstack([b.samples.T for b in blocks])  # (n, days*m)
     _, model_corr = cross_correlation(pooled, locs, center=center_id)
-    lines = ["id,observed,model"]
-    lines += [f"{i},{repr(float(o))},{repr(float(mc))}"
-              for i, o, mc in zip(locs.ids, obs_corr, model_corr)]
-    with open(os.path.join(out, "crosscorr.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(out, "crosscorr.csv"), ["id", "observed", "model"],
+              ([i, *row] for i, row in zip(locs.ids, _float_rows(obs_corr, model_corr))))
 
     crps_vals = [crps_sample(b.samples[:, i], b.obs[i])
                  for b in blocks for i in range(b.n)]
@@ -309,6 +298,11 @@ def cmd_diagnose(settings: Settings) -> int:
         fh.write("\n")
     _log(f"diagnose: wrote diagnostics for {panel.n_days} days to {out}")
     return 0
+
+
+def _float_rows(*columns):
+    """Rows of repr-formatted cells from equally long float columns."""
+    return ([repr(float(v)) for v in row] for row in zip(*columns))
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

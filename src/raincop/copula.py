@@ -23,6 +23,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .marginals import MarginalField, mixture_cdf, mixture_quantile
+from .panel import _reject_bad_cells, format_rain, write_csv
 from .spatial import CovarianceMatrix
 
 __all__ = [
@@ -119,29 +120,25 @@ def joint_forecast(cov: CovarianceMatrix, field: MarginalField, day: int, m: int
     return mixture_quantile(field.p[:, day], field.mu[:, day], field.phi[:, day], u)
 
 
-def _fmt_rain(v: float) -> str:
-    return "0" if v == 0.0 else repr(float(v))
-
-
 def write_ensemble(path, day_labels, location_ids, blocks) -> None:
     """Write ensemble CSV: day,replicate,loc_<id>,... with exact 0 tokens when dry.
 
     blocks is a sequence of (m, n) arrays aligned with day_labels.
     """
-    header = "day,replicate," + ",".join(f"loc_{i}" for i in location_ids)
-    lines = [header]
-    for label, block in zip(day_labels, blocks):
-        for j, row in enumerate(block):
-            lines.append(f"{label},{j}," + ",".join(_fmt_rain(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["day", "replicate", *(f"loc_{i}" for i in location_ids)],
+              ([label, str(j), *map(format_rain, row)]
+               for label, block in zip(day_labels, blocks)
+               for j, row in enumerate(np.asarray(block, dtype=float).tolist())))
 
 
 def read_ensemble(path, location_ids):
-    """Read an ensemble CSV back into (day_labels, list of (m, n) blocks)."""
+    """Read an ensemble CSV back into (day_labels, list of (m, n) blocks).
+
+    A non-finite or negative cell raises IngestError naming the file, row
+    and column.
+    """
     expected = ["day", "replicate"] + [f"loc_{i}" for i in location_ids]
-    day_labels: list = []
-    rows_per_day: dict = {}
+    rows_of_day: dict = {}  # day label -> (file row numbers, parsed rows)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header != expected:
@@ -153,10 +150,13 @@ def read_ensemble(path, location_ids):
             parts = line.split(",")
             if len(parts) != len(expected):
                 raise ValueError(f"{path}: row {line_no}: wrong field count")
-            label = parts[0]
-            if label not in rows_per_day:
-                rows_per_day[label] = []
-                day_labels.append(label)
-            rows_per_day[label].append([float(v) for v in parts[2:]])
-    blocks = [np.asarray(rows_per_day[label], dtype=float) for label in day_labels]
-    return day_labels, blocks
+            if parts[0] not in rows_of_day:
+                rows_of_day[parts[0]] = ([], [])
+            row_nos, rows = rows_of_day[parts[0]]
+            row_nos.append(line_no)
+            rows.append([float(v) for v in parts[2:]])
+    blocks = []
+    for row_nos, rows in rows_of_day.values():
+        blocks.append(np.asarray(rows, dtype=float))
+        _reject_bad_cells(path, blocks[-1], row_nos, header, first_column=3, nonnegative=True)
+    return list(rows_of_day), blocks

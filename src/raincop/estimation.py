@@ -26,7 +26,10 @@ factors are released before the next group's are built.
 
 The search itself is derivative-free: a coarse grid locates the minimum
 (all grid thetas scored in one batched call) and golden-section refinement
-polishes it inside the bracketing interval, one theta per step.
+polishes it inside the bracketing interval, one theta per step. The
+refinement scores its own day subsample, so theta_hat can end on an edge of
+that bracket; the summary records the grid minimizer and the bracket next
+to theta_hat so that this shows.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import numpy as np
 
 from .copula import censor, censor_thresholds, obs_to_gaussian, substream
 from .marginals import MarginalField
+from .panel import write_csv
 from .spatial import DistanceMatrix, MaternParams, build_covariance
 
 __all__ = [
@@ -124,9 +128,13 @@ class ProfilePoint:
 
 @dataclass
 class EstimateResult:
+    """theta_hat refines the grid minimizer grid_argmin inside refine_bracket."""
+
     theta_hat: float
     profile: list
     boundary: bool
+    grid_argmin: float
+    refine_bracket: tuple
     n_evaluations: int
     wall_clock_s: float
 
@@ -196,8 +204,8 @@ def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
     released on return, before the next group's factors exist.
     """
     m, n = cfg.m, distance.n
-    lowers_t = [build_covariance(distance, MaternParams(theta=theta, nu=nu),
-                                 repair=True).factor.lower.T for theta in thetas]
+    lowers_t = [build_covariance(distance, MaternParams(theta=theta, nu=nu)).factor.lower.T
+                for theta in thetas]
     scores = np.empty((len(thetas), days.size))
     for sl in day_chunks(days.size, m * n):
         z = np.stack([substream(cfg.seed, _DAY_DRAW, int(day)).standard_normal((m, n))
@@ -270,8 +278,7 @@ def _golden_section(f, lo: float, hi: float, tol: float):
 
 def estimate_theta(panel_values: np.ndarray, field: MarginalField,
                    distance: DistanceMatrix, cfg: ScoreConfig,
-                   search: ThetaSearchSpec, nu: float = 3.5,
-                   threads: int = 1) -> EstimateResult:
+                   search: ThetaSearchSpec, nu: float = 3.5) -> EstimateResult:
     """Coarse-grid scan plus golden-section refinement of the lengthscale.
 
     The emitted profile holds the grid evaluations (one ProfilePoint per
@@ -279,11 +286,9 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
     summed score). Refinement then searches the interval bracketing the
     grid minimizer, using the same seed (common random numbers) and the
     day subsample configured on the search spec. A minimizer on a search
-    boundary is flagged and warned about.
-
-    ``threads`` is accepted for compatibility and ignored: evaluation runs
-    in the calling thread, so the result and the work done are the same for
-    every value.
+    boundary is flagged and warned about. The result records the grid
+    minimizer and the refinement bracket, so a theta_hat that ends on an
+    edge of its bracket can be seen.
     """
     t0 = time.perf_counter()
     obs_gauss = obs_to_gaussian(panel_values, field)
@@ -325,6 +330,8 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
         theta_hat=float(theta_hat),
         profile=profile,
         boundary=boundary,
+        grid_argmin=float(grid[best]),
+        refine_bracket=(float(lo), float(hi)),
         n_evaluations=n_evals + extra,
         wall_clock_s=time.perf_counter() - t0,
     )
@@ -332,11 +339,9 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
 
 def write_profile(path, profile) -> None:
     """Profile CSV: theta,score,mc_stderr."""
-    lines = ["theta,score,mc_stderr"]
-    for pt in profile:
-        lines.append(f"{repr(pt.theta)},{repr(pt.score)},{repr(pt.mc_stderr)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["theta", "score", "mc_stderr"],
+              ([repr(float(v)) for v in (pt.theta, pt.score, pt.mc_stderr)]
+               for pt in profile))
 
 
 def write_summary(path, result: EstimateResult, cfg: ScoreConfig,
@@ -361,6 +366,8 @@ def write_summary(path, result: EstimateResult, cfg: ScoreConfig,
         "location_subsample": cfg.location_subsample,
         "seed": cfg.seed,
         "boundary_minimizer": result.boundary,
+        "grid_argmin": result.grid_argmin,
+        "refine_bracket": list(result.refine_bracket),
         "n_evaluations": result.n_evaluations,
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -8,6 +8,11 @@ logit/log/log links with shared coefficient vectors; fitting minimizes the
 exact mixture negative log-likelihood: a logistic term for occurrence at
 every observation plus the gamma term on wet observations only.
 
+Each formula has one vectorized implementation: mixture_cdf and
+mixture_quantile for the law, predict_field for the link map, _joint_loss
+for the likelihood. The scalar helpers gm_cdf, gm_quantile, gm_sample and
+jglm_predict wrap them for a single GammaMixture or feature vector.
+
 Flat panel layout convention: wherever a (n_locations, n_days) panel is
 flattened into feature/parameter rows, rows run date-major, i.e. row index
 = day * n_locations + location (all locations for day 0, then day 1, ...).
@@ -21,8 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .numerics import log_gamma, reg_lower_inc_gamma
-
 __all__ = [
     "GammaMixture",
     "JglmCoefficients",
@@ -32,13 +35,10 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "gm_cdf",
-    "gm_pdf",
     "gm_quantile",
     "gm_sample",
     "mixture_cdf",
     "mixture_quantile",
-    "logistic_loss",
-    "gamma_nll",
     "jglm_predict",
     "jglm_fit",
     "predict_field",
@@ -67,14 +67,6 @@ class GammaMixture:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not (self.phi > 0.0 and np.isfinite(self.phi)):
             raise ValueError(f"phi must be positive, got {self.phi}")
-
-    @property
-    def shape(self) -> float:
-        return 1.0 / self.phi
-
-    @property
-    def scale(self) -> float:
-        return self.phi * self.mu
 
 
 @dataclass(frozen=True)
@@ -211,83 +203,26 @@ def mixture_quantile(p, mu, phi, u):
 
 def gm_cdf(law: GammaMixture, y: float) -> float:
     """Mixture CDF at y >= 0; equals 1 - p exactly at y = 0."""
-    if y < 0.0:
-        raise ValueError("gm_cdf requires y >= 0")
-    if y == 0.0:
-        return 1.0 - law.p
-    g = reg_lower_inc_gamma(law.shape, y / law.scale)
-    return (1.0 - law.p) + law.p * g
-
-
-def gm_pdf(law: GammaMixture, y: float) -> float:
-    """Density of the continuous (positive-rain) part at y > 0.
-
-    Integrates to p over (0, inf); the atom at zero carries the remaining
-    1 - p and is not a density value.
-    """
-    if y <= 0.0:
-        raise ValueError("gm_pdf is the continuous part; requires y > 0")
-    k = law.shape
-    log_dens = (k - 1.0) * np.log(y) - y / law.scale - k * np.log(law.scale) - log_gamma(k)
-    return law.p * float(np.exp(log_dens))
+    return float(mixture_cdf(law.p, law.mu, law.phi, y))
 
 
 def gm_quantile(law: GammaMixture, u: float) -> float:
     """Inverse mixture CDF for u in (0, 1); returns 0 whenever u <= 1 - p."""
     if not (0.0 < u < 1.0):
         raise ValueError("gm_quantile requires u in (0, 1)")
-    if u <= 1.0 - law.p:
-        return 0.0
-    t = min((u - (1.0 - law.p)) / law.p, U_HI)
-    return float(_sp.gammaincinv(law.shape, t)) * law.scale
+    return float(mixture_quantile(law.p, law.mu, law.phi, u))
 
 
 def gm_sample(law: GammaMixture, rng: np.random.Generator, size=None):
     """Inverse-CDF draws; dry outcomes are exactly 0.0."""
-    u = rng.random(size)
-    if size is None:
-        return 0.0 if u <= 1.0 - law.p else gm_quantile(law, u)
-    return mixture_quantile(law.p, law.mu, law.phi, u)
-
-
-def logistic_loss(p: float, y: float) -> float:
-    """Occurrence loss: -log p when rain occurred (y > 0), -log(1 - p) when dry.
-
-    p is the forecast probability that rain occurs; it is clipped to
-    [1e-12, 1 - 1e-12] so the loss stays finite.
-    """
-    if y < 0.0:
-        raise ValueError("logistic_loss requires y >= 0")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("logistic_loss requires p in [0, 1]")
-    pc = min(max(p, P_CLIP), 1.0 - P_CLIP)
-    return -np.log(pc) if y > 0.0 else -np.log(1.0 - pc)
-
-
-def gamma_nll(mu: float, phi: float, y: float) -> float:
-    """Negative log-density of the gamma component at y > 0."""
-    if y <= 0.0:
-        raise ValueError("gamma_nll requires y > 0")
-    if mu <= 0.0 or phi <= 0.0:
-        raise ValueError("gamma_nll requires mu > 0 and phi > 0")
-    k = 1.0 / phi
-    log_f = k * np.log(y / (phi * mu)) - np.log(y) - y / (phi * mu) - log_gamma(k)
-    return -float(log_f)
+    draws = mixture_quantile(law.p, law.mu, law.phi, rng.random(size))
+    return float(draws) if size is None else draws
 
 
 def jglm_predict(features, coeffs: JglmCoefficients) -> GammaMixture:
     """Map one feature vector through the links: logit p, log mu, log phi."""
-    z = np.asarray(features, dtype=float).reshape(-1)
-    if z.size != coeffs.feature_dim:
-        raise ValueError(
-            f"feature dimension {z.size} does not match coefficients ({coeffs.feature_dim})"
-        )
-    ta = coeffs.alpha0 + z @ coeffs.alpha
-    tb = coeffs.beta0 + z @ coeffs.beta
-    tg = coeffs.gamma0 + z @ coeffs.gamma
-    if not np.all(np.isfinite([ta, tb, tg])):
-        raise ValueError("non-finite linear predictor")
-    return GammaMixture(p=float(_sp.expit(ta)), mu=float(np.exp(tb)), phi=float(np.exp(tg)))
+    z = np.asarray(features, dtype=float).reshape(1, -1)
+    return predict_field(coeffs, IdentityTransform(), z, 1, 1).law(0, 0)
 
 
 class IdentityTransform:
@@ -505,22 +440,17 @@ def flatten_panel(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=float).T.ravel()
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_coefficients(path, coeffs: JglmCoefficients, transform) -> None:
     """Serialize coefficients and the feature transform as flat key=value lines."""
     lines = [f"feature_dim={coeffs.feature_dim}", f"transform={transform.name}"]
-    lines.append(f"alpha0={_fmt(coeffs.alpha0)}")
-    lines += [f"alpha.{k}={_fmt(v)}" for k, v in enumerate(coeffs.alpha)]
-    lines.append(f"beta0={_fmt(coeffs.beta0)}")
-    lines += [f"beta.{k}={_fmt(v)}" for k, v in enumerate(coeffs.beta)]
-    lines.append(f"gamma0={_fmt(coeffs.gamma0)}")
-    lines += [f"gamma.{k}={_fmt(v)}" for k, v in enumerate(coeffs.gamma)]
+    for name, v0, vec in (("alpha", coeffs.alpha0, coeffs.alpha),
+                          ("beta", coeffs.beta0, coeffs.beta),
+                          ("gamma", coeffs.gamma0, coeffs.gamma)):
+        lines.append(f"{name}0={float(v0)!r}")
+        lines += [f"{name}.{k}={v!r}" for k, v in enumerate(vec.tolist())]
     if transform.name == "standardize":
-        lines += [f"mean.{k}={_fmt(v)}" for k, v in enumerate(transform.mean)]
-        lines += [f"scale.{k}={_fmt(v)}" for k, v in enumerate(transform.scale)]
+        for name, vec in (("mean", transform.mean), ("scale", transform.scale)):
+            lines += [f"{name}.{k}={v!r}" for k, v in enumerate(vec.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

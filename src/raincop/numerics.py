@@ -1,13 +1,14 @@
-"""Special functions and dense linear algebra shared by every other module.
+"""The Bessel function of the Matérn kernel and the jittered Cholesky factor.
 
-All routines are pure, operate in double precision, and accept scalars or
-numpy arrays where noted. SpdFactor instances are immutable and safe to
-share between threads.
+Every other special function the package needs (log-gamma, the regularized
+incomplete gamma and its inverse, the normal CDF and quantile) is called
+from ``scipy.special`` at the one place that uses it. All routines are pure
+and operate in double precision. SpdFactor instances are immutable and safe
+to share between threads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,7 @@ from scipy import special as _sp
 __all__ = [
     "NotPositiveDefinite",
     "SpdFactor",
-    "log_gamma",
-    "reg_lower_inc_gamma",
     "bessel_k",
-    "std_normal_cdf",
-    "std_normal_quantile",
     "spd_factorize",
 ]
 
@@ -61,59 +58,13 @@ class SpdFactor:
         return self.lower.shape[0]
 
 
-def log_gamma(x):
-    """Natural log of the gamma function, for x > 0.
-
-    Accepts a scalar or array; raises ValueError outside the domain.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("log_gamma requires x > 0")
-    out = _sp.gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def reg_lower_inc_gamma(shape, x):
-    """Regularized lower incomplete gamma P(shape, x) in [0, 1].
-
-    Monotone nondecreasing in x; P(shape, 0) = 0 and P(shape, x) -> 1 as
-    x -> infinity. Scalar or array arguments broadcast.
-    """
-    shape_a = np.asarray(shape, dtype=float)
-    x_a = np.asarray(x, dtype=float)
-    if np.any(shape_a <= 0.0) or not np.all(np.isfinite(shape_a)):
-        raise ValueError("reg_lower_inc_gamma requires shape > 0")
-    if np.any(x_a < 0.0) or not np.all(np.isfinite(x_a)):
-        raise ValueError("reg_lower_inc_gamma requires x >= 0")
-    out = _sp.gammainc(shape_a, x_a)
-    return float(out) if out.ndim == 0 else out
-
-
-def _half_integer_order(nu: float):
-    """Return n when nu == n + 1/2 for integer n >= 0, else None."""
-    n = round(nu - 0.5)
-    if n >= 0 and abs(nu - (n + 0.5)) < 1e-12:
-        return n
-    return None
-
-
-def _bessel_k_half_integer(n: int, x: np.ndarray) -> np.ndarray:
-    # K_{n+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_{k=0}^{n} (n+k)!/(k!(n-k)!) (2x)^{-k}
-    acc = np.zeros_like(x)
-    for k in range(n, -1, -1):
-        coef = math.factorial(n + k) / (math.factorial(k) * math.factorial(n - k))
-        acc += coef * (2.0 * x) ** (-float(k))
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * acc
-
-
 def bessel_k(nu: float, x):
     """Modified Bessel function of the second kind K_nu(x), nu > 0, x > 0.
 
-    Half-integer orders (the hot path; the spatial kernel defaults to
-    nu = 3.5) use the exact closed-form recurrence; other orders defer to
-    scipy's general implementation. Raises OverflowError when the value
-    exceeds double range, which happens for x below an order-dependent
-    threshold (at worst ~1e-300 for the supported nu <= 10).
+    Evaluates scipy's K_nu after validating the arguments. Raises
+    OverflowError when the value exceeds double range, which happens for x
+    below an order-dependent threshold (at worst ~1e-300 for the supported
+    nu <= 10).
     """
     if not (0.0 < nu <= 10.0):
         raise ValueError("bessel_k supports orders nu in (0, 10]")
@@ -122,37 +73,13 @@ def bessel_k(nu: float, x):
     x_a = np.atleast_1d(x_a)
     if np.any(x_a <= 0.0) or not np.all(np.isfinite(x_a)):
         raise ValueError("bessel_k requires x > 0")
-
-    n = _half_integer_order(nu)
     with np.errstate(over="ignore", divide="ignore"):
-        if n is not None:
-            out = _bessel_k_half_integer(n, x_a)
-        else:
-            out = _sp.kv(nu, x_a)
+        out = _sp.kv(nu, x_a)
     if np.any(np.isinf(out)):
         raise OverflowError(
             f"K_{nu}(x) overflows double precision for x <= {BESSEL_UNDERFLOW_X:g}"
         )
     return float(out[0]) if scalar else out
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF; cdf(0) = 0.5 exactly by symmetry."""
-    out = _sp.ndtr(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_quantile(u):
-    """Standard normal quantile for u in the open interval (0, 1).
-
-    Mutually inverse with std_normal_cdf to 1e-9 on [1e-12, 1 - 1e-12];
-    u in {0, 1} would be an infinite tail and raises ValueError.
-    """
-    u_a = np.asarray(u, dtype=float)
-    if np.any(u_a <= 0.0) or np.any(u_a >= 1.0):
-        raise ValueError("std_normal_quantile requires u in (0, 1); the tails are infinite")
-    out = _sp.ndtri(u_a)
-    return float(out) if out.ndim == 0 else out
 
 
 def spd_factorize(matrix: np.ndarray) -> SpdFactor:

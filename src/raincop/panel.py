@@ -6,6 +6,12 @@ Feature and marginal-cache CSVs are long format, one row per (date,
 location) cell, date-major (all locations for the first date, then the
 next). Ingestion rejects non-finite values (NaN, inf, -inf), negative
 rainfall, and id mismatches with messages naming the file, row, and column.
+
+Every CSV the package writes goes through write_csv, whose cells the caller
+has already formatted: repr of a Python float (the shortest text that reads
+back to the same double), or format_rain for rainfall, which writes a dry
+cell as the bare token 0. The one exception is locations.csv, written by
+csv.writer with its CRLF line ends.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import numpy as np
 
 from .spatial import LocationTable
 
-__all__ = ["IngestError", "RainPanel", "read_rain_csv", "write_rain_csv",
+__all__ = ["IngestError", "RainPanel", "write_csv", "format_rain",
+           "read_rain_csv", "write_rain_csv",
            "read_features_csv", "write_features_csv",
            "read_marginals_csv", "write_marginals_csv"]
 
@@ -73,16 +80,26 @@ def _reject_bad_cells(path, values: np.ndarray, row_nos, header, first_column: i
                       f"({header[col - 1]})")
 
 
-def _fmt(v: float) -> str:
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of already formatted cells, comma-joined, LF line ends."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n")
+
+
+def format_rain(v: float) -> str:
+    """Rainfall cell text: 0 for a dry cell, the round-trip repr otherwise."""
     return "0" if v == 0.0 else repr(float(v))
 
 
+def _cell_keys(panel: RainPanel):
+    """(date, loc) of every panel cell, date-major."""
+    return ((label, loc) for label in panel.day_labels for loc in panel.location_ids)
+
+
 def write_rain_csv(path, panel: RainPanel) -> None:
-    lines = ["date," + ",".join(panel.location_ids)]
-    for s, label in enumerate(panel.day_labels):
-        lines.append(label + "," + ",".join(_fmt(v) for v in panel.values[:, s]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["date", *panel.location_ids],
+              ([label, *map(format_rain, panel.values[:, s].tolist())]
+               for s, label in enumerate(panel.day_labels)))
 
 
 def read_rain_csv(path, locs: LocationTable) -> RainPanel:
@@ -128,20 +145,10 @@ def read_rain_csv(path, locs: LocationTable) -> RainPanel:
 def write_features_csv(path, panel: RainPanel, features: np.ndarray) -> None:
     """Long feature CSV: date,loc,x0..x{d-1}; rows date-major over panel cells."""
     x = np.asarray(features, dtype=float)
-    n, t = panel.n_locations, panel.n_days
-    if x.shape[0] != n * t:
+    if x.shape[0] != panel.n_locations * panel.n_days:
         raise ValueError("feature rows do not cover the panel")
-    d = x.shape[1]
-    lines = ["date,loc," + ",".join(f"x{k}" for k in range(d)) if d else "date,loc"]
-    r = 0
-    for s in range(t):
-        for i in range(n):
-            cells = [panel.day_labels[s], panel.location_ids[i]]
-            cells += [repr(float(v)) for v in x[r]]
-            lines.append(",".join(cells))
-            r += 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["date", "loc", *(f"x{k}" for k in range(x.shape[1]))],
+              ([*key, *map(repr, row)] for key, row in zip(_cell_keys(panel), x.tolist())))
 
 
 def _read_long_csv(path, panel: RainPanel, value_names):
@@ -197,16 +204,9 @@ def read_features_csv(path, panel: RainPanel) -> np.ndarray:
 
 def write_marginals_csv(path, panel: RainPanel, field) -> None:
     """Marginal cache CSV: date,loc,p,mu,phi; rows date-major over panel cells."""
-    lines = ["date,loc,p,mu,phi"]
-    for s in range(panel.n_days):
-        for i in range(panel.n_locations):
-            lines.append(
-                f"{panel.day_labels[s]},{panel.location_ids[i]},"
-                f"{repr(float(field.p[i, s]))},{repr(float(field.mu[i, s]))},"
-                f"{repr(float(field.phi[i, s]))}"
-            )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cells = np.stack([field.p.T, field.mu.T, field.phi.T], axis=-1).reshape(-1, 3).tolist()
+    write_csv(path, ["date", "loc", "p", "mu", "phi"],
+              ([*key, *map(repr, row)] for key, row in zip(_cell_keys(panel), cells)))
 
 
 def read_marginals_csv(path, panel: RainPanel):

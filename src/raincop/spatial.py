@@ -5,7 +5,9 @@ norms on raw (lat, lon) pairs (no great-circle correction) and absolute
 differences of elevation scaled by ``topo_scale``, combined as
 ``a * geographic + (1 - a) * topographic / topo_scale``. The blended
 distances go through a Matérn kernel elementwise to produce a unit-diagonal
-correlation matrix, validated positive definite under the jitter policy.
+correlation matrix. The blend is not Euclidean, so that matrix can be
+indefinite; it is always projected back to the nearest valid correlation
+matrix by flooring its spectrum, then factorized under the jitter policy.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special as _sp
 
-from .numerics import SpdFactor, bessel_k, log_gamma, spd_factorize
+from .numerics import SpdFactor, bessel_k, spd_factorize
 
 __all__ = [
     "LocationTable",
@@ -208,7 +211,7 @@ def matern_kernel(d, params: MaternParams):
         # the x^nu * K_nu(x) product there would hit overflow in the K factor.
         pos = x > 1e-8 if nu >= 1.0 else x > 0.0
         if np.any(pos):
-            log_pref = (1.0 - nu) * np.log(2.0) - log_gamma(nu)
+            log_pref = (1.0 - nu) * np.log(2.0) - _sp.gammaln(nu)
             with np.errstate(under="ignore"):
                 out[pos] = np.exp(log_pref + nu * np.log(x[pos])) * bessel_k(nu, x[pos])
     out = np.clip(out, 0.0, 1.0)
@@ -236,20 +239,18 @@ def repaired_correlation(sigma: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     return m
 
 
-def build_covariance(distance: DistanceMatrix, params: MaternParams,
-                     repair: bool = False) -> CovarianceMatrix:
-    """Apply the kernel elementwise and validate positive definiteness.
+def build_covariance(distance: DistanceMatrix, params: MaternParams) -> CovarianceMatrix:
+    """Apply the kernel elementwise, repair the result and factorize it.
 
-    The Cholesky factor (possibly jittered per the escalation policy) is
-    cached on the result for reuse by the sampler; the stored matrix itself
-    keeps its exact unit diagonal. With ``repair=True`` an indefinite matrix
-    is first projected back to a valid correlation matrix (see
-    repaired_correlation); otherwise NotPositiveDefinite propagates.
+    An indefinite kernel matrix is first projected back to a valid
+    correlation matrix (see repaired_correlation); a positive-definite one
+    passes through unchanged. The Cholesky factor (possibly jittered per the
+    escalation policy) is cached on the result for reuse by the sampler; the
+    stored matrix itself keeps its exact unit diagonal.
     """
     sigma = matern_kernel(distance.values.ravel(), params).reshape(distance.values.shape)
     np.fill_diagonal(sigma, 1.0)
-    if repair:
-        sigma = repaired_correlation(sigma)
+    sigma = repaired_correlation(sigma)
     factor = spd_factorize(sigma)
     return CovarianceMatrix(sigma=sigma, params=params, distance=distance, factor=factor)
 

@@ -2,11 +2,10 @@
 
 Draws locations uniformly in a configurable box, builds the blended
 distance matrix and true Matérn covariance, then simulates each day
-independently: a latent Gaussian vector is mapped through the copula
-uniform and the mixture quantile, so dry cells are exact zeros and the
-declared marginals hold cellwise. Marginals are homogeneous by default
-(fixture values, not fitted ones) or generated from link-linear
-coefficients on a random feature matrix.
+independently as one joint_forecast draw from its own substream, so dry
+cells are exact zeros and the declared marginals hold cellwise. Marginals
+are homogeneous by default (fixture values, not fitted ones) or generated
+from link-linear coefficients on a random feature matrix.
 
 The default elevation span looks nothing like physical terrain: with
 latitude/longitude kept in raw degrees the geographic distances top out
@@ -22,10 +21,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
-from .copula import substream
-from .marginals import GammaMixture, JglmCoefficients, MarginalField, mixture_quantile
+from .copula import joint_forecast, substream
+from .marginals import (GammaMixture, IdentityTransform, JglmCoefficients, MarginalField,
+                        predict_field)
 from .panel import RainPanel
 from .spatial import (DistanceMatrix, LocationTable, MaternParams,
                       build_covariance, build_distance_matrix)
@@ -107,15 +106,10 @@ def _marginal_field(spec: SynthSpec):
             spec.n_locations, spec.n_days,
         )
         return field, None
-    d = spec.coeffs.feature_dim
+    n, t = spec.n_locations, spec.n_days
     rng = substream(spec.seed, _FEAT_TAG)
-    features = rng.standard_normal((spec.n_locations * spec.n_days, d))
-    c = spec.coeffs
-    ta = c.alpha0 + features @ c.alpha
-    tb = c.beta0 + features @ c.beta
-    tg = c.gamma0 + features @ c.gamma
-    field = MarginalField.from_flat(_sp.expit(ta), np.exp(tb), np.exp(tg),
-                                    spec.n_locations, spec.n_days)
+    features = rng.standard_normal((n * t, spec.coeffs.feature_dim))
+    field = predict_field(spec.coeffs, IdentityTransform(), features, n, t)
     return field, features
 
 
@@ -123,18 +117,12 @@ def simulate_dataset(spec: SynthSpec) -> SynthResult:
     """Simulate the full panel under the true covariance; days independent."""
     locs = generate_locations(spec)
     distance = build_distance_matrix(locs, a=spec.blend, topo_scale=spec.topo_scale)
-    cov = build_covariance(distance, MaternParams(theta=spec.theta_true, nu=spec.nu),
-                           repair=True)
+    cov = build_covariance(distance, MaternParams(theta=spec.theta_true, nu=spec.nu))
     field, features = _marginal_field(spec)
 
-    lower_t = cov.factor.lower.T
-    values = np.empty((spec.n_locations, spec.n_days))
-    for s in range(spec.n_days):
-        rng = substream(spec.seed, _DAY_TAG, s)
-        latent = rng.standard_normal(spec.n_locations) @ lower_t
-        u = _sp.ndtr(latent)
-        values[:, s] = mixture_quantile(field.p[:, s], field.mu[:, s],
-                                        field.phi[:, s], u)
+    draws = [joint_forecast(cov, field, s, 1, substream(spec.seed, _DAY_TAG, s))[0]
+             for s in range(spec.n_days)]
+    values = np.column_stack(draws)
     panel = RainPanel(values=values, location_ids=locs.ids, day_labels=_day_labels(spec))
     return SynthResult(panel=panel, field=field, distance=distance,
                        locations=locs, features=features)

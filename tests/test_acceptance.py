@@ -197,8 +197,7 @@ def test_criterion_8_diagnostics_battery():
     # correctly-specified vs independence-misspecified variogram score
     spec = rc.SynthSpec(n_locations=25, n_days=100, seed=803)
     res = rc.simulate_dataset(spec)
-    cov = rc.build_covariance(res.distance, MaternParams(theta=spec.theta_true),
-                              repair=True)
+    cov = rc.build_covariance(res.distance, MaternParams(theta=spec.theta_true))
     from raincop.spatial import CovarianceMatrix
     eye = CovarianceMatrix(sigma=np.eye(25), params=cov.params, distance=res.distance,
                            factor=spd_factorize(np.eye(25)))

@@ -22,6 +22,17 @@ def fixture_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def ensemble_path(fixture_dir, tmp_path_factory):
+    """A small simulated ensemble for the fixture data set."""
+    out = tmp_path_factory.mktemp("ensemble")
+    assert run(["simulate", "--locations", fixture_dir / "locations.csv",
+                "--rainfall", fixture_dir / "rainfall.csv",
+                "--marginals", fixture_dir / "marginals.csv",
+                "--theta", "450", "--m", "4", "--seed", "3", "--out", out]) == 0
+    return out / "ensemble.csv"
+
+
 def read_all(out_dir, names):
     return {n: (out_dir / n).read_bytes() for n in names}
 
@@ -168,6 +179,26 @@ class TestSimulateAndDiagnose:
         assert (diag / "rank_hist.csv").read_bytes() == (diag2 / "rank_hist.csv").read_bytes()
 
 
+    def test_diagnose_csvs_parse_as_floats(self, fixture_dir, ensemble_path, tmp_path):
+        rc = run(["diagnose", "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv",
+                  "--ensemble", ensemble_path, "--q-levels", "0.5,5", "--rank-bins", "5",
+                  "--out", tmp_path])
+        assert rc == 0
+        csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
+        assert csvs == ["crosscorr.csv", "ecdf.csv", "rank_hist.csv", "roc_q0.5.csv",
+                        "roc_q5.csv"]
+        for name in csvs:
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            key_columns = 1 if name == "crosscorr.csv" else 0  # location ids
+            assert rows
+            for row in rows:
+                cells = row.split(",")
+                assert len(cells) == len(header.split(","))
+                for cell in cells[key_columns:]:
+                    float(cell)
+
     def test_ragged_ensemble_rejected(self, fixture_dir, tmp_path, capsys):
         common = ["--locations", fixture_dir / "locations.csv",
                   "--rainfall", fixture_dir / "rainfall.csv",
@@ -305,9 +336,12 @@ class TestIngestValidation:
         ("marginals.csv", 30, 2, "nan"),
         ("features.csv", 4, 2, "-inf"),
         ("features.csv", 12, 3, "nan"),
+        ("ensemble.csv", 6, 3, "nan"),
+        ("ensemble.csv", 17, 2, "inf"),
+        ("ensemble.csv", 40, 11, "-inf"),
     ])
-    def test_non_finite_rejected_with_location(self, fixture_dir, tmp_path, capsys,
-                                               name, line, field, token):
+    def test_non_finite_rejected_with_location(self, fixture_dir, ensemble_path, tmp_path,
+                                               capsys, name, line, field, token):
         from raincop.panel import read_rain_csv, write_features_csv
         from raincop.spatial import read_locations
 
@@ -318,6 +352,8 @@ class TestIngestValidation:
                                                               * panel.n_days, 2))
             write_features_csv(tmp_path / "good.csv", panel, feats)
             lines = (tmp_path / "good.csv").read_text().splitlines()
+        elif name == "ensemble.csv":
+            lines = ensemble_path.read_text().splitlines()
         else:
             lines = (fixture_dir / name).read_text().splitlines()
         parts = lines[line].split(",")
@@ -331,6 +367,8 @@ class TestIngestValidation:
         paths[name.split(".")[0]] = bad
         if name == "features.csv":
             argv = ["fit-marginals", "--features", bad]
+        elif name == "ensemble.csv":
+            argv = ["diagnose", "--marginals", paths["marginals"], "--ensemble", bad]
         else:
             argv = ["estimate-theta", "--marginals", paths["marginals"],
                     "--grid", "3", "--m", "4"]
@@ -340,6 +378,21 @@ class TestIngestValidation:
         err = capsys.readouterr().err
         assert f"{name}: row {line + 1}: non-finite value {float(token)!r} " \
                f"in column {field + 1}" in err
+
+    def test_negative_ensemble_cell_rejected(self, fixture_dir, ensemble_path, tmp_path,
+                                             capsys):
+        lines = ensemble_path.read_text().splitlines()
+        parts = lines[8].split(",")
+        parts[4] = "-0.5"
+        lines[8] = ",".join(parts)
+        bad = tmp_path / "ensemble.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = run(["diagnose", "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv",
+                  "--ensemble", bad, "--out", tmp_path / "out"])
+        assert rc == 2
+        assert "ensemble.csv: row 9: negative rainfall in column 5" in capsys.readouterr().err
 
     def test_missing_locations_exit_2(self, tmp_path):
         rc = run(["fit-marginals", "--locations", tmp_path / "none.csv",

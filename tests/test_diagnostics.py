@@ -94,8 +94,7 @@ class TestVariogram:
         res = simulate_dataset(spec)
         from raincop.numerics import spd_factorize
         from raincop.spatial import MaternParams, build_covariance
-        cov = build_covariance(res.distance, MaternParams(theta=spec.theta_true),
-                               repair=True)
+        cov = build_covariance(res.distance, MaternParams(theta=spec.theta_true))
         eye_cov = type(cov)(sigma=np.eye(25), params=cov.params,
                             distance=res.distance,
                             factor=spd_factorize(np.eye(25)))

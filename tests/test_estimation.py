@@ -1,6 +1,7 @@
 """Energy-score estimator and lengthscale-search tests."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -175,18 +176,23 @@ class TestEstimateTheta:
             result = estimate_theta(res.panel.values, res.field, res.distance,
                                     cfg, search)
         assert result.boundary
+        # a minimizer on the lower edge brackets the refinement by its neighbour
+        assert result.grid_argmin == 1200.0
+        assert result.refine_bracket == (1200.0, 1500.0)
 
-    def test_threads_do_not_change_profile(self):
+    def test_records_grid_argmin_and_bracket(self):
         res = small_case(seed=3, n=8, days=30)
         cfg = ScoreConfig(seed=42, m=6)
         search = ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=5, tol=20.0,
-                                 refine_day_subsample="all")
-        r1 = estimate_theta(res.panel.values, res.field, res.distance, cfg, search,
-                            threads=1)
-        r2 = estimate_theta(res.panel.values, res.field, res.distance, cfg, search,
-                            threads=3)
-        assert [p.score for p in r1.profile] == [p.score for p in r2.profile]
-        assert r1.theta_hat == r2.theta_hat
+                                 refine_day_subsample=10)
+        result = estimate_theta(res.panel.values, res.field, res.distance, cfg, search)
+        thetas = [pt.theta for pt in result.profile]
+        best = int(np.argmin([pt.score for pt in result.profile]))
+        assert result.grid_argmin == thetas[best]
+        assert result.refine_bracket == (thetas[max(best - 1, 0)],
+                                         thetas[min(best + 1, len(thetas) - 1)])
+        lo, hi = result.refine_bracket
+        assert lo <= result.theta_hat <= hi
 
 
 def reference_terms(samples, obs, beta):
@@ -308,6 +314,7 @@ class TestWriters:
     def test_summary_json_deterministic(self, tmp_path):
         from raincop.estimation import EstimateResult
         result = EstimateResult(theta_hat=440.0, profile=[], boundary=False,
+                                grid_argmin=450.0, refine_bracket=(400.0, 500.0),
                                 n_evaluations=20, wall_clock_s=1.23)
         cfg = ScoreConfig(seed=7)
         search = ThetaSearchSpec(lower=200.0, upper=800.0)
@@ -317,3 +324,6 @@ class TestWriters:
         write_summary(p2, result, cfg, search)
         assert p1.read_bytes() == p2.read_bytes()
         assert b"wall" not in p1.read_bytes()
+        summary = json.loads(p1.read_text())
+        assert summary["grid_argmin"] == 450.0
+        assert summary["refine_bracket"] == [400.0, 500.0]

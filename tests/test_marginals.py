@@ -8,18 +8,25 @@ construction.
 
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.special import expit
+from scipy import integrate, stats
+from scipy.special import expit, logit
 
 from raincop.marginals import (FitConfig, GammaMixture, IdentityTransform,
                                JglmCoefficients, MarginalField, StandardizeTransform,
-                               _joint_loss, flatten_panel, gamma_nll, gm_cdf, gm_pdf,
-                               gm_quantile, gm_sample, jglm_fit, jglm_predict,
-                               logistic_loss, predict_field, read_coefficients,
+                               _joint_loss, flatten_panel, gm_cdf, gm_quantile, gm_sample,
+                               jglm_fit, jglm_predict, predict_field, read_coefficients,
                                write_coefficients)
 
 GM_CDF_CASE = 0.87261367275819719     # p=.5, mu=3, phi=.5 at y=4 (quadrature)
 GAMMA_NLL_CASE = 1.4511163689897168   # mu=3, phi=.5 at y=2 (direct formula)
+
+
+def observation_loss(y, p, mu, phi):
+    """Joint loss of one intercept-only observation under the law (p, mu, phi)."""
+    vec = np.array([logit(p), np.log(mu), np.log(phi)])
+    y = np.array([y], dtype=float)
+    loss, _ = _joint_loss(vec, np.empty((1, 0)), y, y > 0, 0, want_grad=False)
+    return loss
 
 
 class TestGmCdf:
@@ -47,9 +54,10 @@ class TestGmCdf:
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_pdf_integrates_to_p(self):
-        law = GammaMixture(p=0.6, mu=3.0, phi=1.2)
-        total, err = integrate.quad(lambda y: gm_pdf(law, y), 0.0, np.inf)
-        assert total == pytest.approx(law.p, abs=1e-6)
+        # a wet observation's likelihood exp(-loss) is the continuous part p * f(y)
+        total, err = integrate.quad(lambda y: np.exp(-observation_loss(y, 0.6, 3.0, 1.2)),
+                                    0.0, np.inf)
+        assert total == pytest.approx(0.6, abs=1e-6)
 
 
 class TestGmQuantile:
@@ -104,24 +112,34 @@ class TestGmSample:
 
 
 class TestLosses:
+    """Terms of the joint loss, isolated on one intercept-only observation."""
+
     def test_logistic_values(self):
-        assert logistic_loss(0.5, 0.0) == pytest.approx(np.log(2.0), abs=1e-12)
-        assert logistic_loss(0.5, 3.2) == pytest.approx(np.log(2.0), abs=1e-12)
-        assert logistic_loss(0.9, 1.0) == pytest.approx(-np.log(0.9), abs=1e-12)
+        # the gamma term of a wet observation comes from scipy's gamma density
+        def gamma_term(y, mu, phi):
+            return -stats.gamma.logpdf(y, a=1.0 / phi, scale=phi * mu)
+        assert observation_loss(0.0, 0.5, 2.0, 0.7) == pytest.approx(np.log(2.0), abs=1e-12)
+        assert (observation_loss(3.2, 0.5, 2.0, 0.7) - gamma_term(3.2, 2.0, 0.7)
+                == pytest.approx(np.log(2.0), abs=1e-12))
+        assert (observation_loss(1.0, 0.9, 1.0, 1.0) - gamma_term(1.0, 1.0, 1.0)
+                == pytest.approx(-np.log(0.9), abs=1e-12))
 
     def test_logistic_clipping(self):
-        assert np.isfinite(logistic_loss(0.0, 1.0))
-        assert np.isfinite(logistic_loss(1.0, 0.0))
+        # p rounds to 0 (wet) or to 1 (dry); the clip keeps the loss finite
+        for alpha0, y in ((-800.0, 1.0), (800.0, 0.0)):
+            y = np.array([y])
+            loss, _ = _joint_loss(np.array([alpha0, 0.0, 0.0]), np.empty((1, 0)), y, y > 0,
+                                  0, want_grad=False)
+            assert np.isfinite(loss)
 
     def test_gamma_nll_values(self):
-        assert gamma_nll(1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert gamma_nll(2.0, 1.0, 2.0) == pytest.approx(1.0 + np.log(2.0), abs=1e-12)
-        assert gamma_nll(3.0, 0.5, 2.0) == pytest.approx(GAMMA_NLL_CASE, abs=1e-10)
-
-    def test_gamma_nll_domain(self):
-        for mu, phi, y in ((1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, -1.0, 1.0)):
-            with pytest.raises(ValueError):
-                gamma_nll(mu, phi, y)
+        # at p = 1/2 the occurrence term of a wet observation is exactly log 2
+        assert observation_loss(1.0, 0.5, 1.0, 1.0) - np.log(2.0) == pytest.approx(
+            1.0, abs=1e-12)
+        assert observation_loss(2.0, 0.5, 2.0, 1.0) - np.log(2.0) == pytest.approx(
+            1.0 + np.log(2.0), abs=1e-12)
+        assert observation_loss(2.0, 0.5, 3.0, 0.5) - np.log(2.0) == pytest.approx(
+            GAMMA_NLL_CASE, abs=1e-10)
 
     def test_dry_loss_is_logistic_only(self):
         # per-observation joint loss at y = 0 has no gamma term
@@ -131,7 +149,7 @@ class TestLosses:
         y = np.array([0.0])
         loss, _ = _joint_loss(coeffs.pack(), z, y, y > 0, 1, want_grad=False)
         p = expit(0.4 + 0.2 * 1.3)
-        assert loss == pytest.approx(logistic_loss(p, 0.0), abs=1e-12)
+        assert loss == pytest.approx(-np.log(1.0 - p), abs=1e-12)
 
 
 class TestJglmPredict:

@@ -8,9 +8,8 @@ share code with the implementation under test.
 import numpy as np
 import pytest
 
-from raincop.numerics import (NotPositiveDefinite, bessel_k, log_gamma,
-                              reg_lower_inc_gamma, spd_factorize, std_normal_cdf,
-                              std_normal_quantile)
+from raincop.marginals import GammaMixture, mixture_cdf
+from raincop.numerics import NotPositiveDefinite, bessel_k, spd_factorize
 
 # mpmath oracles (40-digit evaluation, rounded to double)
 P_2_5_AT_3_7 = 0.80744956692060424     # quadrature of t^{s-1} e^{-t} / Gamma(s)
@@ -24,28 +23,10 @@ K_1_2_AT_0_5 = 2.1086579232338186
 K_4_8_AT_3_3 = 0.42053859838987891
 
 
-class TestLogGamma:
-    def test_integer_and_half_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert log_gamma(0.5) == pytest.approx(np.log(np.sqrt(np.pi)), abs=1e-12)
-        assert log_gamma(10.0) == pytest.approx(np.log(362880.0), abs=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.5)
-
-    def test_recurrence_property(self):
-        rng = np.random.default_rng(42)
-        x = rng.uniform(1e-3, 50.0, size=200)
-        lhs = np.exp(log_gamma(x + 1.0))
-        rhs = x * np.exp(log_gamma(x))
-        assert np.allclose(lhs, rhs, rtol=1e-9)
-
-    def test_array_input(self):
-        out = log_gamma(np.array([1.0, 10.0]))
-        assert out.shape == (2,)
+def reg_lower_inc_gamma(shape, x):
+    """P(shape, x) as the package evaluates it: the mixture CDF of an always-wet
+    law whose gamma part has this shape and unit scale."""
+    return mixture_cdf(1.0, shape, 1.0 / shape, x)
 
 
 class TestRegLowerIncGamma:
@@ -69,8 +50,9 @@ class TestRegLowerIncGamma:
             assert reg_lower_inc_gamma(s, 50.0 * s + 200.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_domain_errors(self):
+        # shape 0 is an infinite dispersion, which the law rejects
         with pytest.raises(ValueError):
-            reg_lower_inc_gamma(0.0, 1.0)
+            GammaMixture(p=1.0, mu=1.0, phi=np.inf)
         with pytest.raises(ValueError):
             reg_lower_inc_gamma(1.0, -0.5)
 
@@ -124,27 +106,6 @@ class TestBesselK:
             bessel_k(0.0, 1.0)
         with pytest.raises(ValueError):
             bessel_k(11.0, 1.0)
-
-
-class TestStdNormal:
-    def test_cdf_at_zero_exact(self):
-        assert std_normal_cdf(0.0) == 0.5
-
-    def test_quantile_at_half(self):
-        assert std_normal_quantile(0.5) == 0.0
-
-    def test_round_trip(self):
-        assert std_normal_quantile(std_normal_cdf(1.7)) == pytest.approx(1.7, abs=1e-9)
-
-    def test_mutual_inverse_grid(self):
-        u = np.concatenate([[1e-12, 1.0 - 1e-12], np.linspace(1e-6, 1.0 - 1e-6, 101)])
-        back = std_normal_cdf(std_normal_quantile(u))
-        assert np.allclose(back, u, atol=1e-9)
-
-    def test_infinite_tail_error(self):
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                std_normal_quantile(bad)
 
 
 class TestSpdFactorize:

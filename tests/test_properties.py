@@ -1,0 +1,146 @@
+"""Property tests: file round-trips through the shared CSV writer, the mixture
+quantile inverting the mixture CDF, and every module's exports resolving."""
+
+import importlib
+import os
+import pkgutil
+import tempfile
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import raincop
+from raincop.copula import read_ensemble, write_ensemble
+from raincop.marginals import (IdentityTransform, JglmCoefficients, MarginalField,
+                               StandardizeTransform, mixture_cdf, mixture_quantile,
+                               read_coefficients, write_coefficients)
+from raincop.panel import (RainPanel, read_features_csv, read_marginals_csv, read_rain_csv,
+                           write_features_csv, write_marginals_csv, write_rain_csv)
+from raincop.spatial import LocationTable
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+# Rainfall: exact zeros (the `0` token) mixed with any nonnegative double.
+RAIN = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300))
+
+
+def draw_grid(data, elements, rows, cols):
+    """A (rows, cols) float array drawn from elements."""
+    cells = data.draw(st.lists(elements, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=float).reshape(rows, cols)
+
+
+def panel_of(values):
+    n, t = values.shape
+    return RainPanel(values, [f"s{i}" for i in range(n)], [f"d{s}" for s in range(t)])
+
+
+def locations(ids):
+    zeros = np.zeros(len(ids))
+    return LocationTable(ids=ids, lat=zeros, lon=zeros, elev=zeros)
+
+
+def write_then_read(write, read):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.csv")
+        write(path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return read(path), text
+
+
+def value_cells(text, skip):
+    """Cells of every data row after the first `skip` key columns."""
+    return [c for line in text.splitlines()[1:] for c in line.split(",")[skip:]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_rain_round_trip(n, t, data):
+    values = draw_grid(data, RAIN, n, t)
+    panel = panel_of(values)
+    back, text = write_then_read(lambda p: write_rain_csv(p, panel),
+                                 lambda p: read_rain_csv(p, locations(panel.location_ids)))
+    assert np.array_equal(back.values, values)
+    assert back.day_labels == panel.day_labels
+    cells = value_cells(text, 1)
+    assert [c == "0" for c in cells] == (values.T.ravel() == 0.0).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_marginals_round_trip(n, t, data):
+    arrays = [draw_grid(data, elements, n, t)
+              for elements in (st.floats(0.0, 1.0), POSITIVE, POSITIVE)]
+    field = MarginalField(*arrays)
+    panel = panel_of(np.zeros((n, t)))
+    back, _ = write_then_read(lambda p: write_marginals_csv(p, panel, field),
+                              lambda p: read_marginals_csv(p, panel))
+    for got, want in zip((back.p, back.mu, back.phi), arrays):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_features_round_trip(n, t, d, data):
+    features = draw_grid(data, FINITE, n * t, d)
+    panel = panel_of(np.zeros((n, t)))
+    back, _ = write_then_read(lambda p: write_features_csv(p, panel, features),
+                              lambda p: read_features_csv(p, panel))
+    assert back.shape == features.shape
+    assert np.array_equal(back, features)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.data())
+def test_ensemble_round_trip(days, m, n, data):
+    blocks = [draw_grid(data, RAIN, m, n) for _ in range(days)]
+    ids = [f"s{i}" for i in range(n)]
+    labels = [f"d{s}" for s in range(days)]
+    (back_labels, back), text = write_then_read(
+        lambda p: write_ensemble(p, labels, ids, blocks),
+        lambda p: read_ensemble(p, ids))
+    assert back_labels == labels
+    for got, want in zip(back, blocks):
+        assert np.array_equal(got, want)
+    cells = value_cells(text, 2)
+    assert [c == "0" for c in cells] == (np.concatenate(blocks).ravel() == 0.0).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.booleans(), st.data())
+def test_coefficients_round_trip(d, standardize, data):
+    vec = np.array(data.draw(st.lists(FINITE, min_size=3 * (d + 1), max_size=3 * (d + 1))))
+    coeffs = JglmCoefficients.unpack(vec, d)
+    transform = IdentityTransform()
+    if standardize:
+        transform = StandardizeTransform(
+            mean=data.draw(st.lists(FINITE, min_size=d, max_size=d)),
+            scale=data.draw(st.lists(POSITIVE, min_size=d, max_size=d)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "coefficients.txt")
+        write_coefficients(path, coeffs, transform)
+        back, back_transform = read_coefficients(path)
+    assert np.array_equal(back.pack(), vec)
+    assert back_transform.name == transform.name
+    if standardize:
+        assert np.array_equal(back_transform.mean, transform.mean)
+        assert np.array_equal(back_transform.scale, transform.scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.01, 1.0), st.floats(0.1, 50.0), st.floats(0.05, 5.0),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_cdf_inverts_quantile_on_wet_u(p, mu, phi, w):
+    u = 1.0 - p + p * w  # wet: above the dry mass 1 - p
+    assume(1.0 - p < u < 1.0)
+    y = mixture_quantile(p, mu, phi, u)
+    assert abs(float(mixture_cdf(p, mu, phi, y)) - u) <= 1e-8
+
+
+def test_module_exports_resolve():
+    for info in pkgutil.iter_modules(raincop.__path__):
+        module = importlib.import_module(f"raincop.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"raincop.{info.name}.__all__ names {name!r}"

@@ -1,9 +1,11 @@
 """Distance blending and Matérn covariance tests."""
 
+import math
+
 import numpy as np
 import pytest
 
-from raincop.numerics import bessel_k, log_gamma
+from raincop.numerics import NotPositiveDefinite, bessel_k, spd_factorize
 from raincop.spatial import (DistanceMatrix, LocationTable,
                              MaternParams, build_covariance, build_distance_matrix,
                              matern_kernel, read_locations, repaired_correlation,
@@ -102,7 +104,7 @@ class TestMaternKernel:
         params = MaternParams(theta=450.0, nu=3.5)
         got = matern_kernel(450.0, params)
         x = np.sqrt(7.0) * 450.0 / 450.0
-        want = 2.0 ** (1.0 - 3.5) / np.exp(log_gamma(3.5)) * x ** 3.5 * bessel_k(3.5, x)
+        want = 2.0 ** (1.0 - 3.5) / math.gamma(3.5) * x ** 3.5 * bessel_k(3.5, x)
         assert got == pytest.approx(want, abs=1e-9)
         assert got == pytest.approx(MATERN_3_5_AT_450_450, rel=1e-12)
 
@@ -162,24 +164,23 @@ class TestBuildCovariance:
         locs = uk_locations(9, 11, 0.0, 3000.0)
         perm = np.random.default_rng(1).permutation(9)
         dist = build_distance_matrix(locs, a=0.9)
-        cov = build_covariance(dist, MaternParams(theta=5.0), repair=True)
+        cov = build_covariance(dist, MaternParams(theta=5.0))
         cov_p = build_covariance(
-            build_distance_matrix(locs.subset(perm), a=0.9),
-            MaternParams(theta=5.0), repair=True)
+            build_distance_matrix(locs.subset(perm), a=0.9), MaternParams(theta=5.0))
         assert np.allclose(cov_p.sigma, cov.sigma[np.ix_(perm, perm)], atol=1e-12)
 
     def test_repair_restores_validity(self):
         # independent elevations at resolved scales: structurally indefinite
         locs = uk_locations(40, 13, 0.0, 8e5)
         dist = build_distance_matrix(locs, a=0.9)
-        with pytest.raises(Exception):
-            build_covariance(dist, MaternParams(theta=450.0))
-        cov = build_covariance(dist, MaternParams(theta=450.0), repair=True)
-        assert cov.factor.jitter_applied <= 1e-8
-        assert np.all(np.diag(cov.sigma) == 1.0)
         raw = matern_kernel(dist.values.ravel(),
                             MaternParams(theta=450.0)).reshape(40, 40)
         np.fill_diagonal(raw, 1.0)
+        with pytest.raises(NotPositiveDefinite):
+            spd_factorize(raw)
+        cov = build_covariance(dist, MaternParams(theta=450.0))
+        assert cov.factor.jitter_applied <= 1e-8
+        assert np.all(np.diag(cov.sigma) == 1.0)
         # projection stays close to the raw kernel matrix
         assert np.max(np.abs(cov.sigma - raw)) < 0.05
 
