@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .copula import joint_forecast, read_ensemble, substream, write_ensemble
-from .diagnostics import (EnsembleBlock, crps_sample, cross_correlation, ecdf_curve,
-                          rank_histogram, rmsb_mab, roc_auc, variogram_score)
+from .diagnostics import (cross_correlation, crps_scores, exceedance_frequencies,
+                          median_bias, rank_counts, roc_auc, variogram_scores)
 from .estimation import (ScoreConfig, ThetaSearchSpec, day_chunks, energy_scores,
                          estimate_theta, write_profile, write_summary)
 from .marginals import (FitConfig, flatten_panel, jglm_fit, make_transform,
@@ -233,13 +233,13 @@ def cmd_diagnose(settings: Settings) -> int:
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
     field = read_marginals_csv(settings.path("marginals"), panel)
-    day_labels, raw_blocks = read_ensemble(settings.path("ensemble"), locs.ids)
+    day_labels, ens = read_ensemble(settings.path("ensemble"), locs.ids)  # (days, m, n)
     if list(day_labels) != list(panel.day_labels):
         raise IngestError("ensemble days do not match the rainfall panel")
-    if len({b.shape[0] for b in raw_blocks}) != 1:
-        raise IngestError("ensemble days hold different numbers of replicates")
-    blocks = [EnsembleBlock(day=s, samples=raw_blocks[s], obs=panel.values[:, s])
-              for s in range(panel.n_days)]
+    days, m, n = ens.shape
+    if m < 2:
+        raise IngestError("ensemble needs at least two replicates per day")
+    obs = panel.values.T  # (days, n)
     distance = build_distance_matrix(locs, a=settings.float("a"),
                                      topo_scale=settings.float("topo_scale"))
     out = _out_dir(settings)
@@ -255,29 +255,27 @@ def cmd_diagnose(settings: Settings) -> int:
                   _float_rows(curve.taus, curve.fpr, curve.tpr))
 
     bins = settings.int("rank_bins")
-    counts, freq = rank_histogram(blocks, bins, substream(seed, _RANK_TAG))
+    counts, freq = rank_counts(ens, obs, bins, substream(seed, _RANK_TAG))
     write_csv(os.path.join(out, "rank_hist.csv"), ["bin", "count", "frequency"],
               ([str(b), str(int(c)), repr(float(f))]
                for b, (c, f) in enumerate(zip(counts, freq))))
 
     levels = np.array(settings.floats("ecdf_levels"))
-    model_freq, obs_freq = ecdf_curve(blocks, levels)
+    model_freq, obs_freq = exceedance_frequencies(ens, obs, levels)
     write_csv(os.path.join(out, "ecdf.csv"), ["level", "model_freq", "obs_freq"],
               _float_rows(levels, model_freq, obs_freq))
 
     center_id, obs_corr = cross_correlation(panel.values, locs)
-    pooled = np.hstack([b.samples.T for b in blocks])  # (n, days*m)
+    pooled = ens.transpose(2, 0, 1).reshape(n, days * m)
     _, model_corr = cross_correlation(pooled, locs, center=center_id)
     write_csv(os.path.join(out, "crosscorr.csv"), ["id", "observed", "model"],
               ([i, *row] for i, row in zip(locs.ids, _float_rows(obs_corr, model_corr))))
 
-    crps_vals = [crps_sample(b.samples[:, i], b.obs[i])
-                 for b in blocks for i in range(b.n)]
-    energy_vals = np.concatenate([
-        energy_scores(np.stack(raw_blocks[sl]), panel.values[:, sl].T, beta)
-        for sl in day_chunks(panel.n_days, raw_blocks[0].size)])
-    vario_vals = [variogram_score(b, distance) for b in blocks]
-    rmsb, mab = rmsb_mab(blocks)
+    crps_vals = crps_scores(ens, obs)
+    energy_vals = np.concatenate([energy_scores(ens[sl], obs[sl], beta)
+                                  for sl in day_chunks(days, m * n)])
+    vario_vals = variogram_scores(ens, obs, distance)
+    rmsb, mab = median_bias(ens, obs)
     summary = {
         "crps_mean": float(np.mean(crps_vals)),
         "energy_score_mean": float(np.mean(energy_vals)),
@@ -288,7 +286,7 @@ def cmd_diagnose(settings: Settings) -> int:
         "auc": aucs,
         "cross_correlation_center": center_id,
         "n_days": panel.n_days,
-        "m": blocks[0].m,
+        "m": m,
         "rank_bins": bins,
         "beta": beta,
         "seed": seed,

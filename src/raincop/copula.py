@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .marginals import MarginalField, mixture_cdf, mixture_quantile
-from .panel import _reject_bad_cells, format_rain, write_csv
+from .panel import IngestError, _reject_bad_cells, format_rain, write_csv
 from .spatial import CovarianceMatrix
 
 __all__ = [
@@ -132,13 +132,15 @@ def write_ensemble(path, day_labels, location_ids, blocks) -> None:
 
 
 def read_ensemble(path, location_ids):
-    """Read an ensemble CSV back into (day_labels, list of (m, n) blocks).
+    """Read an ensemble CSV back into (day_labels, (days, m, n) samples).
 
-    A non-finite or negative cell raises IngestError naming the file, row
-    and column.
+    Every day must hold the same number m of rows, carrying replicate
+    0, 1, ..., m - 1 in that order. A ragged day, a replicate out of place
+    and a non-finite or negative cell raise IngestError; the last two name
+    the file, row and column.
     """
     expected = ["day", "replicate"] + [f"loc_{i}" for i in location_ids]
-    rows_of_day: dict = {}  # day label -> (file row numbers, parsed rows)
+    rows_of_day: dict = {}  # day label -> (file row numbers, replicate tokens, parsed rows)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header != expected:
@@ -151,12 +153,24 @@ def read_ensemble(path, location_ids):
             if len(parts) != len(expected):
                 raise ValueError(f"{path}: row {line_no}: wrong field count")
             if parts[0] not in rows_of_day:
-                rows_of_day[parts[0]] = ([], [])
-            row_nos, rows = rows_of_day[parts[0]]
+                rows_of_day[parts[0]] = ([], [], [])
+            row_nos, replicates, rows = rows_of_day[parts[0]]
             row_nos.append(line_no)
+            replicates.append(parts[1])
             rows.append([float(v) for v in parts[2:]])
-    blocks = []
-    for row_nos, rows in rows_of_day.values():
-        blocks.append(np.asarray(rows, dtype=float))
-        _reject_bad_cells(path, blocks[-1], row_nos, header, first_column=3, nonnegative=True)
-    return list(rows_of_day), blocks
+    days = list(rows_of_day.values())
+    sizes = {len(rows) for _, _, rows in days}
+    if len(sizes) > 1:
+        raise IngestError(f"{path}: ensemble days hold different numbers of replicates")
+    m = sizes.pop() if sizes else 0
+    for row_nos, replicates, _ in days:
+        for j, (line_no, token) in enumerate(zip(row_nos, replicates)):
+            if token != str(j):
+                raise IngestError(f"{path}: row {line_no}: replicate {token!r} in column 2 "
+                                  f"(replicate), expected {j}")
+    samples = np.array([rows for _, _, rows in days], dtype=float).reshape(
+        len(days), m, len(location_ids))
+    _reject_bad_cells(path, samples.reshape(-1, len(location_ids)),
+                      [no for row_nos, _, _ in days for no in row_nos],
+                      header, first_column=3, nonnegative=True)
+    return list(rows_of_day), samples

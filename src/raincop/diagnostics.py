@@ -6,8 +6,17 @@ pooled exceedance-frequency (ECDF) curves. Spatial coherence: correlation
 of every location with a center point, and the variogram score with
 inverse-distance weights. Accuracy: sample CRPS (the univariate energy
 score, with the unbiased pairwise divisor so values are comparable across
-ensemble sizes) and median-forecast bias summaries. All diagnostics are
-pure over their inputs with fixed iteration order.
+ensemble sizes) and median-forecast bias summaries.
+
+The ensemble scores are array kernels over a whole forecast: (days, m, n)
+samples against (days, n) observations (`crps_scores`, `variogram_scores`,
+`rank_counts`, `exceedance_frequencies`, `median_bias`). Each walks the days
+in the consecutive chunks `estimation.day_chunks` gives under its element
+budget, so its temporaries stay bounded whatever the number of days.
+`EnsembleBlock` and the per-day and per-cell functions (`crps_sample`,
+`variogram_score`, `rank_histogram`, `ecdf_curve`, `rmsb_mab`) call the
+same kernels. All diagnostics are pure over their inputs with fixed
+iteration order.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimation import day_chunks
 from .marginals import MarginalField
 from .spatial import DistanceMatrix, LocationTable
 
@@ -24,11 +34,16 @@ __all__ = [
     "EnsembleBlock",
     "RocCurve",
     "roc_auc",
+    "rank_counts",
     "rank_histogram",
+    "exceedance_frequencies",
     "ecdf_curve",
     "cross_correlation",
+    "crps_scores",
     "crps_sample",
+    "variogram_scores",
     "variogram_score",
+    "median_bias",
     "rmsb_mab",
 ]
 
@@ -120,50 +135,60 @@ def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float,
     return RocCurve(q=float(q), taus=taus, fpr=fpr, tpr=tpr, auc=auc)
 
 
-def rank_histogram(blocks, bins: int, rng: np.random.Generator | None = None):
-    """Histogram of observation ranks within their ensembles.
+def rank_counts(samples, obs, bins: int, rng: np.random.Generator | None = None):
+    """Histogram of observation ranks within their ensembles, (days, m, n) at once.
 
     The rank of an observation is the number of members strictly below it,
     plus a uniform random count among tied members (the standard correction;
     exact zeros make ties pervasive). Ranks live in {0, ..., m} and are
     folded into `bins` bins; counts are returned with normalized
-    frequencies. Uniform iff the forecasts are calibrated.
+    frequencies. Uniform iff the forecasts are calibrated. The tie-break
+    counts are drawn day by day, location by location, so a generator gives
+    the same ranks however the days are chunked.
     """
-    if not blocks:
-        raise ValueError("need at least one ensemble block")
-    m = blocks[0].m
-    if any(b.m != m for b in blocks):
-        raise ValueError("all blocks must share one ensemble size")
+    samples, obs = _ensemble_arrays(samples, obs)
+    days, m, n = samples.shape
     if bins < 1 or bins > m + 1:
         raise ValueError("bins must lie in [1, m + 1]")
     rng = rng or np.random.Generator(np.random.Philox(0))
-
-    ranks = []
-    for block in blocks:
-        below = (block.samples < block.obs).sum(axis=0)
-        ties = (block.samples == block.obs).sum(axis=0)
-        ranks.append(below + rng.integers(0, ties + 1))
-    ranks = np.concatenate(ranks)
-    bin_idx = (ranks * bins) // (m + 1)
-    counts = np.bincount(bin_idx, minlength=bins).astype(int)
+    counts = np.zeros(bins, dtype=int)
+    for sl in day_chunks(days, m * n):
+        x, y = samples[sl], obs[sl, None, :]
+        ties = (x == y).sum(axis=1)
+        ranks = (x < y).sum(axis=1) + rng.integers(0, ties + 1)
+        counts += np.bincount(((ranks * bins) // (m + 1)).ravel(), minlength=bins)
     return counts, counts / counts.sum()
 
 
-def ecdf_curve(blocks, levels):
+def rank_histogram(blocks, bins: int, rng: np.random.Generator | None = None):
+    """rank_counts over a list of EnsembleBlocks sharing one ensemble size."""
+    return rank_counts(*_stack_blocks(blocks), bins, rng)
+
+
+def exceedance_frequencies(samples, obs, levels):
     """Pooled exceedance frequencies of the model and the observations.
 
     For each level x: the fraction of all ensemble values above x and the
-    fraction of all observations above x. A calibrated model's curve tracks
-    the observed one.
+    fraction of all observations above x, from (days, m, n) samples and
+    (days, n) observations. A calibrated model's curve tracks the observed
+    one.
     """
+    samples, obs = _ensemble_arrays(samples, obs)
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0.0):
         raise ValueError("levels must be nonnegative")
-    samples = np.concatenate([b.samples.ravel() for b in blocks])
-    obs = np.concatenate([b.obs for b in blocks])
-    model_freq = (samples[None, :] > levels[:, None]).mean(axis=1)
-    obs_freq = (obs[None, :] > levels[:, None]).mean(axis=1)
-    return model_freq, obs_freq
+    days, m, n = samples.shape
+    model = np.zeros(levels.size, dtype=int)
+    observed = np.zeros(levels.size, dtype=int)
+    for sl in day_chunks(days, m * n):
+        model += (samples[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
+        observed += (obs[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
+    return model / samples.size, observed / obs.size
+
+
+def ecdf_curve(blocks, levels):
+    """exceedance_frequencies over a list of EnsembleBlocks."""
+    return exceedance_frequencies(*_stack_blocks(blocks), levels)
 
 
 def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
@@ -197,38 +222,61 @@ def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
     return locs.ids[center_idx], corr
 
 
-def crps_sample(samples, y: float) -> float:
-    """Sample CRPS with the unbiased pairwise divisor.
+def crps_scores(samples, obs) -> np.ndarray:
+    """Sample CRPS of every (day, location) cell, with the unbiased pairwise divisor.
 
+    samples is (days, m, n) with m >= 2, obs (days, n); returns (days, n):
     mean |x_j - y| minus half the mean of |x_j - x_k| over the m(m-1)
     ordered pairs. Nonnegative, smaller is better; a point forecast (all
-    members equal) reduces it to the absolute error exactly.
+    members equal) reduces it to the absolute error exactly. Each chunk of
+    days is transposed to (days, n, m) so every cell's members are
+    contiguous, then sorted on that axis for the pair term. Both terms are
+    numpy sums along that axis, so a cell's score does not depend on the
+    array it is part of: crps_sample gives the same bits.
     """
-    x = np.asarray(samples, dtype=float).reshape(-1)
-    m = x.size
-    if m < 2:
-        raise ValueError("need at least two samples")
-    term_obs = np.abs(x - y).mean()
+    samples, obs = _ensemble_arrays(samples, obs)
+    days, m, n = samples.shape
     # sum_{j<k} (x_(k) - x_(j)) = sum_k (2k - m + 1) x_(k) on the sorted sample
-    xs = np.sort(x)
-    pair_sum = float((2.0 * np.arange(m) - m + 1.0) @ xs)
-    return float(term_obs - pair_sum / (m * (m - 1)))
+    weights = 2.0 * np.arange(m) - m + 1.0
+    out = np.empty((days, n))
+    for sl in day_chunks(days, m * n):
+        x = samples[sl].transpose(0, 2, 1).copy()  # C order; sorted in place below
+        term_obs = np.abs(x - obs[sl, :, None]).mean(axis=2)
+        x.sort(axis=2)
+        x *= weights
+        out[sl] = term_obs - x.sum(axis=2) / (m * (m - 1))
+    return out
 
 
-def variogram_score(block: EnsembleBlock, distance: DistanceMatrix,
-                    p_exp: float = 1.0) -> float:
-    """Inverse-distance-weighted variogram score of one day's ensemble.
+def crps_sample(samples, y: float) -> float:
+    """crps_scores of one cell: an (m,) sample against the observation y."""
+    x = np.asarray(samples, dtype=float).reshape(1, -1, 1)
+    return float(crps_scores(x, np.full((1, 1), float(y)))[0, 0])
 
-    Sums w_kl * (|y_k - y_l|^p - mean_j |Y_jk - Y_jl|^p)^2 over all ordered
-    location pairs, with w_kl = 1 / D_kl and w_kk = 0. Off-diagonal zero
-    distances get weight 0 with a warning.
+
+def variogram_scores(samples, obs, distance: DistanceMatrix,
+                     p_exp: float = 1.0) -> np.ndarray:
+    """Inverse-distance-weighted variogram score of each day's ensemble.
+
+    samples is (days, m, n) with m >= 2, obs (days, n); returns the per-day
+    sums of w_kl * (|y_k - y_l|^p - mean_j |Y_jk - Y_jl|^p)^2 over all
+    ordered location pairs, with w_kl = 1 / D_kl and w_kk = 0. Off-diagonal
+    zero distances get weight 0 with a warning.
+
+    The member mean is summed into one n x n accumulator per day, member by
+    member in member order, and never as an (m, n, n) gap tensor. Rows are
+    taken in blocks against the columns from the block's first row on, and
+    the rest is mirrored: |a - b| == |b - a| exactly, so every sum is the
+    same as over the full matrix.
     """
+    samples, obs = _ensemble_arrays(samples, obs)
     if p_exp <= 0.0:
         raise ValueError("p_exp must be positive")
-    if distance.n != block.n:
-        raise ValueError("distance matrix does not match the block's locations")
+    days, m, n = samples.shape
+    if distance.n != n:
+        raise ValueError("distance matrix does not match the ensemble's locations")
     d = distance.values
-    off = ~np.eye(block.n, dtype=bool)
+    off = ~np.eye(n, dtype=bool)
     zero_off = off & (d == 0.0)
     if np.any(zero_off):
         warnings.warn(
@@ -239,24 +287,82 @@ def variogram_score(block: EnsembleBlock, distance: DistanceMatrix,
     with np.errstate(divide="ignore"):
         w = np.where(off & (d > 0.0), 1.0 / np.where(d > 0.0, d, 1.0), 0.0)
 
-    obs_gap = np.abs(block.obs[:, None] - block.obs[None, :]) ** p_exp
-    sim_gap = np.abs(block.samples[:, :, None] - block.samples[:, None, :]) ** p_exp
-    return float(np.sum(w * (obs_gap - sim_gap.mean(axis=0)) ** 2))
+    out = np.empty(days)
+    for sl in day_chunks(days, n * n):
+        y = samples[sl]
+        k = y.shape[0]
+        acc = np.zeros((k, n, n))
+        # row blocks under the same element budget as the day chunks
+        for rows in day_chunks(n, k * n):
+            r0, r1 = rows.start, rows.stop
+            block = acc[:, r0:r1, r0:]
+            gap = np.empty(block.shape)
+            for j in range(m):
+                np.subtract(y[:, j, r0:r1, None], y[:, j, None, r0:], out=gap)
+                np.abs(gap, out=gap)
+                if p_exp != 1.0:
+                    gap **= p_exp
+                block += gap
+            acc[:, r1:, r0:r1] = block[:, :, r1 - r0:].transpose(0, 2, 1)
+        acc /= m
+        o = obs[sl]
+        obs_gap = np.abs(o[:, :, None] - o[:, None, :]) ** p_exp
+        terms = w * (obs_gap - acc) ** 2
+        out[sl] = [np.sum(t) for t in terms]
+    return out
 
 
-def rmsb_mab(blocks):
+def variogram_score(block: EnsembleBlock, distance: DistanceMatrix,
+                    p_exp: float = 1.0) -> float:
+    """variogram_scores of one day's ensemble."""
+    return float(variogram_scores(block.samples[None], block.obs[None], distance, p_exp)[0])
+
+
+def median_bias(samples, obs):
     """Root mean squared bias and mean absolute bias of the median forecast.
 
     The ensemble median per cell serves as the point forecast; both metrics
-    pool over every (location, day) cell.
+    pool over every (location, day) cell of (days, m, n) samples and (days, n)
+    observations. Each day's sums are added to running totals in day order.
     """
-    sq, ab, count = 0.0, 0.0, 0
-    for block in blocks:
-        med = np.median(block.samples, axis=0)
-        diff = block.obs - med
-        sq += float((diff ** 2).sum())
-        ab += float(np.abs(diff).sum())
-        count += diff.size
-    if count == 0:
+    samples, obs = _ensemble_arrays(samples, obs)
+    days, m, n = samples.shape
+    if samples.size == 0:
         raise ValueError("no cells to score")
-    return float(np.sqrt(sq / count)), ab / count
+    sq = np.empty(days)
+    ab = np.empty(days)
+    for sl in day_chunks(days, m * n):
+        diff = obs[sl] - np.median(samples[sl], axis=1)
+        sq[sl] = (diff ** 2).sum(axis=1)
+        ab[sl] = np.abs(diff).sum(axis=1)
+    count = days * n
+    return float(np.sqrt(np.cumsum(sq)[-1] / count)), float(np.cumsum(ab)[-1] / count)
+
+
+def rmsb_mab(blocks):
+    """median_bias over a list of EnsembleBlocks sharing one ensemble size."""
+    return median_bias(*_stack_blocks(blocks))
+
+
+def _ensemble_arrays(samples, obs):
+    """(days, m, n) samples and (days, n) observations as C-ordered float arrays.
+
+    C order fixes the summation order of every reduction, so a kernel's
+    result does not depend on the layout of the arrays it is given.
+    """
+    samples = np.ascontiguousarray(samples, dtype=float)
+    obs = np.ascontiguousarray(obs, dtype=float)
+    if samples.ndim != 3 or obs.shape != (samples.shape[0], samples.shape[2]):
+        raise ValueError("samples must be (days, m, n) aligned with (days, n) observations")
+    if samples.shape[1] < 2:
+        raise ValueError("need at least two ensemble members")
+    return samples, obs
+
+
+def _stack_blocks(blocks):
+    """The (days, m, n) samples and (days, n) observations of a list of blocks."""
+    if not blocks:
+        raise ValueError("need at least one ensemble block")
+    if any(b.m != blocks[0].m for b in blocks):
+        raise ValueError("all blocks must share one ensemble size")
+    return np.stack([b.samples for b in blocks]), np.stack([b.obs for b in blocks])

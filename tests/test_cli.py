@@ -213,6 +213,39 @@ class TestSimulateAndDiagnose:
         assert rc == 2
         assert "different numbers of replicates" in capsys.readouterr().err
 
+    def test_single_replicate_rejected(self, fixture_dir, tmp_path):
+        common = ["--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv"]
+        assert run(["simulate", *common, "--theta", "450", "--m", "1",
+                    "--out", tmp_path]) == 0
+        rc = run(["diagnose", *common, "--ensemble", tmp_path / "ensemble.csv",
+                  "--out", tmp_path / "diag"])
+        assert rc == 2
+        assert not (tmp_path / "diag").exists()
+
+    @pytest.mark.parametrize("replicates, bad_row, token", [
+        (["x"] * 8, 2, "x"),                          # not an index at all
+        (["0", "1", "2", "3", "0", "0", "2", "3"], 7, "0"),   # duplicated index
+        (["0", "1", "2", "3", "1", "0", "2", "3"], 6, "1"),   # swapped pair
+    ], ids=["not-an-index", "duplicated", "swapped"])
+    def test_replicate_column_checked(self, fixture_dir, ensemble_path, tmp_path, capsys,
+                                      replicates, bad_row, token):
+        lines = ensemble_path.read_text().splitlines()
+        for k, rep in enumerate(replicates, start=1):  # days 0 and 1, m = 4
+            day, _, rest = lines[k].split(",", 2)
+            lines[k] = ",".join([day, rep, rest])
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = run(["diagnose", "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv",
+                  "--ensemble", path, "--out", tmp_path / "diag"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}: row {bad_row}: replicate {token!r} in column 2" in err
+        assert not (tmp_path / "diag").exists()
+
 
 class TestFeaturesPath:
     def test_fit_with_feature_file(self, fixture_dir, tmp_path):

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from raincop import estimation
 from raincop.copula import joint_forecast, substream
-from raincop.diagnostics import (EnsembleBlock, crps_sample, cross_correlation,
-                                 ecdf_curve, rank_histogram, rmsb_mab, roc_auc,
-                                 variogram_score)
+from raincop.diagnostics import (EnsembleBlock, crps_sample, crps_scores, cross_correlation,
+                                 ecdf_curve, exceedance_frequencies, median_bias,
+                                 rank_counts, rank_histogram, rmsb_mab, roc_auc,
+                                 variogram_score, variogram_scores)
 from raincop.marginals import GammaMixture, MarginalField
 from raincop.spatial import DistanceMatrix, LocationTable
 from raincop.synth import SynthSpec, simulate_dataset
@@ -310,3 +314,168 @@ class TestCrossCorrelation:
         center_id, corr = cross_correlation(panel, locs, center="s0")
         assert center_id == "s0"
         assert np.isnan(corr[2])
+
+
+# Array kernels against per-day and per-cell loops. The references below are
+# the loops the kernels replaced; the kernels must reproduce them bitwise
+# where the arithmetic is the same and within 1e-12 of the terms where the
+# summation order changed (the CRPS pair term, once a dot product).
+
+@st.composite
+def ensembles(draw):
+    """(days, m, n) rain samples and (days, n) observations, with exact zeros,
+    tied members and observations tied to members."""
+    days = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wet = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    scale = draw(st.sampled_from([0.01, 1.0, 30.0]))
+    vals = np.where(rng.random((days, m + 1, n)) < wet,
+                    rng.gamma(0.8, scale, (days, m + 1, n)), 0.0)
+    if draw(st.booleans()):
+        vals = np.round(vals, 1)  # many ties among wet values too
+    for _ in range(draw(st.integers(0, 4))):  # row m is the observation
+        s, src, dst, i = (rng.integers(days), rng.integers(m + 1), rng.integers(m + 1),
+                          rng.integers(n))
+        vals[s, dst, i] = vals[s, src, i]
+    return vals[:, :m], vals[:, m]
+
+
+def distances(n, seed):
+    pts = np.random.default_rng(seed).uniform(0.0, 10.0, (n, 2))
+    d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+    return DistanceMatrix(values=d, blend=1.0)
+
+
+def reference_variogram(samples, obs, d, p_exp):
+    """One day's score from the full (m, n, n) gap tensor."""
+    off = ~np.eye(obs.size, dtype=bool)
+    w = np.zeros_like(d)
+    w[off] = 1.0 / d[off]
+    obs_gap = np.abs(obs[:, None] - obs[None, :]) ** p_exp
+    sim_gap = np.abs(samples[:, :, None] - samples[:, None, :]) ** p_exp
+    return float(np.sum(w * (obs_gap - sim_gap.mean(axis=0)) ** 2))
+
+
+def reference_rank_counts(samples, obs, bins, rng):
+    """Ranks drawn day by day, then binned."""
+    m = samples.shape[1]
+    ranks = []
+    for x, y in zip(samples, obs):
+        ties = (x == y).sum(axis=0)
+        ranks.append((x < y).sum(axis=0) + rng.integers(0, ties + 1))
+    return np.bincount((np.concatenate(ranks) * bins) // (m + 1), minlength=bins)
+
+
+def reference_median_bias(samples, obs):
+    sq, ab = 0.0, 0.0
+    for x, y in zip(samples, obs):
+        diff = y - np.median(x, axis=0)
+        sq += float((diff ** 2).sum())
+        ab += float(np.abs(diff).sum())
+    return np.sqrt(sq / obs.size), ab / obs.size
+
+
+def all_outputs(samples, obs, distance, bins, levels):
+    return (crps_scores(samples, obs),
+            variogram_scores(samples, obs, distance),
+            variogram_scores(samples, obs, distance, 0.5),
+            rank_counts(samples, obs, bins, substream(4, 20)),
+            exceedance_frequencies(samples, obs, levels),
+            median_bias(samples, obs))
+
+
+class TestArrayKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles(), st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    def test_variogram_matches_gap_tensor_bitwise(self, case, p_exp):
+        samples, obs = case
+        dist = distances(obs.shape[1], samples.shape[0])
+        got = variogram_scores(samples, obs, dist, p_exp)
+        for s in range(samples.shape[0]):
+            want = reference_variogram(samples[s], obs[s], dist.values, p_exp)
+            assert got[s] == want
+            block = EnsembleBlock(day=s, samples=samples[s], obs=obs[s])
+            assert variogram_score(block, dist, p_exp) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles())
+    def test_crps_matches_per_cell_loop(self, case):
+        samples, obs = case
+        got = crps_scores(samples, obs)
+        days, m, n = samples.shape
+        for s in range(days):
+            for i in range(n):
+                x, y = samples[s, :, i], obs[s, i]
+                term_obs = np.abs(x - y).mean()
+                term_pair = np.abs(x[:, None] - x[None, :]).sum() / (2.0 * m * (m - 1))
+                tol = 1e-12 * (term_obs + term_pair)
+                assert abs(got[s, i] - (term_obs - term_pair)) <= tol
+                assert got[s, i] == crps_sample(x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles(), st.integers(1, 13), st.integers(0, 1000))
+    def test_rank_counts_match_per_day_draws(self, case, bins, seed):
+        samples, obs = case
+        bins = min(bins, samples.shape[1] + 1)
+        want = reference_rank_counts(samples, obs, bins, substream(seed, 20))
+        counts, freq = rank_counts(samples, obs, bins, substream(seed, 20))
+        assert np.array_equal(counts, want)
+        assert np.array_equal(freq, want / want.sum())
+        blocks = [EnsembleBlock(day=s, samples=x, obs=y) for s, (x, y) in
+                  enumerate(zip(samples, obs))]
+        assert np.array_equal(rank_histogram(blocks, bins, substream(seed, 20))[0], want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles())
+    def test_bias_and_ecdf_match_per_day_loops(self, case):
+        samples, obs = case
+        rmsb_want, mab_want = reference_median_bias(samples, obs)
+        for got in (median_bias(samples, obs),
+                    rmsb_mab([EnsembleBlock(day=s, samples=x, obs=y)
+                              for s, (x, y) in enumerate(zip(samples, obs))])):
+            assert got[0] == pytest.approx(rmsb_want, rel=1e-12, abs=1e-300)
+            assert got[1] == pytest.approx(mab_want, rel=1e-12, abs=1e-300)
+        levels = np.array([0.0, 0.05, 1.0, 30.0])
+        model_freq, obs_freq = exceedance_frequencies(samples, obs, levels)
+        assert np.array_equal(model_freq,
+                              (samples.reshape(1, -1) > levels[:, None]).mean(axis=1))
+        assert np.array_equal(obs_freq, (obs.reshape(1, -1) > levels[:, None]).mean(axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ensembles(), st.integers(1, 4))
+    def test_ragged_day_chunks_change_nothing(self, case, days_per_chunk):
+        samples, obs = case
+        days, m, n = samples.shape
+        dist = distances(n, days)
+        bins, levels = min(5, m + 1), np.array([0.0, 0.5, 4.0])
+        inputs = samples.copy(), obs.copy()
+        base = all_outputs(samples, obs, dist, bins, levels)
+        assert np.array_equal(samples, inputs[0]) and np.array_equal(obs, inputs[1])
+        # chunks of days_per_chunk days for the (m, n) kernels, fewer and
+        # smaller row blocks for the variogram's n x n accumulators
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_ELEMENT_BUDGET", days_per_chunk * m * n)
+            chunked = all_outputs(samples, obs, dist, bins, levels)
+        for a, b in zip(base, chunked):
+            for x, y in zip(np.atleast_1d(a), np.atleast_1d(b)):
+                assert np.array_equal(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ensembles(), st.randoms(use_true_random=False))
+    def test_variogram_location_permutation_invariance(self, case, rnd):
+        samples, obs = case
+        n = obs.shape[1]
+        dist = distances(n, n)
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        dist_p = DistanceMatrix(values=dist.values[np.ix_(perm, perm)], blend=1.0)
+        np.testing.assert_allclose(variogram_scores(samples[:, :, perm], obs[:, perm], dist_p),
+                                   variogram_scores(samples, obs, dist), rtol=1e-12, atol=0.0)
+
+    def test_needs_two_members_and_aligned_shapes(self):
+        with pytest.raises(ValueError, match="two ensemble members"):
+            crps_scores(np.zeros((3, 1, 4)), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="aligned"):
+            median_bias(np.zeros((3, 2, 4)), np.zeros((4, 3)))

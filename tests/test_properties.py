@@ -1,5 +1,6 @@
-"""Property tests: file round-trips through the shared CSV writer, the mixture
-quantile inverting the mixture CDF, and every module's exports resolving."""
+"""Property tests: file round-trips through the shared CSV writer, censoring
+being idempotent, the mixture quantile and CDF inverting each other, and every
+module's exports resolving."""
 
 import importlib
 import os
@@ -9,9 +10,10 @@ import tempfile
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import raincop
-from raincop.copula import read_ensemble, write_ensemble
+from raincop.copula import censor, read_ensemble, write_ensemble
 from raincop.marginals import (IdentityTransform, JglmCoefficients, MarginalField,
                                StandardizeTransform, mixture_cdf, mixture_quantile,
                                read_coefficients, write_coefficients)
@@ -137,6 +139,28 @@ def test_cdf_inverts_quantile_on_wet_u(p, mu, phi, w):
     assume(1.0 - p < u < 1.0)
     y = mixture_quantile(p, mu, phi, u)
     assert abs(float(mixture_cdf(p, mu, phi, y)) - u) <= 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_censor_idempotent(m, n, data):
+    # thresholds include the +inf / -inf sentinels of always-dry and never-dry cells
+    draws = draw_grid(data, FINITE, m, n)
+    thresholds = draw_grid(data, st.floats(allow_nan=False), 1, n)[0]
+    once = censor(draws, thresholds)
+    assert np.array_equal(censor(once, thresholds), once)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.05, 1.0), st.floats(0.5, 20.0), st.floats(0.1, 2.0),
+       st.floats(0.01, 10.0))
+def test_quantile_inverts_cdf_on_wet_y(p, mu, phi, r):
+    y = mu * r
+    # well conditioned: one ulp of the CDF value moves y by about
+    # eps / (p * y * g(y)) relative, g the gamma density; at 1e-4 that is 2e-12
+    assume(p * y * stats.gamma.pdf(y, 1.0 / phi, scale=phi * mu) >= 1e-4)
+    back = float(mixture_quantile(p, mu, phi, mixture_cdf(p, mu, phi, y)))
+    assert abs(back - y) <= 1e-10 * y
 
 
 def test_module_exports_resolve():
