@@ -29,8 +29,8 @@ from .estimation import (ScoreConfig, ThetaSearchSpec, day_chunks, energy_scores
 from .marginals import (FitConfig, flatten_panel, jglm_fit, make_transform,
                         predict_field, write_coefficients)
 from .numerics import NotPositiveDefinite
-from .panel import (IngestError, read_features_csv, read_marginals_csv, read_rain_csv,
-                    write_csv, write_marginals_csv, write_rain_csv)
+from .panel import (IngestError, read_features_csv, read_kv, read_marginals_csv,
+                    read_rain_csv, write_csv, write_marginals_csv, write_rain_csv)
 from .spatial import (MaternParams, build_covariance, build_distance_matrix,
                       read_locations, write_locations)
 from .synth import SynthSpec, simulate_dataset, write_truth
@@ -55,28 +55,14 @@ DEFAULTS = {
 }
 
 
-def load_config(path) -> dict:
-    if not os.path.exists(path):
-        raise IngestError(f"config file not found: {path}")
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise IngestError(f"{path}: line {line_no}: expected key=value")
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
-
-
 class Settings:
     """Layered lookup: CLI flag > config file > built-in default."""
 
     def __init__(self, args: argparse.Namespace):
         self.cli = vars(args)
-        self.file = load_config(args.config) if getattr(args, "config", None) else {}
+        self.file = {}
+        if self.cli.get("config"):
+            self.file = read_kv(self.path("config"))
 
     def _raw(self, key):
         v = self.cli.get(key)
@@ -213,7 +199,11 @@ def cmd_simulate(settings: Settings) -> int:
     if theta is None:
         summary_path = settings.path("summary")
         with open(summary_path, encoding="utf-8") as fh:
-            theta = json.load(fh)["theta_hat"]
+            summary = json.load(fh)
+        theta = summary.get("theta_hat") if isinstance(summary, dict) else None
+        numeric = isinstance(theta, (int, float)) and not isinstance(theta, bool)
+        if not (numeric and np.isfinite(theta)):
+            raise IngestError(f"{summary_path}: no finite numeric 'theta_hat'")
     theta = float(theta)
     distance = build_distance_matrix(locs, a=settings.float("a"),
                                      topo_scale=settings.float("topo_scale"))
@@ -242,35 +232,20 @@ def cmd_diagnose(settings: Settings) -> int:
     obs = panel.values.T  # (days, n)
     distance = build_distance_matrix(locs, a=settings.float("a"),
                                      topo_scale=settings.float("topo_scale"))
-    out = _out_dir(settings)
     seed = settings.int("seed")
     beta = settings.float("beta")
 
+    # Compute every result before writing any file: a rejected setting writes nothing.
     tau_grid = np.linspace(0.0, 1.0, settings.int("tau_grid"))
-    aucs = {}
-    for q in settings.floats("q_levels"):
-        curve = roc_auc(field, panel.values, q, tau_grid)
-        aucs[f"{q:g}"] = None if np.isnan(curve.auc) else curve.auc
-        write_csv(os.path.join(out, f"roc_q{q:g}.csv"), ["tau", "fpr", "tpr"],
-                  _float_rows(curve.taus, curve.fpr, curve.tpr))
-
+    curves = {f"{q:g}": roc_auc(field, panel.values, q, tau_grid)
+              for q in settings.floats("q_levels")}
     bins = settings.int("rank_bins")
     counts, freq = rank_counts(ens, obs, bins, substream(seed, _RANK_TAG))
-    write_csv(os.path.join(out, "rank_hist.csv"), ["bin", "count", "frequency"],
-              ([str(b), str(int(c)), repr(float(f))]
-               for b, (c, f) in enumerate(zip(counts, freq))))
-
     levels = np.array(settings.floats("ecdf_levels"))
     model_freq, obs_freq = exceedance_frequencies(ens, obs, levels)
-    write_csv(os.path.join(out, "ecdf.csv"), ["level", "model_freq", "obs_freq"],
-              _float_rows(levels, model_freq, obs_freq))
-
     center_id, obs_corr = cross_correlation(panel.values, locs)
     pooled = ens.transpose(2, 0, 1).reshape(n, days * m)
     _, model_corr = cross_correlation(pooled, locs, center=center_id)
-    write_csv(os.path.join(out, "crosscorr.csv"), ["id", "observed", "model"],
-              ([i, *row] for i, row in zip(locs.ids, _float_rows(obs_corr, model_corr))))
-
     crps_vals = crps_scores(ens, obs)
     energy_vals = np.concatenate([energy_scores(ens[sl], obs[sl], beta)
                                   for sl in day_chunks(days, m * n)])
@@ -283,7 +258,7 @@ def cmd_diagnose(settings: Settings) -> int:
         "variogram_score_day_sum": float(np.sum(vario_vals)),
         "rmsb": rmsb,
         "mab": mab,
-        "auc": aucs,
+        "auc": {q: None if np.isnan(curve.auc) else curve.auc for q, curve in curves.items()},
         "cross_correlation_center": center_id,
         "n_days": panel.n_days,
         "m": m,
@@ -291,6 +266,18 @@ def cmd_diagnose(settings: Settings) -> int:
         "beta": beta,
         "seed": seed,
     }
+
+    out = _out_dir(settings)
+    for q, curve in curves.items():
+        write_csv(os.path.join(out, f"roc_q{q}.csv"), ["tau", "fpr", "tpr"],
+                  _float_rows(curve.taus, curve.fpr, curve.tpr))
+    write_csv(os.path.join(out, "rank_hist.csv"), ["bin", "count", "frequency"],
+              ([str(b), str(int(c)), repr(float(f))]
+               for b, (c, f) in enumerate(zip(counts, freq))))
+    write_csv(os.path.join(out, "ecdf.csv"), ["level", "model_freq", "obs_freq"],
+              _float_rows(levels, model_freq, obs_freq))
+    write_csv(os.path.join(out, "crosscorr.csv"), ["id", "observed", "model"],
+              ([i, *row] for i, row in zip(locs.ids, _float_rows(obs_corr, model_corr))))
     with open(os.path.join(out, "diagnostics.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

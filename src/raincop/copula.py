@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .marginals import MarginalField, mixture_cdf, mixture_quantile
-from .panel import IngestError, _reject_bad_cells, format_rain, write_csv
+from .panel import IngestError, format_rain, read_csv, write_csv
 from .spatial import CovarianceMatrix
 
 __all__ = [
@@ -135,42 +135,30 @@ def read_ensemble(path, location_ids):
     """Read an ensemble CSV back into (day_labels, (days, m, n) samples).
 
     Every day must hold the same number m of rows, carrying replicate
-    0, 1, ..., m - 1 in that order. A ragged day, a replicate out of place
-    and a non-finite or negative cell raise IngestError; the last two name
-    the file, row and column.
+    0, 1, ..., m - 1 in that order. A ragged day raises IngestError, and so
+    do a replicate out of place and a non-numeric, non-finite or negative
+    cell, naming the file, row and column.
     """
     expected = ["day", "replicate"] + [f"loc_{i}" for i in location_ids]
-    rows_of_day: dict = {}  # day label -> (file row numbers, replicate tokens, parsed rows)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
+
+    def check_header(header):
         if header != expected:
-            raise ValueError(f"{path}: ensemble header does not match the locations file")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(expected):
-                raise ValueError(f"{path}: row {line_no}: wrong field count")
-            if parts[0] not in rows_of_day:
-                rows_of_day[parts[0]] = ([], [], [])
-            row_nos, replicates, rows = rows_of_day[parts[0]]
-            row_nos.append(line_no)
-            replicates.append(parts[1])
-            rows.append([float(v) for v in parts[2:]])
-    days = list(rows_of_day.values())
-    sizes = {len(rows) for _, _, rows in days}
+            raise IngestError(f"{path}: ensemble header does not match the locations file")
+
+    (days, replicates), values, row_nos = read_csv(path, 2, check_header, nonnegative=True)
+    rows_of_day: dict = {}  # day label -> indices of its data rows, in file order
+    for r, day in enumerate(days):
+        rows_of_day.setdefault(day, []).append(r)
+    sizes = {len(rows) for rows in rows_of_day.values()}
     if len(sizes) > 1:
         raise IngestError(f"{path}: ensemble days hold different numbers of replicates")
     m = sizes.pop() if sizes else 0
-    for row_nos, replicates, _ in days:
-        for j, (line_no, token) in enumerate(zip(row_nos, replicates)):
-            if token != str(j):
-                raise IngestError(f"{path}: row {line_no}: replicate {token!r} in column 2 "
-                                  f"(replicate), expected {j}")
-    samples = np.array([rows for _, _, rows in days], dtype=float).reshape(
-        len(days), m, len(location_ids))
-    _reject_bad_cells(path, samples.reshape(-1, len(location_ids)),
-                      [no for row_nos, _, _ in days for no in row_nos],
-                      header, first_column=3, nonnegative=True)
-    return list(rows_of_day), samples
+    for rows in rows_of_day.values():
+        for j, r in enumerate(rows):
+            if replicates[r] != str(j):
+                raise IngestError(f"{path}: row {row_nos[r]}: replicate {replicates[r]!r} "
+                                  f"in column 2 (replicate), expected {j}")
+    order = [r for rows in rows_of_day.values() for r in rows]
+    if order != list(range(len(order))):  # a day's rows are not contiguous in the file
+        values = values[order]
+    return list(rows_of_day), values.reshape(len(rows_of_day), m, len(location_ids))

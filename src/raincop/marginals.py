@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
+from .panel import IngestError, read_kv
+
 __all__ = [
     "GammaMixture",
     "JglmCoefficients",
@@ -456,30 +458,29 @@ def write_coefficients(path, coeffs: JglmCoefficients, transform) -> None:
 
 
 def read_coefficients(path):
-    """Inverse of write_coefficients; returns (coeffs, transform)."""
-    kv = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-    d = int(kv["feature_dim"])
+    """Inverse of write_coefficients: (coeffs, transform); a missing key is an IngestError."""
+    kv = read_kv(path)
+
+    def value(key):
+        if key not in kv:
+            raise IngestError(f"{path}: missing key {key!r}")
+        return kv[key]
+
+    d = int(value("feature_dim"))
 
     def vector(prefix):
-        return np.array([float(kv[f"{prefix}.{k}"]) for k in range(d)])
+        return np.array([float(value(f"{prefix}.{k}")) for k in range(d)])
 
     coeffs = JglmCoefficients(
-        alpha0=float(kv["alpha0"]), alpha=vector("alpha"),
-        beta0=float(kv["beta0"]), beta=vector("beta"),
-        gamma0=float(kv["gamma0"]), gamma=vector("gamma"),
+        alpha0=float(value("alpha0")), alpha=vector("alpha"),
+        beta0=float(value("beta0")), beta=vector("beta"),
+        gamma0=float(value("gamma0")), gamma=vector("gamma"),
     )
-    name = kv["transform"]
+    name = value("transform")
     if name == "standardize":
         transform = StandardizeTransform(mean=vector("mean"), scale=vector("scale"))
     elif name == "identity":
         transform = IdentityTransform()
     else:
-        raise ValueError(f"unknown feature transform {name!r}")
+        raise IngestError(f"{path}: unknown feature transform {name!r}")
     return coeffs, transform

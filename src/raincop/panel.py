@@ -1,11 +1,13 @@
-"""Observed-rainfall panels and the CSV formats the command line consumes.
+"""Observed-rainfall panels and the text formats the command line consumes.
 
 Rainfall lives in a wide CSV: first column `date` (ISO-8601), remaining
 headers are location ids in the locations-file order, one row per day.
 Feature and marginal-cache CSVs are long format, one row per (date,
 location) cell, date-major (all locations for the first date, then the
-next). Ingestion rejects non-finite values (NaN, inf, -inf), negative
-rainfall, and id mismatches with messages naming the file, row, and column.
+next). Every CSV is read by read_csv, which rejects a wrong field count, a
+non-numeric or non-finite (NaN, inf, -inf) cell and, where asked, a negative
+one, naming the file, row and column; each reader adds only the checks of its
+own format. Flat key=value files go through read_kv.
 
 Every CSV the package writes goes through write_csv, whose cells the caller
 has already formatted: repr of a Python float (the shortest text that reads
@@ -16,17 +18,18 @@ csv.writer with its CRLF line ends.
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 import numpy as np
 
-from .spatial import LocationTable
-
-__all__ = ["IngestError", "RainPanel", "write_csv", "format_rain",
+__all__ = ["IngestError", "RainPanel", "read_csv", "read_kv", "write_csv", "format_rain",
            "read_rain_csv", "write_rain_csv",
            "read_features_csv", "write_features_csv",
            "read_marginals_csv", "write_marginals_csv"]
 
 
-class IngestError(Exception):
+class IngestError(ValueError):
     """Malformed or misaligned input file."""
 
 
@@ -80,6 +83,64 @@ def _reject_bad_cells(path, values: np.ndarray, row_nos, header, first_column: i
                       f"({header[col - 1]})")
 
 
+def read_csv(path, n_keys: int, check_header, nonnegative: bool = False):
+    """Parse a CSV of n_keys text key columns followed by float cells.
+
+    check_header(header) raises IngestError for a header of the wrong format
+    before any row is read. Blank lines are skipped; a wrong field count, a
+    non-numeric or non-finite cell and, with nonnegative, a negative one raise
+    IngestError naming the file, row and column. Returns (keys, values,
+    row_nos): one text list per key column, the (rows, columns - n_keys) float
+    array of the cells and the 1-based file row of each data row.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        check_header(header)
+        width = len(header)
+        keys = [[] for _ in range(n_keys)]
+        cells = array("d")  # 8 bytes a cell, where a list of Python floats takes 32
+        row_nos = []
+        for row_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                raise IngestError(f"{path}: row {row_no}: expected {width} fields, "
+                                  f"got {len(parts)}")
+            try:
+                cells.extend(map(float, parts[n_keys:]))
+            except ValueError:
+                for col, token in enumerate(parts[n_keys:], start=n_keys + 1):
+                    try:
+                        float(token)
+                    except ValueError:
+                        raise IngestError(f"{path}: row {row_no}: non-numeric value "
+                                          f"{token!r} in column {col} ({header[col - 1]})"
+                                          ) from None
+            for column, token in zip(keys, parts):
+                column.append(sys.intern(token))  # dates and ids repeat row after row
+            row_nos.append(row_no)
+    values = np.frombuffer(cells, dtype=float).reshape(len(row_nos), width - n_keys)
+    _reject_bad_cells(path, values, row_nos, header, n_keys + 1, nonnegative)
+    return keys, values, row_nos
+
+
+def read_kv(path) -> dict:
+    """Read flat key=value lines (# starts a comment) into a dict of stripped text."""
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise IngestError(f"{path}: line {line_no}: expected key=value")
+            key, _, val = line.partition("=")
+            out[key.strip()] = val.strip()
+    return out
+
+
 def write_csv(path, header, rows) -> None:
     """Write a header and rows of already formatted cells, comma-joined, LF line ends."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -102,11 +163,10 @@ def write_rain_csv(path, panel: RainPanel) -> None:
                for s, label in enumerate(panel.day_labels)))
 
 
-def read_rain_csv(path, locs: LocationTable) -> RainPanel:
-    """Read a wide rainfall CSV, validating against the locations table."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if not header or header[0] != "date":
+def read_rain_csv(path, locs) -> RainPanel:
+    """Read a wide rainfall CSV whose id columns must match a LocationTable's ids."""
+    def check_header(header):
+        if header[0] != "date":
             raise IngestError(f"{path}: first header column must be 'date'")
         if tuple(header[1:]) != locs.ids:
             for k, (got, want) in enumerate(zip(header[1:], locs.ids)):
@@ -118,27 +178,10 @@ def read_rain_csv(path, locs: LocationTable) -> RainPanel:
             raise IngestError(
                 f"{path}: {len(header) - 1} id columns but {len(locs)} locations"
             )
-        labels = []
-        rows = []
-        row_nos = []
-        for row_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise IngestError(f"{path}: row {row_no}: expected {len(header)} fields, "
-                                  f"got {len(parts)}")
-            labels.append(parts[0])
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError:
-                raise IngestError(f"{path}: row {row_no}: non-numeric rainfall") from None
-            row_nos.append(row_no)
-    if not rows:
+
+    (labels,), values, _ = read_csv(path, 1, check_header, nonnegative=True)
+    if not labels:
         raise IngestError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float)
-    _reject_bad_cells(path, values, row_nos, header, first_column=2, nonnegative=True)
     return RainPanel(values=values.T, location_ids=locs.ids, day_labels=labels)
 
 
@@ -152,54 +195,32 @@ def write_features_csv(path, panel: RainPanel, features: np.ndarray) -> None:
 
 
 def _read_long_csv(path, panel: RainPanel, value_names):
-    """Shared reader for date-major long CSVs keyed by (date, loc)."""
-    n, t = panel.n_locations, panel.n_days
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
+    """Shared reader for date-major long CSVs keyed by (date, loc); returns the values."""
+    def check_header(header):
         if header[:2] != ["date", "loc"]:
             raise IngestError(f"{path}: header must start with 'date,loc'")
-        names = header[2:]
-        if value_names is not None and names != list(value_names):
-            raise IngestError(f"{path}: expected value columns {list(value_names)}, "
-                              f"got {names}")
-        out = np.empty((n * t, len(names)))
-        row_nos = []
-        row_no = 1
-        r = 0
-        for line in fh:
-            row_no += 1
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 + len(names):
-                raise IngestError(f"{path}: row {row_no}: expected {2 + len(names)} "
-                                  f"fields, got {len(parts)}")
-            if r >= n * t:
-                raise IngestError(f"{path}: row {row_no}: more rows than panel cells")
-            s, i = divmod(r, n)
-            if parts[0] != panel.day_labels[s]:
-                raise IngestError(f"{path}: row {row_no}: date {parts[0]!r} does not "
-                                  f"match panel order (expected {panel.day_labels[s]!r})")
-            if parts[1] != panel.location_ids[i]:
-                raise IngestError(f"{path}: row {row_no}: loc {parts[1]!r} does not "
-                                  f"match panel order (expected {panel.location_ids[i]!r})")
-            try:
-                out[r] = [float(v) for v in parts[2:]]
-            except ValueError:
-                raise IngestError(f"{path}: row {row_no}: non-numeric value") from None
-            row_nos.append(row_no)
-            r += 1
-    if r != n * t:
-        raise IngestError(f"{path}: {r} rows but the panel has {n * t} cells")
-    _reject_bad_cells(path, out, row_nos, header, first_column=3)
-    return names, out
+        if value_names is not None and header[2:] != value_names:
+            raise IngestError(f"{path}: expected value columns {value_names}, "
+                              f"got {header[2:]}")
+
+    (dates, locs), values, row_nos = read_csv(path, 2, check_header)
+    cells = panel.n_locations * panel.n_days
+    if len(row_nos) != cells:
+        raise IngestError(f"{path}: {len(row_nos)} rows but the panel has {cells} cells")
+    for row_no, date, loc, (want_date, want_loc) in zip(row_nos, dates, locs,
+                                                         _cell_keys(panel)):
+        if date != want_date:
+            raise IngestError(f"{path}: row {row_no}: date {date!r} does not "
+                              f"match panel order (expected {want_date!r})")
+        if loc != want_loc:
+            raise IngestError(f"{path}: row {row_no}: loc {loc!r} does not "
+                              f"match panel order (expected {want_loc!r})")
+    return values
 
 
 def read_features_csv(path, panel: RainPanel) -> np.ndarray:
     """Read a feature CSV aligned with the panel; returns (n*t, d), date-major."""
-    _, values = _read_long_csv(path, panel, value_names=None)
-    return values
+    return _read_long_csv(path, panel, value_names=None)
 
 
 def write_marginals_csv(path, panel: RainPanel, field) -> None:
@@ -213,6 +234,6 @@ def read_marginals_csv(path, panel: RainPanel):
     """Read a marginal cache back into a MarginalField aligned with the panel."""
     from .marginals import MarginalField
 
-    _, values = _read_long_csv(path, panel, value_names=["p", "mu", "phi"])
+    values = _read_long_csv(path, panel, value_names=["p", "mu", "phi"])
     return MarginalField.from_flat(values[:, 0], values[:, 1], values[:, 2],
                                    panel.n_locations, panel.n_days)

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .numerics import SpdFactor, bessel_k, spd_factorize
+from .panel import IngestError, read_csv
 
 __all__ = [
     "LocationTable",
@@ -257,26 +258,14 @@ def build_covariance(distance: DistanceMatrix, params: MaternParams) -> Covarian
 
 def read_locations(path) -> LocationTable:
     """Read a locations CSV with header id,lat,lon,elev."""
-    ids, lat, lon, elev = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["id", "lat", "lon", "elev"]:
-            raise ValueError(f"{path}: expected header 'id,lat,lon,elev', got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}: row {row_no}: expected 4 fields, got {len(row)}")
-            ids.append(row[0].strip())
-            try:
-                lat.append(float(row[1]))
-                lon.append(float(row[2]))
-                elev.append(float(row[3]))
-            except ValueError:
-                raise ValueError(f"{path}: row {row_no}: non-numeric coordinate") from None
-    return LocationTable(ids=tuple(ids), lat=np.array(lat), lon=np.array(lon),
-                         elev=np.array(elev))
+    def check_header(header):
+        if [h.strip() for h in header] != ["id", "lat", "lon", "elev"]:
+            raise IngestError(f"{path}: expected header 'id,lat,lon,elev', got {header}")
+
+    (ids,), values, _ = read_csv(path, 1, check_header)
+    lat, lon, elev = values.T.copy()
+    return LocationTable(ids=tuple(loc_id.strip() for loc_id in ids), lat=lat, lon=lon,
+                         elev=elev)
 
 
 def write_locations(path, locs: LocationTable) -> None:

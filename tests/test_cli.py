@@ -224,6 +224,22 @@ class TestSimulateAndDiagnose:
         assert rc == 2
         assert not (tmp_path / "diag").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rank-bins", "100"),        # outside [1, m + 1] with m = 4
+        ("--q-levels", "0.5,-1"),
+        ("--ecdf-levels", "0,-1"),
+    ], ids=["rank-bins", "q-levels", "ecdf-levels"])
+    def test_rejected_setting_writes_nothing(self, fixture_dir, ensemble_path, tmp_path,
+                                             flag, value):
+        out = tmp_path / "diag"
+        out.mkdir()
+        rc = run(["diagnose", "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv",
+                  "--ensemble", ensemble_path, flag, value, "--out", out])
+        assert rc == 2
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("replicates, bad_row, token", [
         (["x"] * 8, 2, "x"),                          # not an index at all
         (["0", "1", "2", "3", "0", "0", "2", "3"], 7, "0"),   # duplicated index
@@ -305,6 +321,20 @@ class TestSimulateFromSummary:
         assert (tmp_path / "ensemble.csv").exists()
         assert 200.0 <= theta <= 800.0
 
+    @pytest.mark.parametrize("content", ['{"theta": 450.0}', '{"theta_hat": null}',
+                                         '[450.0]'],
+                             ids=["no-theta-hat", "null-theta-hat", "not-an-object"])
+    def test_bad_summary_exit_2(self, fixture_dir, tmp_path, capsys, content):
+        summary = tmp_path / "summary.json"
+        summary.write_text(content)
+        rc = run(["simulate", "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv",
+                  "--summary", summary, "--m", "2", "--out", tmp_path / "sim"])
+        assert rc == 2
+        assert f"{summary}: no finite numeric 'theta_hat'" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
 
 class TestDeskScaleSmoke:
     def test_grid5_estimate_under_budget(self, tmp_path):
@@ -365,13 +395,19 @@ class TestIngestValidation:
     @pytest.mark.parametrize("name,line,field,token", [
         ("rainfall.csv", 5, 4, "inf"),
         ("rainfall.csv", 9, 1, "-inf"),
+        ("rainfall.csv", 3, 2, "abc"),
         ("marginals.csv", 7, 3, "inf"),
         ("marginals.csv", 30, 2, "nan"),
+        ("marginals.csv", 11, 4, "abc"),
         ("features.csv", 4, 2, "-inf"),
         ("features.csv", 12, 3, "nan"),
+        ("features.csv", 8, 3, "abc"),
         ("ensemble.csv", 6, 3, "nan"),
         ("ensemble.csv", 17, 2, "inf"),
         ("ensemble.csv", 40, 11, "-inf"),
+        ("ensemble.csv", 21, 7, "abc"),
+        ("locations.csv", 4, 1, "nan"),
+        ("locations.csv", 7, 2, "inf"),
     ])
     def test_non_finite_rejected_with_location(self, fixture_dir, ensemble_path, tmp_path,
                                                capsys, name, line, field, token):
@@ -395,7 +431,8 @@ class TestIngestValidation:
         bad = tmp_path / name
         bad.write_text("\n".join(lines) + "\n")
 
-        paths = {"rainfall": fixture_dir / "rainfall.csv",
+        paths = {"locations": fixture_dir / "locations.csv",
+                 "rainfall": fixture_dir / "rainfall.csv",
                  "marginals": fixture_dir / "marginals.csv"}
         paths[name.split(".")[0]] = bad
         if name == "features.csv":
@@ -405,12 +442,13 @@ class TestIngestValidation:
         else:
             argv = ["estimate-theta", "--marginals", paths["marginals"],
                     "--grid", "3", "--m", "4"]
-        rc = run([*argv, "--locations", fixture_dir / "locations.csv",
+        rc = run([*argv, "--locations", paths["locations"],
                   "--rainfall", paths["rainfall"], "--out", tmp_path / "out"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{name}: row {line + 1}: non-finite value {float(token)!r} " \
-               f"in column {field + 1}" in err
+        what = (f"non-numeric value {token!r}" if token == "abc"
+                else f"non-finite value {float(token)!r}")
+        assert f"{name}: row {line + 1}: {what} in column {field + 1}" in err
 
     def test_negative_ensemble_cell_rejected(self, fixture_dir, ensemble_path, tmp_path,
                                              capsys):

@@ -189,6 +189,17 @@ class TestEnsembleCsv:
         assert np.array_equal(back[0], blocks[0])
         assert np.array_equal(back[1], blocks[1])
 
+    def test_interleaved_days_grouped(self, tmp_path):
+        blocks = [np.array([[0.0, 1.5], [2.25, 0.0]]),
+                  np.array([[0.5, 0.0], [0.0, 3.75]])]
+        path = tmp_path / "ensemble.csv"
+        write_ensemble(path, ["d0", "d1"], ["a", "b"], blocks)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, rows[0], rows[2], rows[1], rows[3]]) + "\n")
+        days, back = read_ensemble(path, ["a", "b"])
+        assert days == ["d0", "d1"]
+        assert np.array_equal(back, np.stack(blocks))
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "ensemble.csv"
         write_ensemble(path, ["d0"], ["a", "b"], [np.zeros((2, 2))])

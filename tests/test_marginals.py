@@ -16,6 +16,7 @@ from raincop.marginals import (FitConfig, GammaMixture, IdentityTransform,
                                _joint_loss, flatten_panel, gm_cdf, gm_quantile, gm_sample,
                                jglm_fit, jglm_predict, predict_field, read_coefficients,
                                write_coefficients)
+from raincop.panel import IngestError
 
 GM_CDF_CASE = 0.87261367275819719     # p=.5, mu=3, phi=.5 at y=4 (quadrature)
 GAMMA_NLL_CASE = 1.4511163689897168   # mu=3, phi=.5 at y=2 (direct formula)
@@ -281,3 +282,11 @@ class TestFieldAndSerialization:
         back, transform = read_coefficients(path)
         assert np.array_equal(back.pack(), coeffs.pack())
         assert transform.name == "identity"
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "coefficients.txt"
+        write_coefficients(path, TRUTH, IdentityTransform())
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines if not line.startswith("gamma0=")))
+        with pytest.raises(IngestError, match=r"coefficients\.txt: missing key 'gamma0'"):
+            read_coefficients(path)

@@ -1,4 +1,4 @@
-"""Property tests: file round-trips through the shared CSV writer, censoring
+"""Property tests: file round-trips through the shared CSV reader and writer, censoring
 being idempotent, the mixture quantile and CDF inverting each other, and every
 module's exports resolving."""
 
@@ -19,7 +19,7 @@ from raincop.marginals import (IdentityTransform, JglmCoefficients, MarginalFiel
                                read_coefficients, write_coefficients)
 from raincop.panel import (RainPanel, read_features_csv, read_marginals_csv, read_rain_csv,
                            write_features_csv, write_marginals_csv, write_rain_csv)
-from raincop.spatial import LocationTable
+from raincop.spatial import LocationTable, read_locations, write_locations
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
@@ -108,6 +108,20 @@ def test_ensemble_round_trip(days, m, n, data):
         assert np.array_equal(got, want)
     cells = value_cells(text, 2)
     assert [c == "0" for c in cells] == (np.concatenate(blocks).ravel() == 0.0).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_locations_round_trip(n, data):
+    columns = [data.draw(st.lists(elements, min_size=n, max_size=n))
+               for elements in (st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), FINITE)]
+    locs = LocationTable(tuple(f"s{i}" for i in range(n)), *columns)
+    (back, raw), _ = write_then_read(lambda p: write_locations(p, locs),
+                                     lambda p: (read_locations(p), open(p, "rb").read()))
+    assert raw.count(b"\r\n") == n + 1  # csv.writer line ends
+    assert back.ids == locs.ids
+    for got, want in zip((back.lat, back.lon, back.elev), columns):
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
