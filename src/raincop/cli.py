@@ -3,9 +3,9 @@
 Configuration is a flat key=value file (# comments allowed); command-line
 flags override file values, which override built-in defaults. Every
 subcommand is deterministic for a fixed seed and inputs: reruns produce
-byte-identical output files. --threads is accepted for compatibility and
-changes neither the outputs nor the work done: no subcommand starts threads
-of its own.
+byte-identical output files. --threads (and estimate-theta's
+--refine-day-subsample) is accepted for compatibility and changes neither the
+outputs nor the work done: no subcommand starts threads of its own.
 
 Exit codes: 0 success, 2 ingestion error, 3 numerical/convergence error
 (including --strict escalations), 4 internal invariant violation.
@@ -41,8 +41,8 @@ _RANK_TAG = 20
 DEFAULTS = {
     "a": 0.9, "topo_scale": 70.0, "nu": 3.5,
     "beta": 0.5, "m": 30, "seed": 0,
-    "theta_min": 200.0, "theta_max": 800.0, "grid": 13, "theta_tol": 1.0,
-    "day_subsample": "all", "location_subsample": "all", "refine_day_subsample": "64",
+    "theta_min": 200.0, "theta_max": 800.0, "grid": 13,
+    "day_subsample": "all", "location_subsample": "all",
     "tau_grid": 1001, "q_levels": "0.5,5.0",
     "ecdf_levels": "0,0.5,1,2,4,8,16,32", "rank_bins": 10,
     "transform": "identity", "max_iter": 5000, "step": 1.0, "rel_tol": 1e-8,
@@ -56,37 +56,55 @@ DEFAULTS = {
 
 
 class Settings:
-    """Layered lookup: CLI flag > config file > built-in default."""
+    """Layered lookup: CLI flag > config file > built-in default.
+
+    A config key must be a default or a flag of the running command; a value
+    that does not parse is reported with the flag or config line it came from.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.cli = vars(args)
         self.file = {}
         if self.cli.get("config"):
-            self.file = read_kv(self.path("config"))
+            self.config = self.path("config")
+            self.file = read_kv(self.config)
+            known = (set(DEFAULTS) | set(self.cli)) - {"command"}
+            for key, (line_no, _) in self.file.items():
+                if key not in known:
+                    raise IngestError(f"{self.config}: line {line_no}: unknown key '{key}'")
 
-    def _raw(self, key):
+    def _lookup(self, key):
+        """(value, where it came from) of a setting."""
         v = self.cli.get(key)
         if v is not None:
-            return v
+            return v, "--" + key.replace("_", "-")
         if key in self.file:
-            return self.file[key]
-        return DEFAULTS.get(key)
+            line_no, v = self.file[key]
+            return v, f"{self.config}: line {line_no}"
+        return DEFAULTS.get(key), "default"
+
+    def _raw(self, key):
+        return self._lookup(key)[0]
+
+    def _convert(self, key, convert):
+        v, source = self._lookup(key)
+        try:
+            return convert(v)
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"{source}: invalid value {v!r} for {key}") from exc
 
     def str(self, key):
         v = self._raw(key)
         return None if v is None else str(v)
 
     def float(self, key) -> float:
-        return float(self._raw(key))
+        return self._convert(key, float)
 
     def int(self, key) -> int:
-        return int(self._raw(key))
+        return self._convert(key, int)
 
     def count_or_all(self, key):
-        v = self._raw(key)
-        if isinstance(v, str) and v.strip().lower() == "all":
-            return "all"
-        return int(v)
+        return self._convert(key, lambda v: "all" if str(v).strip().lower() == "all" else int(v))
 
     def path(self, key, must_exist=True):
         v = self._raw(key)
@@ -98,7 +116,8 @@ class Settings:
         return v
 
     def floats(self, key):
-        return [float(tok) for tok in str(self._raw(key)).split(",") if tok.strip()]
+        return self._convert(key, lambda v: [float(tok) for tok in str(v).split(",")
+                                             if tok.strip()])
 
 
 def _out_dir(settings: Settings) -> str:
@@ -174,8 +193,7 @@ def cmd_estimate_theta(settings: Settings, strict: bool) -> int:
     )
     search = ThetaSearchSpec(
         lower=settings.float("theta_min"), upper=settings.float("theta_max"),
-        grid_size=settings.int("grid"), tol=settings.float("theta_tol"),
-        refine_day_subsample=settings.count_or_all("refine_day_subsample"),
+        grid_size=settings.int("grid"),
     )
     result = estimate_theta(panel.values, field, distance, cfg, search,
                             nu=settings.float("nu"))
@@ -199,7 +217,10 @@ def cmd_simulate(settings: Settings) -> int:
     if theta is None:
         summary_path = settings.path("summary")
         with open(summary_path, encoding="utf-8") as fh:
-            summary = json.load(fh)
+            try:
+                summary = json.load(fh)
+            except ValueError as exc:
+                raise IngestError(f"{summary_path}: not valid JSON: {exc}") from exc
         theta = summary.get("theta_hat") if isinstance(summary, dict) else None
         numeric = isinstance(theta, (int, float)) and not isinstance(theta, bool)
         if not (numeric and np.isfinite(theta)):
@@ -331,13 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locations")
     p.add_argument("--rainfall")
     p.add_argument("--marginals")
-    for key in ("a", "topo_scale", "nu", "beta", "theta_min", "theta_max", "theta_tol"):
+    for key in ("a", "topo_scale", "nu", "beta", "theta_min", "theta_max"):
         p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
     p.add_argument("--grid", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--day-subsample", dest="day_subsample")
     p.add_argument("--location-subsample", dest="location_subsample")
-    p.add_argument("--refine-day-subsample", dest="refine_day_subsample")
+    p.add_argument("--refine-day-subsample", dest="refine_day_subsample",
+                   help="accepted and ignored")
 
     p = subs.add_parser("simulate", help="sample joint rainfall forecasts")
     _add_common(p)

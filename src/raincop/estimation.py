@@ -24,12 +24,11 @@ few budget-sized arrays whatever the number of locations or days, and the
 scores do not depend on the budget beyond floating-point rounding. A group's
 factors are released before the next group's are built.
 
-The search itself is derivative-free: a coarse grid locates the minimum
-(all grid thetas scored in one batched call) and golden-section refinement
-polishes it inside the bracketing interval, one theta per step. The
-refinement scores its own day subsample, so theta_hat can end on an edge of
-that bracket; the summary records the grid minimizer and the bracket next
-to theta_hat so that this shows.
+The search scores one grid of thetas in one batched call on the same days.
+theta_hat is the vertex of the parabola through the grid minimum and its two
+neighbours: no further evaluation, and within half a grid step of the grid
+minimizer (on an edge of the grid, the minimizer itself). Every scored theta
+is in the profile; the summary records the grid minimizer and its bracket.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ __all__ = [
 _DAY_DRAW = 0
 _SEL_DAYS = 1
 _SEL_LOCS = 2
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # Float64 elements allowed in one working array (512 KiB): bounds a day
 # chunk's (days, m, n) normals and a theta group's n x n factors alike. Small
@@ -102,21 +99,17 @@ class ScoreConfig:
 
 @dataclass(frozen=True)
 class ThetaSearchSpec:
-    """Search interval, coarse grid size, and refinement tolerance on theta."""
+    """Search interval and grid size on theta."""
 
     lower: float
     upper: float
     grid_size: int = 13
-    tol: float = 1.0
-    refine_day_subsample: object = 64
 
     def __post_init__(self):
         if not (0.0 < self.lower < self.upper):
             raise ValueError("need 0 < lower < upper")
         if self.grid_size < 3:
             raise ValueError("grid needs at least 3 points")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -128,7 +121,7 @@ class ProfilePoint:
 
 @dataclass
 class EstimateResult:
-    """theta_hat refines the grid minimizer grid_argmin inside refine_bracket."""
+    """theta_hat is the parabolic vertex at grid_argmin, inside refine_bracket."""
 
     theta_hat: float
     profile: list
@@ -256,39 +249,35 @@ def sr_objective(theta: float, panel_values: np.ndarray, field: MarginalField,
     return float(scores.sum())
 
 
-def _golden_section(f, lo: float, hi: float, tol: float):
-    """Minimize a deterministic unimodal-ish f on [lo, hi] to interval width tol."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    n_evals = 2
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        n_evals += 1
-    return 0.5 * (a + b), n_evals
+def _grid_vertex(grid: np.ndarray, scores: np.ndarray) -> tuple:
+    """(theta_hat, argmin) of a grid profile.
+
+    theta_hat is the vertex of the parabola through the minimum and its two
+    neighbours, theta_b + (h/2)(f- - f+)/(f- - 2 f_b + f+), or on an edge of
+    the grid the minimizer itself.
+    """
+    best = int(np.argmin(scores))
+    if best in (0, len(grid) - 1):
+        return float(grid[best]), best
+    # argmin takes the first minimum, so down > 0 and up >= 0: the ratio lies
+    # in [-1, 1] in floating point too, keeping the vertex within h/2.
+    down = scores[best - 1] - scores[best]
+    up = scores[best + 1] - scores[best]
+    half_step = (grid[best + 1] - grid[best - 1]) / 4.0
+    return float(grid[best] + half_step * (down - up) / (down + up)), best
 
 
 def estimate_theta(panel_values: np.ndarray, field: MarginalField,
                    distance: DistanceMatrix, cfg: ScoreConfig,
                    search: ThetaSearchSpec, nu: float = 3.5) -> EstimateResult:
-    """Coarse-grid scan plus golden-section refinement of the lengthscale.
+    """Grid scan of the lengthscale, refined by the parabolic vertex.
 
     The emitted profile holds the grid evaluations (one ProfilePoint per
     grid theta, with the across-days Monte Carlo standard error of the
-    summed score). Refinement then searches the interval bracketing the
-    grid minimizer, using the same seed (common random numbers) and the
-    day subsample configured on the search spec. A minimizer on a search
-    boundary is flagged and warned about. The result records the grid
-    minimizer and the refinement bracket, so a theta_hat that ends on an
-    edge of its bracket can be seen.
+    summed score); these are the only evaluations. theta_hat is the vertex
+    of the parabola through the grid minimum and its two neighbours. A
+    minimizer on a search boundary is flagged and warned about, and is then
+    theta_hat itself. The result records the grid minimizer and its bracket.
     """
     t0 = time.perf_counter()
     obs_gauss = obs_to_gaussian(panel_values, field)
@@ -303,9 +292,8 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
         stderr = float(np.std(scores, ddof=1) * np.sqrt(scores.size)) if scores.size > 1 else 0.0
         profile.append(ProfilePoint(theta=float(theta), score=float(scores.sum()),
                                     mc_stderr=stderr))
-    n_evals = len(profile)
 
-    best = int(np.argmin([pt.score for pt in profile]))
+    theta_hat, best = _grid_vertex(grid, np.array([pt.score for pt in profile]))
     boundary = best in (0, len(grid) - 1)
     if boundary:
         warnings.warn(
@@ -313,26 +301,14 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
             f"[{search.lower:g}, {search.upper:g}]",
             UserWarning,
         )
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-
-    refine_cfg = ScoreConfig(beta=cfg.beta, m=cfg.m,
-                             day_subsample=search.refine_day_subsample,
-                             location_subsample=cfg.location_subsample,
-                             seed=cfg.seed)
-
-    def refine_f(theta):
-        return float(_objective_terms([theta], obs_gauss, thresholds, distance,
-                                      refine_cfg, nu, None, None).sum())
-
-    theta_hat, extra = _golden_section(refine_f, float(lo), float(hi), search.tol)
     return EstimateResult(
-        theta_hat=float(theta_hat),
+        theta_hat=theta_hat,
         profile=profile,
         boundary=boundary,
         grid_argmin=float(grid[best]),
-        refine_bracket=(float(lo), float(hi)),
-        n_evaluations=n_evals + extra,
+        refine_bracket=(float(grid[max(best - 1, 0)]),
+                        float(grid[min(best + 1, len(grid) - 1)])),
+        n_evaluations=len(profile),
         wall_clock_s=time.perf_counter() - t0,
     )
 
@@ -358,8 +334,6 @@ def write_summary(path, result: EstimateResult, cfg: ScoreConfig,
         "theta_lower": search.lower,
         "theta_upper": search.upper,
         "grid_size": search.grid_size,
-        "tol": search.tol,
-        "refine_day_subsample": search.refine_day_subsample,
         "beta": cfg.beta,
         "m": cfg.m,
         "day_subsample": cfg.day_subsample,

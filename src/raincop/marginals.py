@@ -464,7 +464,7 @@ def read_coefficients(path):
     def value(key):
         if key not in kv:
             raise IngestError(f"{path}: missing key {key!r}")
-        return kv[key]
+        return kv[key][1]
 
     d = int(value("feature_dim"))
 

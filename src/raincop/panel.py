@@ -127,7 +127,7 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False):
 
 
 def read_kv(path) -> dict:
-    """Read flat key=value lines (# starts a comment) into a dict of stripped text."""
+    """Read flat key=value lines (# starts a comment): key -> (line number, stripped text)."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -137,7 +137,7 @@ def read_kv(path) -> dict:
             if "=" not in line:
                 raise IngestError(f"{path}: line {line_no}: expected key=value")
             key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            out[key.strip()] = (line_no, val.strip())
     return out
 
 

@@ -30,8 +30,7 @@ def _recovery_run(p, data_seed, cfg_seed):
     spec = rc.SynthSpec(seed=data_seed, p=p)  # defaults pin the desk-scale replica
     res = rc.simulate_dataset(spec)
     cfg = rc.ScoreConfig(seed=cfg_seed, m=30, day_subsample="all")
-    search = rc.ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=13, tol=1.0,
-                                refine_day_subsample="all")
+    search = rc.ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=13)
     est = rc.estimate_theta(res.panel.values, res.field, res.distance, cfg, search)
     return est.theta_hat
 
@@ -240,8 +239,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     for out, threads in ((tmp_path / "e1", "1"), (tmp_path / "e2", "4")):
         run(["estimate-theta", "--locations", fx / "locations.csv",
              "--rainfall", fx / "rainfall.csv", "--marginals", fx / "marginals.csv",
-             "--grid", "5", "--m", "8", "--theta-tol", "25",
-             "--refine-day-subsample", "all", "--seed", "9",
+             "--grid", "5", "--m", "8", "--seed", "9",
              "--threads", threads, "--out", out])
         ests.append((out / "profile.csv").read_bytes()
                     + (out / "summary.json").read_bytes())

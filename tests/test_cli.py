@@ -58,6 +58,21 @@ class TestSynthCommand:
         assert len(rainfall) == 1 + 7  # header + overridden day count
         assert len(rainfall[0].split(",")) == 1 + 4
 
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("days=6\n# a comment\nbogus_key=3\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"{cfg}: line 3: unknown key 'bogus_key'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_keys_of_other_commands_accepted(self, tmp_path):
+        # one config shared by every stage: estimate-theta and diagnose keys
+        # are defaults, so synth accepts them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_locations=4\ndays=6\ntheta_min=300\nm=5\nq_levels=0.5,2\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert len((tmp_path / "out" / "rainfall.csv").read_text().splitlines()) == 1 + 6
+
 
 class TestFitMarginals:
     def test_intercept_only_recovers_homogeneous_truth(self, fixture_dir, tmp_path):
@@ -94,8 +109,7 @@ class TestEstimateTheta:
                     "--locations", fixture_dir / "locations.csv",
                     "--rainfall", fixture_dir / "rainfall.csv",
                     "--marginals", fixture_dir / "marginals.csv",
-                    "--grid", "5", "--m", "8", "--theta-tol", "20",
-                    "--refine-day-subsample", "all",
+                    "--grid", "5", "--m", "8",
                     "--seed", "3", "--out", out, *extra])
 
     def test_outputs_and_determinism(self, fixture_dir, tmp_path):
@@ -122,10 +136,44 @@ class TestEstimateTheta:
                       "--rainfall", fixture_dir / "rainfall.csv",
                       "--marginals", fixture_dir / "marginals.csv",
                       "--theta-min", "3000", "--theta-max", "6000",
-                      "--grid", "4", "--m", "6", "--theta-tol", "100",
-                      "--refine-day-subsample", "all",
+                      "--grid", "4", "--m", "6",
                       "--seed", "3", "--out", tmp_path, "--strict"])
         assert rc == 3
+
+    @pytest.mark.filterwarnings("ignore:grid minimizer")
+    def test_ingestion_probe_argv(self, tmp_path, capsys):
+        # the argv of the benchmark's ingestion probe (perfbench/run.py): it
+        # must fail at ingestion, not at argument parsing
+        fx = tmp_path / "probe"
+        assert run(["synth", "--out", fx, "--seed", "0", "--n-locations", "8",
+                    "--days", "40"]) == 0
+        lines = (fx / "rainfall.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[1] = "inf"
+        lines[1] = ",".join(cells)
+        (fx / "rainfall_inf.csv").write_text("\n".join(lines) + "\n")
+
+        def probe(rainfall, out, extra):
+            argv = ["estimate-theta", "--locations", fx / "locations.csv",
+                    "--rainfall", rainfall, "--marginals", fx / "marginals.csv",
+                    "--grid", "3", "--m", "2", *extra, "--seed", "0",
+                    "--threads", "1", "--out", out]
+            try:
+                return run(argv)
+            except SystemExit as exc:  # argparse rejects a flag this way
+                return exc.code
+
+        flag = ("--refine-day-subsample", "4")
+        capsys.readouterr()
+        assert probe(fx / "rainfall_inf.csv", tmp_path / "bad", flag) == 2
+        err = capsys.readouterr().err
+        assert "rainfall_inf.csv: row 2: non-finite value inf in column 2" in err
+        assert "usage:" not in err
+        a, b = tmp_path / "with", tmp_path / "without"
+        assert probe(fx / "rainfall.csv", a, flag) == 0
+        assert probe(fx / "rainfall.csv", b, ()) == 0
+        for name in ("profile.csv", "summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestSimulateAndDiagnose:
@@ -240,6 +288,21 @@ class TestSimulateAndDiagnose:
         assert rc == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_malformed_value_names_source(self, fixture_dir, ensemble_path, tmp_path,
+                                          capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=2\nq_levels=abc\n")
+        extra = ["--q-levels", "abc"] if source == "flag" else ["--config", cfg]
+        rc = run(["diagnose", "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv",
+                  "--ensemble", ensemble_path, *extra, "--out", tmp_path / "diag"])
+        assert rc == 2
+        where = "--q-levels" if source == "flag" else f"{cfg}: line 2"
+        assert f"{where}: invalid value 'abc' for q_levels" in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()
+
     @pytest.mark.parametrize("replicates, bad_row, token", [
         (["x"] * 8, 2, "x"),                          # not an index at all
         (["0", "1", "2", "3", "0", "0", "2", "3"], 7, "0"),   # duplicated index
@@ -307,7 +370,7 @@ class TestSimulateFromSummary:
         rc = run(["estimate-theta", "--locations", fixture_dir / "locations.csv",
                   "--rainfall", fixture_dir / "rainfall.csv",
                   "--marginals", fixture_dir / "marginals.csv",
-                  "--grid", "4", "--m", "6", "--theta-tol", "50",
+                  "--grid", "4", "--m", "6",
                   "--day-subsample", "40", "--location-subsample", "8",
                   "--seed", "13", "--out", est])
         assert rc == 0
@@ -321,10 +384,13 @@ class TestSimulateFromSummary:
         assert (tmp_path / "ensemble.csv").exists()
         assert 200.0 <= theta <= 800.0
 
-    @pytest.mark.parametrize("content", ['{"theta": 450.0}', '{"theta_hat": null}',
-                                         '[450.0]'],
-                             ids=["no-theta-hat", "null-theta-hat", "not-an-object"])
-    def test_bad_summary_exit_2(self, fixture_dir, tmp_path, capsys, content):
+    @pytest.mark.parametrize("content, message", [
+        ('{"theta": 450.0}', "no finite numeric 'theta_hat'"),
+        ('{"theta_hat": null}', "no finite numeric 'theta_hat'"),
+        ('[450.0]', "no finite numeric 'theta_hat'"),
+        ('theta_hat=450', "not valid JSON"),
+    ], ids=["no-theta-hat", "null-theta-hat", "not-an-object", "not-json"])
+    def test_bad_summary_exit_2(self, fixture_dir, tmp_path, capsys, content, message):
         summary = tmp_path / "summary.json"
         summary.write_text(content)
         rc = run(["simulate", "--locations", fixture_dir / "locations.csv",
@@ -332,7 +398,7 @@ class TestSimulateFromSummary:
                   "--marginals", fixture_dir / "marginals.csv",
                   "--summary", summary, "--m", "2", "--out", tmp_path / "sim"])
         assert rc == 2
-        assert f"{summary}: no finite numeric 'theta_hat'" in capsys.readouterr().err
+        assert f"{summary}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
 
@@ -347,7 +413,7 @@ class TestDeskScaleSmoke:
         rc = run(["estimate-theta", "--locations", fx / "locations.csv",
                   "--rainfall", fx / "rainfall.csv",
                   "--marginals", fx / "marginals.csv",
-                  "--grid", "5", "--m", "10", "--theta-tol", "10",
+                  "--grid", "5", "--m", "10",
                   "--seed", "21", "--out", tmp_path / "est"])
         elapsed = time.perf_counter() - t0
         assert rc == 0

@@ -13,7 +13,7 @@ from raincop.copula import censor, censor_thresholds, obs_to_gaussian, substream
 from raincop.estimation import (ProfilePoint, ScoreConfig, ThetaSearchSpec,
                                 energy_score_unbiased, energy_scores, estimate_theta,
                                 sr_objective, subsample_indices, write_profile,
-                                write_summary, _SEL_LOCS, _objective_terms)
+                                write_summary, _SEL_LOCS, _grid_vertex, _objective_terms)
 from raincop.synth import SynthSpec, simulate_dataset
 
 
@@ -154,8 +154,7 @@ class TestEstimateTheta:
     def test_recovers_bracket_and_profile(self):
         res = small_case(seed=2, n=20, days=150)
         cfg = ScoreConfig(seed=40, m=20)
-        search = ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=13, tol=2.0,
-                                 refine_day_subsample="all")
+        search = ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=13)
         result = estimate_theta(res.panel.values, res.field, res.distance, cfg, search)
         assert not result.boundary
         assert 250.0 < result.theta_hat < 700.0
@@ -170,21 +169,20 @@ class TestEstimateTheta:
     def test_boundary_warning(self):
         res = small_case(seed=6, n=8, days=40)
         cfg = ScoreConfig(seed=41, m=8)
-        search = ThetaSearchSpec(lower=1200.0, upper=2400.0, grid_size=5, tol=10.0,
-                                 refine_day_subsample="all")
+        search = ThetaSearchSpec(lower=1200.0, upper=2400.0, grid_size=5)
         with pytest.warns(UserWarning):
             result = estimate_theta(res.panel.values, res.field, res.distance,
                                     cfg, search)
         assert result.boundary
-        # a minimizer on the lower edge brackets the refinement by its neighbour
+        # a minimizer on the lower edge is theta_hat, bracketed by its neighbour
         assert result.grid_argmin == 1200.0
         assert result.refine_bracket == (1200.0, 1500.0)
+        assert result.theta_hat == 1200.0
 
     def test_records_grid_argmin_and_bracket(self):
         res = small_case(seed=3, n=8, days=30)
         cfg = ScoreConfig(seed=42, m=6)
-        search = ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=5, tol=20.0,
-                                 refine_day_subsample=10)
+        search = ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=5)
         result = estimate_theta(res.panel.values, res.field, res.distance, cfg, search)
         thetas = [pt.theta for pt in result.profile]
         best = int(np.argmin([pt.score for pt in result.profile]))
@@ -193,6 +191,50 @@ class TestEstimateTheta:
                                          thetas[min(best + 1, len(thetas) - 1)])
         lo, hi = result.refine_bracket
         assert lo <= result.theta_hat <= hi
+        # theta_hat is the parabolic vertex of the returned profile
+        scores = [pt.score for pt in result.profile]
+        if 0 < best < len(thetas) - 1:
+            h = thetas[best + 1] - thetas[best]
+            f_lo, f_b, f_hi = scores[best - 1:best + 2]
+            want = thetas[best] + (h / 2) * (f_lo - f_hi) / (f_lo - 2 * f_b + f_hi)
+        else:
+            want = thetas[best]
+        assert result.theta_hat == pytest.approx(want, rel=1e-12)
+        assert result.n_evaluations == len(thetas)
+
+
+# Grids of 3 to 25 points starting in [1, 1000] and spanning [1, 1000].
+GRIDS = st.tuples(st.floats(1.0, 1000.0), st.floats(1.0, 1000.0), st.integers(3, 25)).map(
+    lambda t: np.linspace(t[0], t[0] + t[1], t[2]))
+
+
+class TestGridVertex:
+    @settings(max_examples=200, deadline=None)
+    @given(GRIDS, st.floats(0.0, 1.0), st.floats(1.0, 1e3), st.floats(-100.0, 100.0))
+    def test_exact_on_a_quadratic(self, grid, u, curvature, offset):
+        # the minimizer lies at least 1e-3 steps inside the half steps at the
+        # ends, so the grid argmin is interior
+        h = grid[1] - grid[0]
+        true_min = grid[0] + h * (0.501 + u * (grid.size - 2.002))
+        a = curvature / h ** 2   # a * h^2 in [1, 1e3]: no cancellation to speak of
+        theta_hat, best = _grid_vertex(grid, a * (grid - true_min) ** 2 + offset)
+        assert 0 < best < grid.size - 1
+        assert theta_hat == pytest.approx(true_min, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), GRIDS)
+    def test_within_half_step_of_argmin(self, data, grid):
+        scores = np.array(data.draw(st.lists(st.floats(-1e100, 1e100), min_size=grid.size,
+                                             max_size=grid.size)))
+        theta_hat, best = _grid_vertex(grid, scores)
+        assert best == int(np.argmin(scores))
+        if best in (0, grid.size - 1):
+            assert theta_hat == grid[best]
+        else:
+            half = (grid[best + 1] - grid[best - 1]) / 4.0
+            # up to the rounding of theta_b + offset
+            assert abs(theta_hat - grid[best]) <= half + np.spacing(theta_hat)
+            assert grid[best - 1] <= theta_hat <= grid[best + 1]
 
 
 def reference_terms(samples, obs, beta):
@@ -281,12 +323,11 @@ class TestBatchedObjective:
     def test_ragged_chunks_and_single_theta_groups(self, batched_case, days_per_chunk,
                                                    seed):
         # n = 14, m = 4: a budget of days_per_chunk * m * n elements splits the
-        # 41 grid days and 25 refinement days raggedly, and is too small for
-        # two 14 x 14 factors, so every theta is a group of its own
+        # 41 days raggedly, and is too small for two 14 x 14 factors, so every
+        # theta is a group of its own
         res, _, _ = batched_case
         cfg = ScoreConfig(seed=seed, m=4)
-        search = ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=7, tol=5.0,
-                                 refine_day_subsample=25)
+        search = ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=7)
         args = (res.panel.values, res.field, res.distance, cfg, search)
         base = estimate_theta(*args)
         budget = days_per_chunk * cfg.m * 14
