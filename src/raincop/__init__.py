@@ -9,8 +9,7 @@ harness with known ground truth.
 
 __version__ = "0.1.0"
 
-from .copula import (censor, censor_thresholds, joint_forecast, obs_to_gaussian,
-                     sample_latent, substream)
+from .copula import censor, censor_thresholds, joint_forecast, obs_to_gaussian, substream
 from .diagnostics import (EnsembleBlock, RocCurve, crps_sample, cross_correlation,
                           ecdf_curve, rank_histogram, rmsb_mab, roc_auc,
                           variogram_score)

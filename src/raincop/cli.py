@@ -230,9 +230,13 @@ def cmd_simulate(settings: Settings) -> int:
                                      topo_scale=settings.float("topo_scale"))
     cov = build_covariance(distance, MaternParams(theta=theta, nu=settings.float("nu")))
     m = settings.int("m")
+    if m < 1:
+        raise IngestError(f"{settings._lookup('m')[1]}: need at least one draw, got {m}")
     seed = settings.int("seed")
-    blocks = [joint_forecast(cov, field, s, m, substream(seed, _SIM_TAG, s))
-              for s in range(panel.n_days)]
+    # Settings are all checked: open the output, then draw and write chunk by chunk.
+    blocks = (block for sl in day_chunks(panel.n_days, m * panel.n_locations)
+              for block in joint_forecast(cov, field, range(panel.n_days)[sl], m, seed,
+                                          _SIM_TAG))
     out = _out_dir(settings)
     write_ensemble(os.path.join(out, "ensemble.csv"), panel.day_labels,
                    panel.location_ids, blocks)
@@ -311,7 +315,10 @@ def _float_rows(*columns):
     return ([repr(float(v)) for v in row] for row in zip(*columns))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, *input_files: str) -> None:
+    """Flags every command takes, then one path flag per named input file."""
+    for name in input_files:
+        sub.add_argument(f"--{name}")
     sub.add_argument("--config", help="flat key=value configuration file")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--out", help="output directory")
@@ -338,20 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-date", dest="start_date")
 
     p = subs.add_parser("fit-marginals", help="fit mixture coefficients by joint likelihood")
-    _add_common(p)
-    p.add_argument("--locations")
-    p.add_argument("--rainfall")
-    p.add_argument("--features")
+    _add_common(p, "locations", "rainfall", "features")
     p.add_argument("--transform", choices=["identity", "standardize"])
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--step", type=float)
     p.add_argument("--rel-tol", type=float, dest="rel_tol")
 
     p = subs.add_parser("estimate-theta", help="minimum energy-score lengthscale search")
-    _add_common(p)
-    p.add_argument("--locations")
-    p.add_argument("--rainfall")
-    p.add_argument("--marginals")
+    _add_common(p, "locations", "rainfall", "marginals")
     for key in ("a", "topo_scale", "nu", "beta", "theta_min", "theta_max"):
         p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
     p.add_argument("--grid", type=int)
@@ -362,10 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted and ignored")
 
     p = subs.add_parser("simulate", help="sample joint rainfall forecasts")
-    _add_common(p)
-    p.add_argument("--locations")
-    p.add_argument("--rainfall")
-    p.add_argument("--marginals")
+    _add_common(p, "locations", "rainfall", "marginals")
     p.add_argument("--theta", type=float)
     p.add_argument("--summary", help="summary.json to take theta_hat from")
     for key in ("a", "topo_scale", "nu"):
@@ -373,11 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
 
     p = subs.add_parser("diagnose", help="verification diagnostics of an ensemble")
-    _add_common(p)
-    p.add_argument("--locations")
-    p.add_argument("--rainfall")
-    p.add_argument("--marginals")
-    p.add_argument("--ensemble")
+    _add_common(p, "locations", "rainfall", "marginals", "ensemble")
     for key in ("a", "topo_scale", "beta"):
         p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
     p.add_argument("--tau-grid", type=int, dest="tau_grid")

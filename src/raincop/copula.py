@@ -13,6 +13,10 @@ derives an independent generator from a master seed and an integer path
 thread count. Forecast sampling pushes the latent Gaussian's uniform
 directly through the mixture quantile, preserving the copula coupling
 exactly and emitting bit-exact 0.0 for dry outcomes.
+
+joint_forecast samples a run of days as one array, each day's normals from
+that day's own substream: callers walk the days in budget-sized chunks
+(estimation.day_chunks), and no draw depends on the chunking.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .spatial import CovarianceMatrix
 __all__ = [
     "substream",
     "censor_thresholds",
-    "sample_latent",
     "censor",
     "obs_to_gaussian",
     "joint_forecast",
@@ -59,14 +62,6 @@ def censor_thresholds(field: MarginalField) -> np.ndarray:
     out[p == 1.0] = -np.inf
     out[interior] = _sp.ndtri(1.0 - p[interior])
     return out
-
-
-def sample_latent(cov: CovarianceMatrix, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw m latent vectors, rows x* = L z with z iid standard normal."""
-    if m < 1:
-        raise ValueError("need at least one draw")
-    z = rng.standard_normal((m, cov.n))
-    return z @ cov.factor.lower.T
 
 
 def censor(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -102,28 +97,32 @@ def obs_to_gaussian(values: np.ndarray, field: MarginalField) -> np.ndarray:
         return _sp.ndtri(u)
 
 
-def joint_forecast(cov: CovarianceMatrix, field: MarginalField, day: int, m: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Sample an (m, n) block of joint rainfall for one day.
+def joint_forecast(cov: CovarianceMatrix, field: MarginalField, days, m: int, seed: int,
+                   *path: int) -> np.ndarray:
+    """Sample joint rainfall for a run of days: a (len(days), m, n) array.
 
-    Each latent draw is pushed through u = Phi(x*) and the day's mixture
-    quantile: u <= 1 - p gives bit-exact 0.0 rainfall, larger u the gamma
-    quantile at (u - (1 - p)) / p. Marginals are exactly the cellwise
+    Day d's (m, n) normals come from substream(seed, *path, d), whatever other
+    days the call holds. Each latent draw x* = L z goes through u = Phi(x*) and
+    its day's mixture quantile: u <= 1 - p gives bit-exact 0.0 rainfall, larger
+    u the gamma quantile at (u - (1 - p)) / p. Marginals are exactly the cellwise
     mixture laws; dependence is inherited from the covariance.
     """
-    if not (0 <= day < field.n_days):
-        raise ValueError(f"day {day} outside field range [0, {field.n_days})")
+    days = np.asarray(days, dtype=int)
+    if m < 1:
+        raise ValueError("need at least one draw")
+    if days.ndim != 1 or days.size == 0 or days.min() < 0 or days.max() >= field.n_days:
+        raise ValueError(f"need a non-empty run of days in [0, {field.n_days})")
     if cov.n != field.n_locations:
         raise ValueError("covariance size does not match the marginal field")
-    latent = sample_latent(cov, m, rng)
-    u = _sp.ndtr(latent)
-    return mixture_quantile(field.p[:, day], field.mu[:, day], field.phi[:, day], u)
+    z = np.stack([substream(seed, *path, day).standard_normal((m, cov.n)) for day in days])
+    u = _sp.ndtr(z @ cov.factor.lower.T)
+    return mixture_quantile(*(a[:, days].T[:, None, :] for a in (field.p, field.mu, field.phi)), u)
 
 
 def write_ensemble(path, day_labels, location_ids, blocks) -> None:
     """Write ensemble CSV: day,replicate,loc_<id>,... with exact 0 tokens when dry.
 
-    blocks is a sequence of (m, n) arrays aligned with day_labels.
+    blocks, (m, n) arrays aligned with day_labels, may come from a generator.
     """
     write_csv(path, ["day", "replicate", *(f"loc_{i}" for i in location_ids)],
               ([label, str(j), *map(format_rain, row)]

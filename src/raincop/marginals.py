@@ -458,23 +458,27 @@ def write_coefficients(path, coeffs: JglmCoefficients, transform) -> None:
 
 
 def read_coefficients(path):
-    """Inverse of write_coefficients: (coeffs, transform); a missing key is an IngestError."""
+    """Inverse of write_coefficients: (coeffs, transform); bad or missing keys are IngestErrors."""
     kv = read_kv(path)
 
-    def value(key):
+    def value(key, convert=str):
         if key not in kv:
             raise IngestError(f"{path}: missing key {key!r}")
-        return kv[key][1]
+        line_no, text = kv[key]
+        try:
+            return convert(text)
+        except ValueError:
+            raise IngestError(f"{path}: line {line_no}: invalid value {text!r} for {key}") from None
 
-    d = int(value("feature_dim"))
+    d = value("feature_dim", int)
 
     def vector(prefix):
-        return np.array([float(value(f"{prefix}.{k}")) for k in range(d)])
+        return np.array([value(f"{prefix}.{k}", float) for k in range(d)])
 
     coeffs = JglmCoefficients(
-        alpha0=float(value("alpha0")), alpha=vector("alpha"),
-        beta0=float(value("beta0")), beta=vector("beta"),
-        gamma0=float(value("gamma0")), gamma=vector("gamma"),
+        alpha0=value("alpha0", float), alpha=vector("alpha"),
+        beta0=value("beta0", float), beta=vector("beta"),
+        gamma0=value("gamma0", float), gamma=vector("gamma"),
     )
     name = value("transform")
     if name == "standardize":

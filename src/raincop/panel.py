@@ -142,9 +142,10 @@ def read_kv(path) -> dict:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows of already formatted cells, comma-joined, LF line ends."""
+    """Write a header, then each row of formatted cells as it arrives; commas, LF ends."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def format_rain(v: float) -> str:

@@ -2,10 +2,11 @@
 
 Draws locations uniformly in a configurable box, builds the blended
 distance matrix and true Matérn covariance, then simulates each day
-independently as one joint_forecast draw from its own substream, so dry
-cells are exact zeros and the declared marginals hold cellwise. Marginals
-are homogeneous by default (fixture values, not fitted ones) or generated
-from link-linear coefficients on a random feature matrix.
+independently as one joint_forecast draw from its own substream (in
+budget-sized day chunks), so dry cells are exact zeros and the declared
+marginals hold cellwise. Marginals are homogeneous by default (fixture
+values, not fitted ones) or generated from link-linear coefficients on a
+random feature matrix.
 
 The default elevation span looks nothing like physical terrain: with
 latitude/longitude kept in raw degrees the geographic distances top out
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import joint_forecast, substream
+from .estimation import day_chunks
 from .marginals import (GammaMixture, IdentityTransform, JglmCoefficients, MarginalField,
                         predict_field)
 from .panel import RainPanel
@@ -120,9 +122,9 @@ def simulate_dataset(spec: SynthSpec) -> SynthResult:
     cov = build_covariance(distance, MaternParams(theta=spec.theta_true, nu=spec.nu))
     field, features = _marginal_field(spec)
 
-    draws = [joint_forecast(cov, field, s, 1, substream(spec.seed, _DAY_TAG, s))[0]
-             for s in range(spec.n_days)]
-    values = np.column_stack(draws)
+    draws = [joint_forecast(cov, field, range(spec.n_days)[sl], 1, spec.seed, _DAY_TAG)
+             for sl in day_chunks(spec.n_days, spec.n_locations)]
+    values = np.ascontiguousarray(np.concatenate(draws)[:, 0].T)
     panel = RainPanel(values=values, location_ids=locs.ids, day_labels=_day_labels(spec))
     return SynthResult(panel=panel, field=field, distance=distance,
                        locations=locs, features=features)

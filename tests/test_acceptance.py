@@ -124,7 +124,7 @@ def test_criterion_6_copula_marginal_preservation():
                          elev=[0.0, 0.0, 0.0, 0.0])
     dist = build_distance_matrix(locs, a=0.9)
     cov = rc.build_covariance(dist, MaternParams(theta=8.0))
-    joint = rc.joint_forecast(cov, field, 0, 100_000, substream(600, 0))
+    joint = rc.joint_forecast(cov, field, [0], 100_000, 600)[0]  # substream(600, 0)
     direct = rc.gm_sample(law, substream(600, 1), size=100_000)
     worst = 0.0
     for i in range(n):
@@ -200,14 +200,15 @@ def test_criterion_8_diagnostics_battery():
     from raincop.spatial import CovarianceMatrix
     eye = CovarianceMatrix(sigma=np.eye(25), params=cov.params, distance=res.distance,
                            factor=spd_factorize(np.eye(25)))
+    days = range(spec.n_days)
+    good = rc.joint_forecast(cov, res.field, days, 40, 804, 0)  # substream(804, 0, day)
+    bad = rc.joint_forecast(eye, res.field, days, 40, 804, 1)
     wins = 0
-    for day in range(spec.n_days):
-        good = rc.joint_forecast(cov, res.field, day, 40, substream(804, 0, day))
-        bad = rc.joint_forecast(eye, res.field, day, 40, substream(804, 1, day))
+    for day in days:
         obs = res.panel.values[:, day]
-        vg = rc.variogram_score(rc.EnsembleBlock(day=day, samples=good, obs=obs),
+        vg = rc.variogram_score(rc.EnsembleBlock(day=day, samples=good[day], obs=obs),
                                 res.distance)
-        vb = rc.variogram_score(rc.EnsembleBlock(day=day, samples=bad, obs=obs),
+        vb = rc.variogram_score(rc.EnsembleBlock(day=day, samples=bad[day], obs=obs),
                                 res.distance)
         wins += vg < vb
     assert wins >= 90, f"correct forecaster won only {wins}/100 days"

@@ -402,6 +402,57 @@ class TestSimulateFromSummary:
         assert not (tmp_path / "sim").exists()
 
 
+class TestSimulateStreaming:
+    def simulate(self, fixture_dir, out, extra=()):
+        return run(["simulate", "--locations", fixture_dir / "locations.csv",
+                    "--rainfall", fixture_dir / "rainfall.csv",
+                    "--marginals", fixture_dir / "marginals.csv",
+                    "--theta", "450", "--seed", "3", "--out", out, *extra])
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--m", "0"], "--m: need at least one draw, got 0"),
+        (["--m", "-2"], "--m: need at least one draw, got -2"),
+        (["--config", "m0.cfg"], "m0.cfg: line 1: need at least one draw, got 0"),
+        (["--m", "4", "--theta", "-5"], "theta must be positive"),
+    ], ids=["m-0", "m-negative", "m-0-config", "theta-negative"])
+    def test_rejected_setting_writes_nothing(self, fixture_dir, tmp_path, monkeypatch,
+                                             capsys, extra, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m0.cfg").write_text("m=0\n")
+        assert self.simulate(fixture_dir, tmp_path / "sim", extra) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("days_per_chunk", [1, 7], ids=["one-day", "ragged"])
+    def test_chunking_changes_no_byte(self, fixture_dir, ensemble_path, tmp_path,
+                                      monkeypatch, days_per_chunk):
+        from raincop import estimation
+
+        m, n = 4, 10  # ensemble_path: --m 4 over the fixture's 10 locations, 150 days
+        monkeypatch.setattr(estimation, "_ELEMENT_BUDGET", days_per_chunk * m * n)
+        assert len(estimation.day_chunks(150, m * n)) == -(-150 // days_per_chunk)
+        assert self.simulate(fixture_dir, tmp_path, ["--m", str(m)]) == 0
+        assert (tmp_path / "ensemble.csv").read_bytes() == ensemble_path.read_bytes()
+
+    def test_peak_memory_flat_in_days(self, tmp_path):
+        """simulate's traced peak grows by far less than its output when days grow 4x."""
+        import tracemalloc
+
+        peaks = {}
+        for days in (100, 400):
+            fx = tmp_path / f"fx{days}"
+            assert run(["synth", "--out", fx, "--seed", "3", "--n-locations", "20",
+                        "--days", days]) == 0
+            tracemalloc.start()
+            try:
+                assert self.simulate(fx, tmp_path / f"sim{days}", ["--m", "50"]) == 0
+                peaks[days] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = (tmp_path / "sim400" / "ensemble.csv").stat().st_size  # about 5 MB
+        assert peaks[400] - peaks[100] < 0.25 * size
+
+
 class TestDeskScaleSmoke:
     def test_grid5_estimate_under_budget(self, tmp_path):
         import time

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from raincop.copula import (censor, censor_thresholds, joint_forecast,
-                            obs_to_gaussian, read_ensemble, sample_latent,
-                            substream, write_ensemble)
-from raincop.marginals import GammaMixture, MarginalField, gm_quantile, gm_sample
+                            obs_to_gaussian, read_ensemble, substream, write_ensemble)
+from raincop.marginals import (GammaMixture, MarginalField, gm_quantile, gm_sample,
+                               mixture_cdf, mixture_quantile)
 from raincop.numerics import spd_factorize
 from raincop.spatial import DistanceMatrix, MaternParams
 from raincop.spatial import CovarianceMatrix
@@ -36,10 +38,23 @@ class TestThresholds:
         assert np.allclose(d, stats.norm.ppf(0.4), atol=1e-12)
 
 
+def latent_draws(cov, m, seed, *path):
+    """Day 0's latent draws of joint_forecast, read back through the mixture CDF.
+
+    With p = 1 no cell is censored and u = Phi(x*) is recovered to ~1e-12.
+    """
+    law = GammaMixture(p=1.0, mu=2.0, phi=1.0)
+    field = MarginalField.homogeneous(law, cov.n, 1)
+    rain = joint_forecast(cov, field, [0], m, seed, *path)[0]
+    return special.ndtri(mixture_cdf(law.p, law.mu, law.phi, rain))
+
+
 class TestSampleLatent:
+    """The latent sample x* = L z that joint_forecast draws for each day."""
+
     def test_identity_covariance_moments(self):
         cov = cov_from_sigma(np.eye(3))
-        draws = sample_latent(cov, 100_000, substream(0, 1))
+        draws = latent_draws(cov, 100_000, 0, 1)
         sd_var = np.sqrt(2.0 / 100_000)  # var of sample variance of N(0,1)
         assert np.allclose(draws.var(axis=0), 1.0, atol=3 * sd_var)
         corr = np.corrcoef(draws.T)
@@ -48,22 +63,51 @@ class TestSampleLatent:
 
     def test_correlated_pair(self):
         sigma = np.array([[1.0, 0.8], [0.8, 1.0]])
-        draws = sample_latent(cov_from_sigma(sigma), 100_000, substream(0, 2))
+        draws = latent_draws(cov_from_sigma(sigma), 100_000, 0, 2)
         r = np.corrcoef(draws.T)[0, 1]
         se = (1.0 - 0.8 ** 2) / np.sqrt(100_000)
         assert r == pytest.approx(0.8, abs=3 * se)
 
     def test_determinism(self):
         cov = cov_from_sigma(np.eye(4))
-        a = sample_latent(cov, 10, substream(42, 7))
-        b = sample_latent(cov, 10, substream(42, 7))
+        field = MarginalField.homogeneous(GammaMixture(p=0.6, mu=3.0, phi=1.2), 4, 3)
+        a = joint_forecast(cov, field, range(3), 10, 42, 7)
+        b = joint_forecast(cov, field, range(3), 10, 42, 7)
         assert np.array_equal(a, b)
 
     def test_substreams_differ(self):
         cov = cov_from_sigma(np.eye(4))
-        a = sample_latent(cov, 10, substream(42, 7))
-        b = sample_latent(cov, 10, substream(42, 8))
+        field = MarginalField.homogeneous(GammaMixture(p=1.0, mu=3.0, phi=1.2), 4, 2)
+        a = joint_forecast(cov, field, range(2), 10, 42, 7)
+        b = joint_forecast(cov, field, range(2), 10, 42, 8)
         assert not np.array_equal(a, b)
+        assert not np.array_equal(a[0], a[1])  # each day its own substream
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**31),
+       st.data())
+def test_chunked_draws_equal_per_day_draws(k, m, n, seed, data):
+    """One k-day call gives, bit for bit, each day's draw as one-day calls make it."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    sigma = a @ a.T + n * np.eye(n)
+    sigma /= np.sqrt(np.outer(np.diag(sigma), np.diag(sigma)))
+    cov = cov_from_sigma(sigma)
+    t = k + data.draw(st.integers(0, 3))
+    field = MarginalField(p=rng.choice([0.0, 0.3, 0.7, 1.0], size=(n, t)),
+                          mu=rng.uniform(0.5, 5.0, (n, t)), phi=rng.uniform(0.2, 2.0, (n, t)))
+    first = data.draw(st.integers(0, t - k))
+    days = range(first, first + k)
+    chunk = joint_forecast(cov, field, days, m, seed, 21)
+    assert chunk.shape == (k, m, n)
+    for j, day in enumerate(days):
+        assert np.array_equal(chunk[j], joint_forecast(cov, field, [day], m, seed, 21)[0])
+        # the per-day formula: one day's normals, one matmul, Phi, the day's quantile
+        z = substream(seed, 21, day).standard_normal((m, n))
+        u = special.ndtr(z @ cov.factor.lower.T)
+        ref = mixture_quantile(field.p[:, day], field.mu[:, day], field.phi[:, day], u)
+        assert np.array_equal(chunk[j], ref)
 
 
 class TestCensor:
@@ -128,7 +172,7 @@ class TestJointForecast:
     def test_independent_mean(self):
         field = MarginalField.homogeneous(GammaMixture(p=1.0, mu=2.0, phi=1.0), 3, 1)
         cov = cov_from_sigma(np.eye(3))
-        draws = joint_forecast(cov, field, 0, 100_000, substream(0, 3))
+        draws = joint_forecast(cov, field, [0], 100_000, 0, 3)[0]
         se = 2.0 / np.sqrt(100_000)  # exponential sd = mu
         assert np.allclose(draws.mean(axis=0), 2.0, atol=3 * se)
 
@@ -137,8 +181,8 @@ class TestJointForecast:
         strong = cov_from_sigma(np.array([[1.0, 0.999], [0.999, 1.0]]))
         indep = cov_from_sigma(np.eye(2))
         m = 40_000
-        d_strong = joint_forecast(strong, field, 0, m, substream(1, 0))
-        d_indep = joint_forecast(indep, field, 0, m, substream(1, 1))
+        d_strong = joint_forecast(strong, field, [0], m, 1)[0]  # substream(1, 0)
+        d_indep = joint_forecast(indep, field, [0], m, 1, 1)[0]
         dis_strong = np.mean((d_strong[:, 0] > 0) != (d_strong[:, 1] > 0))
         dis_indep = np.mean((d_indep[:, 0] > 0) != (d_indep[:, 1] > 0))
         assert dis_strong < 0.05
@@ -149,12 +193,12 @@ class TestJointForecast:
             p=np.array([[0.0], [0.7]]),
             mu=np.full((2, 1), 2.0), phi=np.full((2, 1), 1.0))
         cov = cov_from_sigma(np.eye(2))
-        draws = joint_forecast(cov, field, 0, 5000, substream(2, 0))
+        draws = joint_forecast(cov, field, [0], 5000, 2)[0]
         assert np.all(draws[:, 0] == 0.0)
 
     def test_dry_is_bit_exact_zero(self):
         field = MarginalField.homogeneous(GammaMixture(p=0.5, mu=3.0, phi=1.2), 3, 1)
-        draws = joint_forecast(cov_from_sigma(np.eye(3)), field, 0, 2000, substream(3, 0))
+        draws = joint_forecast(cov_from_sigma(np.eye(3)), field, [0], 2000, 3)[0]
         dry = draws[draws == 0.0]
         assert dry.size > 0
         assert np.all(np.signbit(dry) == np.signbit(0.0))
@@ -163,7 +207,7 @@ class TestJointForecast:
         law = GammaMixture(p=0.6, mu=3.0, phi=1.2)
         field = MarginalField.homogeneous(law, 2, 1)
         sigma = np.array([[1.0, 0.7], [0.7, 1.0]])
-        joint = joint_forecast(cov_from_sigma(sigma), field, 0, 20_000, substream(4, 0))
+        joint = joint_forecast(cov_from_sigma(sigma), field, [0], 20_000, 4)[0]
         direct = gm_sample(law, substream(4, 1), size=20_000)
         for i in range(2):
             ks = stats.ks_2samp(joint[:, i], direct).statistic
@@ -172,7 +216,13 @@ class TestJointForecast:
     def test_day_out_of_range(self):
         field = MarginalField.homogeneous(GammaMixture(p=0.5, mu=1.0, phi=1.0), 2, 3)
         with pytest.raises(ValueError):
-            joint_forecast(cov_from_sigma(np.eye(2)), field, 3, 10, substream(0, 0))
+            joint_forecast(cov_from_sigma(np.eye(2)), field, [2, 3], 10, 0)
+
+    @pytest.mark.parametrize("days, m", [([0], 0), ([], 5)], ids=["no-draw", "no-day"])
+    def test_empty_request_rejected(self, days, m):
+        field = MarginalField.homogeneous(GammaMixture(p=0.5, mu=1.0, phi=1.0), 2, 3)
+        with pytest.raises(ValueError, match="need at least one draw|non-empty run"):
+            joint_forecast(cov_from_sigma(np.eye(2)), field, days, m, 0)
 
 
 class TestEnsembleCsv:

@@ -104,13 +104,14 @@ class TestVariogram:
                             factor=spd_factorize(np.eye(25)))
         wins = 0
         m = 40
-        for day in range(spec.n_days):
-            good = joint_forecast(cov, res.field, day, m, substream(5, 0, day))
-            bad = joint_forecast(eye_cov, res.field, day, m, substream(5, 1, day))
+        days = range(spec.n_days)
+        good = joint_forecast(cov, res.field, days, m, 5, 0)  # day d from substream(5, 0, d)
+        bad = joint_forecast(eye_cov, res.field, days, m, 5, 1)
+        for day in days:
             obs = res.panel.values[:, day]
-            vg = variogram_score(EnsembleBlock(day=day, samples=good, obs=obs),
+            vg = variogram_score(EnsembleBlock(day=day, samples=good[day], obs=obs),
                                  res.distance)
-            vb = variogram_score(EnsembleBlock(day=day, samples=bad, obs=obs),
+            vb = variogram_score(EnsembleBlock(day=day, samples=bad[day], obs=obs),
                                  res.distance)
             wins += vg < vb
         assert wins >= 0.9 * spec.n_days

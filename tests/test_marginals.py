@@ -6,6 +6,8 @@ for the likelihood case); synthetic-recovery truths are known by
 construction.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -289,4 +291,17 @@ class TestFieldAndSerialization:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(line for line in lines if not line.startswith("gamma0=")))
         with pytest.raises(IngestError, match=r"coefficients\.txt: missing key 'gamma0'"):
+            read_coefficients(path)
+
+    @pytest.mark.parametrize("key, bad", [("alpha0", "abc"), ("beta.1", "x"),
+                                          ("feature_dim", "2.5")])
+    def test_malformed_value_names_file_line_and_key(self, tmp_path, key, bad):
+        path = tmp_path / "coefficients.txt"
+        write_coefficients(path, TRUTH, IdentityTransform())
+        lines = path.read_text().splitlines()
+        line_no = next(i for i, line in enumerate(lines, 1) if line.startswith(key + "="))
+        lines[line_no - 1] = f"{key}={bad}"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"coefficients.txt: line {line_no}: invalid value '{bad}' for {key}"
+        with pytest.raises(IngestError, match=re.escape(message)):
             read_coefficients(path)

@@ -1,5 +1,5 @@
-"""Property tests: file round-trips through the shared CSV reader and writer, censoring
-being idempotent, the mixture quantile and CDF inverting each other, and every
+"""Property tests: file round-trips through the shared CSV reader and writer, the writer's
+streamed rows matching one joined string, censoring being idempotent, the mixture quantile and CDF inverting each other, and every
 module's exports resolving."""
 
 import importlib
@@ -18,7 +18,7 @@ from raincop.marginals import (IdentityTransform, JglmCoefficients, MarginalFiel
                                StandardizeTransform, mixture_cdf, mixture_quantile,
                                read_coefficients, write_coefficients)
 from raincop.panel import (RainPanel, read_features_csv, read_marginals_csv, read_rain_csv,
-                           write_features_csv, write_marginals_csv, write_rain_csv)
+                           write_csv, write_features_csv, write_marginals_csv, write_rain_csv)
 from raincop.spatial import LocationTable, read_locations, write_locations
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -55,6 +55,25 @@ def write_then_read(write, read):
 def value_cells(text, skip):
     """Cells of every data row after the first `skip` key columns."""
     return [c for line in text.splitlines()[1:] for c in line.split(",")[skip:]]
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n,"),
+               max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.one_of(st.just(0), st.just(1), st.integers(2, 40)), st.data())
+def test_write_csv_streams_the_joined_text(width, n_rows, data):
+    """Rows written as a generator arrives give the bytes of one joined string."""
+    header = data.draw(st.lists(TEXT, min_size=width, max_size=width))
+    rows = data.draw(st.lists(st.lists(TEXT, min_size=width, max_size=width),
+                              min_size=n_rows, max_size=n_rows))
+    joined = "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.csv")
+        write_csv(path, header, (row for row in rows))
+        with open(path, "rb") as fh:
+            assert fh.read() == joined.encode("utf-8")
 
 
 @settings(max_examples=100, deadline=None)

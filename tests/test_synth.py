@@ -89,6 +89,16 @@ class TestSimulateDataset:
         a, b = simulate_dataset(spec), simulate_dataset(spec)
         assert np.array_equal(a.panel.values, b.panel.values)
 
+    @pytest.mark.parametrize("days_per_chunk", [1, 7], ids=["one-day", "ragged"])
+    def test_day_chunking_changes_no_value(self, monkeypatch, days_per_chunk):
+        from raincop import estimation
+
+        spec = SynthSpec(n_locations=6, n_days=60, seed=14)
+        whole = simulate_dataset(spec).panel.values  # one chunk under the default budget
+        monkeypatch.setattr(estimation, "_ELEMENT_BUDGET", days_per_chunk * spec.n_locations)
+        assert len(estimation.day_chunks(spec.n_days, spec.n_locations)) > 1
+        assert np.array_equal(simulate_dataset(spec).panel.values, whole)
+
 
 class TestTruth:
     def test_truth_json(self, tmp_path):
