@@ -115,6 +115,15 @@ class Settings:
             raise IngestError(f"{key} file not found: {v}")
         return v
 
+    def check(self, validate, *keys) -> None:
+        """Run validate(); a ValueError it raises is reported with where keys were set."""
+        try:
+            validate()
+        except ValueError as exc:
+            sources = [self._lookup(key)[1] for key in keys]
+            where = ", ".join(s for s in sources if s != "default") or "default"
+            raise IngestError(f"{where}: {exc}") from exc
+
     def floats(self, key):
         return self._convert(key, lambda v: [float(tok) for tok in str(v).split(",")
                                              if tok.strip()])
@@ -180,23 +189,28 @@ def cmd_fit_marginals(settings: Settings, strict: bool) -> int:
 
 
 def cmd_estimate_theta(settings: Settings, strict: bool) -> int:
+    beta, m, nu = settings.float("beta"), settings.int("m"), settings.float("nu")
+    days, locations = (settings.count_or_all(key)
+                       for key in ("day_subsample", "location_subsample"))
+    lower, upper = settings.float("theta_min"), settings.float("theta_max")
+    grid = settings.int("grid")
+    # Each setting is checked, naming its flag or config line, before any file is read.
+    settings.check(lambda: ScoreConfig(beta=beta), "beta")
+    settings.check(lambda: ScoreConfig(m=m), "m")
+    settings.check(lambda: ScoreConfig(day_subsample=days), "day_subsample")
+    settings.check(lambda: ScoreConfig(location_subsample=locations), "location_subsample")
+    settings.check(lambda: ThetaSearchSpec(lower, upper), "theta_min", "theta_max")
+    settings.check(lambda: ThetaSearchSpec(lower, upper, grid), "grid")
+    settings.check(lambda: MaternParams(theta=lower, nu=nu), "nu")
+    cfg = ScoreConfig(beta=beta, m=m, day_subsample=days, location_subsample=locations,
+                      seed=settings.int("seed"))
+    search = ThetaSearchSpec(lower=lower, upper=upper, grid_size=grid)
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
     field = read_marginals_csv(settings.path("marginals"), panel)
     distance = build_distance_matrix(locs, a=settings.float("a"),
                                      topo_scale=settings.float("topo_scale"))
-    cfg = ScoreConfig(
-        beta=settings.float("beta"), m=settings.int("m"),
-        day_subsample=settings.count_or_all("day_subsample"),
-        location_subsample=settings.count_or_all("location_subsample"),
-        seed=settings.int("seed"),
-    )
-    search = ThetaSearchSpec(
-        lower=settings.float("theta_min"), upper=settings.float("theta_max"),
-        grid_size=settings.int("grid"),
-    )
-    result = estimate_theta(panel.values, field, distance, cfg, search,
-                            nu=settings.float("nu"))
+    result = estimate_theta(panel.values, field, distance, cfg, search, nu=nu)
     out = _out_dir(settings)
     write_profile(os.path.join(out, "profile.csv"), result.profile)
     write_summary(os.path.join(out, "summary.json"), result, cfg, search)
@@ -210,10 +224,15 @@ def cmd_estimate_theta(settings: Settings, strict: bool) -> int:
 
 
 def cmd_simulate(settings: Settings) -> int:
+    m = settings.int("m")
+    if m < 1:
+        raise IngestError(f"{settings._lookup('m')[1]}: need at least one draw, got {m}")
+    theta = None if settings._raw("theta") is None else settings.float("theta")
+    if theta is not None:
+        settings.check(lambda: MaternParams(theta=theta), "theta")
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
     field = read_marginals_csv(settings.path("marginals"), panel)
-    theta = settings._raw("theta")
     if theta is None:
         summary_path = settings.path("summary")
         with open(summary_path, encoding="utf-8") as fh:
@@ -229,9 +248,6 @@ def cmd_simulate(settings: Settings) -> int:
     distance = build_distance_matrix(locs, a=settings.float("a"),
                                      topo_scale=settings.float("topo_scale"))
     cov = build_covariance(distance, MaternParams(theta=theta, nu=settings.float("nu")))
-    m = settings.int("m")
-    if m < 1:
-        raise IngestError(f"{settings._lookup('m')[1]}: need at least one draw, got {m}")
     seed = settings.int("seed")
     # Settings are all checked: open the output, then draw and write chunk by chunk.
     blocks = (block for sl in day_chunks(panel.n_days, m * panel.n_locations)

@@ -22,6 +22,7 @@ that day's own substream: callers walk the days in budget-sized chunks
 from __future__ import annotations
 
 import warnings
+from array import array
 
 import numpy as np
 from scipy import special as _sp
@@ -144,20 +145,42 @@ def read_ensemble(path, location_ids):
         if header != expected:
             raise IngestError(f"{path}: ensemble header does not match the locations file")
 
-    (days, replicates), values, row_nos = read_csv(path, 2, check_header, nonnegative=True)
-    rows_of_day: dict = {}  # day label -> indices of its data rows, in file order
-    for r, day in enumerate(days):
-        rows_of_day.setdefault(day, []).append(r)
-    sizes = {len(rows) for rows in rows_of_day.values()}
+    days_seen: dict = {}  # day label -> [its index, its data rows so far], in file order
+    day = array("i")  # the day index of each data row, in file order
+    misplaced = []  # ((day, place), message) of the first replicate out of place
+
+    def check_block(block, first):
+        labels, replicates = block.keys
+        if not len(labels):
+            return
+        # runs of rows with one label: each day is one run in a contiguous file
+        starts = np.flatnonzero(np.append(True, labels[1:] != labels[:-1]))
+        sizes = np.diff(starts, append=len(labels))
+        run_day, run_place = [], []
+        for label, size in zip(labels[starts].tolist(), sizes.tolist()):
+            seen = days_seen.setdefault(label, [len(days_seen), 0])
+            run_day.append(seen[0])
+            run_place.append(seen[1])
+            seen[1] += size
+        d = np.repeat(run_day, sizes)
+        j = np.repeat(np.subtract(run_place, starts), sizes) + np.arange(len(labels))
+        day.frombytes(d.astype(np.intc).tobytes())
+        bad = np.flatnonzero(replicates != np.arange(j.max() + 1).astype(str)[j])
+        if bad.size:
+            r = bad[np.lexsort((j[bad], d[bad]))[0]]  # the first day's, then its first place
+            if not misplaced or (d[r], j[r]) < misplaced[0][0]:
+                misplaced[:] = [((d[r], j[r]), f"{path}: row {block.row_nos()[r]}: replicate "
+                                 f"{str(replicates[r])!r} in column 2 (replicate), "
+                                 f"expected {j[r]}")]
+
+    values = read_csv(path, 2, check_header, nonnegative=True, each_block=check_block)
+    sizes = {rows for _, rows in days_seen.values()}
     if len(sizes) > 1:
         raise IngestError(f"{path}: ensemble days hold different numbers of replicates")
     m = sizes.pop() if sizes else 0
-    for rows in rows_of_day.values():
-        for j, r in enumerate(rows):
-            if replicates[r] != str(j):
-                raise IngestError(f"{path}: row {row_nos[r]}: replicate {replicates[r]!r} "
-                                  f"in column 2 (replicate), expected {j}")
-    order = [r for rows in rows_of_day.values() for r in rows]
-    if order != list(range(len(order))):  # a day's rows are not contiguous in the file
-        values = values[order]
-    return list(rows_of_day), values.reshape(len(rows_of_day), m, len(location_ids))
+    if misplaced:
+        raise IngestError(misplaced[0][1])
+    day = np.frombuffer(day, dtype=np.intc)
+    if np.any(day[1:] < day[:-1]):  # a day's rows are not contiguous in the file
+        values = values[np.argsort(day, kind="stable")]
+    return list(days_seen), values.reshape(len(days_seen), m, len(location_ids))

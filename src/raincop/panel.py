@@ -7,7 +7,17 @@ location) cell, date-major (all locations for the first date, then the
 next). Every CSV is read by read_csv, which rejects a wrong field count, a
 non-numeric or non-finite (NaN, inf, -inf) cell and, where asked, a negative
 one, naming the file, row and column; each reader adds only the checks of its
-own format. Flat key=value files go through read_kv.
+own format, on each block's keys as arrays. Flat key=value files go through
+read_kv.
+
+read_csv takes the file in blocks of about _CHARS_PER_COLUMN characters per
+column and parses each with one np.loadtxt call into text keys and float64
+cells. Every token float() accepts is accepted with float()'s value: a block
+that loadtxt rejects (1_0, non-ASCII digits, a wrong field count, a
+non-numeric cell) or that holds a character of _BULK_UNSAFE goes through the
+line parser, which reads each line with str.split and float() and words every
+error. The line parser runs on no other block, except to find the file row of
+a bad cell or key.
 
 Every CSV the package writes goes through write_csv, whose cells the caller
 has already formatted: repr of a Python float (the shortest text that reads
@@ -18,7 +28,6 @@ csv.writer with its CRLF line ends.
 
 from __future__ import annotations
 
-import sys
 from array import array
 
 import numpy as np
@@ -27,6 +36,19 @@ __all__ = ["IngestError", "RainPanel", "read_csv", "read_kv", "write_csv", "form
            "read_rain_csv", "write_rain_csv",
            "read_features_csv", "write_features_csv",
            "read_marginals_csv", "write_marginals_csv"]
+
+
+# Text parsed by one np.loadtxt call, per column of the header: a block holds
+# about as many rows of a wide CSV as of a narrow one, so the per-block calls
+# stay small beside the parse. A narrow CSV's block (its text, lines and
+# parsed record) takes about 7 bytes a character, small beside its cells.
+_CHARS_PER_COLUMN = 4096
+_KEY_WIDTH = 32  # a key this long sends its block to the line parser
+# What the bulk parse would read differently from the line parser: NUL, which
+# numpy's fixed-width text drops from the end of a key, and the separators
+# \x1c-\x1f, which np.loadtxt strips around a number as whitespace and
+# float() rejects.
+_BULK_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
 
 
 class IngestError(ValueError):
@@ -63,67 +85,137 @@ class RainPanel:
         return self.values.shape[1]
 
 
-def _reject_bad_cells(path, values: np.ndarray, row_nos, header, first_column: int,
-                      nonnegative: bool = False) -> None:
-    """Raise IngestError at the first non-finite (or negative) parsed cell.
+def _parse_lines(path, header, n_keys: int, lines, row_no: int):
+    """The line parser: (keys, values, row_nos) of lines, the first at file row row_no.
 
-    values is (rows, columns) as parsed, row_nos the file row of each, and
-    first_column the 1-based file column of values[:, 0].
+    Blank lines are skipped. A wrong field count or a token float() rejects
+    raises IngestError naming the row and column. keys holds one text list per
+    key column, values the (rows, columns - n_keys) cells and row_nos the file
+    row of each data row.
     """
-    bad = ~np.isfinite(values)
-    if nonnegative:
-        bad |= values < 0.0
-    if not bad.any():
-        return
-    r, k = np.unravel_index(np.argmax(bad), bad.shape)
-    v = float(values[r, k])
-    what = f"non-finite value {v!r}" if not np.isfinite(v) else "negative rainfall"
-    col = k + first_column
-    raise IngestError(f"{path}: row {row_nos[r]}: {what} in column {col} "
-                      f"({header[col - 1]})")
+    width = len(header)
+    keys = [[] for _ in range(n_keys)]
+    cells = array("d")  # 8 bytes a cell, where a list of Python floats takes 32
+    row_nos = []
+    for row_no, line in enumerate(lines, start=row_no):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise IngestError(f"{path}: row {row_no}: expected {width} fields, "
+                              f"got {len(parts)}")
+        try:
+            cells.extend(map(float, parts[n_keys:]))
+        except ValueError:
+            for col, token in enumerate(parts[n_keys:], start=n_keys + 1):
+                try:
+                    float(token)
+                except ValueError:
+                    raise IngestError(f"{path}: row {row_no}: non-numeric value "
+                                      f"{token!r} in column {col} ({header[col - 1]})"
+                                      ) from None
+        for column, token in zip(keys, parts):
+            column.append(token)
+        row_nos.append(row_no)
+    values = np.frombuffer(cells, dtype=float).reshape(len(row_nos), width - n_keys)
+    return keys, values, row_nos
 
 
-def read_csv(path, n_keys: int, check_header, nonnegative: bool = False):
-    """Parse a CSV of n_keys text key columns followed by float cells.
+class _Block:
+    """One block of whole lines of a CSV body, the first at file row row_no.
+
+    keys holds one array per key column and values the (rows, cells) floats.
+    One np.loadtxt call parses the block unless it holds a character of
+    _BULK_UNSAFE, loadtxt rejects it or a key fills its column's width in dtype;
+    such a block goes through the line parser, which words the error of a
+    wrong field count or a non-numeric cell. row_nos() runs the line parser on
+    a bulk-parsed block to find the file row of each data row.
+    """
+
+    def __init__(self, path, header, n_keys: int, dtype: np.dtype, text: str, row_no: int):
+        self.path, self.header, self.n_keys = path, header, n_keys
+        self.text, self.row_no = text, row_no
+        self._row_nos = None
+        lines = text.split("\n")
+        self.n_lines = len(lines) - 1  # the line ends in text
+        rec = None
+        if any(lines) and not any(c in text for c in _BULK_UNSAFE):
+            try:
+                rec = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                 quotechar=None, ndmin=1)
+            except ValueError:
+                pass
+        if rec is not None and all(np.char.str_len(rec[f"k{i}"]).max(initial=0)
+                                   < dtype[f"k{i}"].itemsize // 4 for i in range(n_keys)):
+            self.keys = [rec[f"k{i}"] for i in range(n_keys)]
+            self.values = np.ascontiguousarray(rec["v"])
+        else:
+            keys, self.values, self._row_nos = _parse_lines(path, header, n_keys, lines, row_no)
+            self.keys = [np.array(column, dtype=object) for column in keys]
+
+    def row_nos(self) -> list:
+        """The file row of each data row of the block."""
+        if self._row_nos is None:
+            self._row_nos = _parse_lines(self.path, self.header, self.n_keys,
+                                         self.text.split("\n"), self.row_no)[2]
+        return self._row_nos
+
+    def bad_cell(self, nonnegative: bool):
+        """IngestError naming the first non-finite (or negative) cell, or None."""
+        bad = ~np.isfinite(self.values)
+        if nonnegative:
+            bad |= self.values < 0.0
+        if not bad.any():
+            return None
+        r, k = np.unravel_index(np.argmax(bad), bad.shape)
+        v = float(self.values[r, k])
+        what = f"non-finite value {v!r}" if not np.isfinite(v) else "negative rainfall"
+        col = k + self.n_keys + 1
+        return IngestError(f"{self.path}: row {self.row_nos()[r]}: {what} in column {col} "
+                           f"({self.header[col - 1]})")
+
+
+def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_block=None,
+             key_widths=None) -> np.ndarray:
+    """Parse a CSV of n_keys text key columns followed by float cells, block by block.
 
     check_header(header) raises IngestError for a header of the wrong format
     before any row is read. Blank lines are skipped; a wrong field count, a
     non-numeric or non-finite cell and, with nonnegative, a negative one raise
-    IngestError naming the file, row and column. Returns (keys, values,
-    row_nos): one text list per key column, the (rows, columns - n_keys) float
-    array of the cells and the 1-based file row of each data row.
+    IngestError naming the file, row and column: the first wrong field count or
+    non-numeric cell in the file, else the first non-finite or negative cell.
+    Every token float() accepts is accepted, with the value float() gives.
+
+    each_block(block, first) sees each block in file order: block.keys holds
+    its key columns as arrays, block.row_nos() the file row of each of its data
+    rows, and first is the index of its first data row. It runs before the
+    cells of later blocks are checked, so it records what it finds rather than
+    raise. Returns the (rows, columns - n_keys) float array of the cells.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         check_header(header)
-        width = len(header)
-        keys = [[] for _ in range(n_keys)]
-        cells = array("d")  # 8 bytes a cell, where a list of Python floats takes 32
-        row_nos = []
-        for row_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                raise IngestError(f"{path}: row {row_no}: expected {width} fields, "
-                                  f"got {len(parts)}")
-            try:
-                cells.extend(map(float, parts[n_keys:]))
-            except ValueError:
-                for col, token in enumerate(parts[n_keys:], start=n_keys + 1):
-                    try:
-                        float(token)
-                    except ValueError:
-                        raise IngestError(f"{path}: row {row_no}: non-numeric value "
-                                          f"{token!r} in column {col} ({header[col - 1]})"
-                                          ) from None
-            for column, token in zip(keys, parts):
-                column.append(sys.intern(token))  # dates and ids repeat row after row
-            row_nos.append(row_no)
-    values = np.frombuffer(cells, dtype=float).reshape(len(row_nos), width - n_keys)
-    _reject_bad_cells(path, values, row_nos, header, n_keys + 1, nonnegative)
-    return keys, values, row_nos
+        widths = key_widths or (_KEY_WIDTH,) * n_keys
+        dtype = np.dtype([*((f"k{i}", f"U{width}") for i, width in enumerate(widths)),
+                          ("v", "f8", (len(header) - n_keys,))])
+        cells = array("d")
+        n_rows, row_no, bad_cell = 0, 2, None
+        block_chars = _CHARS_PER_COLUMN * len(header)
+        while text := fh.read(block_chars):
+            if not text.endswith("\n"):
+                text += fh.readline()
+            block = _Block(path, header, n_keys, dtype, text, row_no)
+            if bad_cell is None:
+                bad_cell = block.bad_cell(nonnegative)
+            if each_block is not None:
+                each_block(block, n_rows)
+            cells.frombytes(memoryview(block.values.ravel()).cast("B"))
+            n_rows += len(block.values)
+            row_no += block.n_lines
+            del block, text  # before the next block is read
+    if bad_cell is not None:
+        raise bad_cell
+    return np.frombuffer(cells, dtype=float).reshape(n_rows, len(header) - n_keys)
 
 
 def read_kv(path) -> dict:
@@ -180,7 +272,9 @@ def read_rain_csv(path, locs) -> RainPanel:
                 f"{path}: {len(header) - 1} id columns but {len(locs)} locations"
             )
 
-    (labels,), values, _ = read_csv(path, 1, check_header, nonnegative=True)
+    labels = []
+    values = read_csv(path, 1, check_header, nonnegative=True,
+                      each_block=lambda block, first: labels.extend(block.keys[0].tolist()))
     if not labels:
         raise IngestError(f"{path}: no data rows")
     return RainPanel(values=values.T, location_ids=locs.ids, day_labels=labels)
@@ -195,6 +289,11 @@ def write_features_csv(path, panel: RainPanel, features: np.ndarray) -> None:
               ([*key, *map(repr, row)] for key, row in zip(_cell_keys(panel), x.tolist())))
 
 
+def _key_array(keys) -> np.ndarray:
+    """Keys as an array that compares exactly: numpy text drops a trailing NUL."""
+    return np.array(keys, dtype=object if any("\x00" in k for k in keys) else str)
+
+
 def _read_long_csv(path, panel: RainPanel, value_names):
     """Shared reader for date-major long CSVs keyed by (date, loc); returns the values."""
     def check_header(header):
@@ -204,18 +303,31 @@ def _read_long_csv(path, panel: RainPanel, value_names):
             raise IngestError(f"{path}: expected value columns {value_names}, "
                               f"got {header[2:]}")
 
-    (dates, locs), values, row_nos = read_csv(path, 2, check_header)
-    cells = panel.n_locations * panel.n_days
-    if len(row_nos) != cells:
-        raise IngestError(f"{path}: {len(row_nos)} rows but the panel has {cells} cells")
-    for row_no, date, loc, (want_date, want_loc) in zip(row_nos, dates, locs,
-                                                         _cell_keys(panel)):
-        if date != want_date:
-            raise IngestError(f"{path}: row {row_no}: date {date!r} does not "
-                              f"match panel order (expected {want_date!r})")
-        if loc != want_loc:
-            raise IngestError(f"{path}: row {row_no}: loc {loc!r} does not "
-                              f"match panel order (expected {want_loc!r})")
+    n, cells = panel.n_locations, panel.n_locations * panel.n_days
+    dates, locs = _key_array(panel.day_labels), _key_array(panel.location_ids)
+    misordered = []  # the message of the first row out of panel order
+
+    def check_keys(block, first):
+        if misordered:
+            return
+        # the panel cell of each row; rows past the last cell are only counted
+        cell = np.arange(first, min(first + len(block.values), cells))
+        got_date, got_loc = (keys[:len(cell)] for keys in block.keys)
+        bad_date = got_date != dates[cell // n]
+        bad = bad_date | (got_loc != locs[cell % n])
+        if bad.any():
+            r = int(np.argmax(bad))
+            name, got, want = (("date", got_date[r], dates[cell[r] // n]) if bad_date[r] else
+                               ("loc", got_loc[r], locs[cell[r] % n]))
+            misordered.append(f"{path}: row {block.row_nos()[r]}: {name} {str(got)!r} does "
+                              f"not match panel order (expected {str(want)!r})")
+
+    widths = [max(map(len, keys)) + 1 for keys in (panel.day_labels, panel.location_ids)]
+    values = read_csv(path, 2, check_header, each_block=check_keys, key_widths=widths)
+    if len(values) != cells:
+        raise IngestError(f"{path}: {len(values)} rows but the panel has {cells} cells")
+    if misordered:
+        raise IngestError(misordered[0])
     return values
 
 

@@ -176,6 +176,34 @@ class TestEstimateTheta:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestSettingSources:
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("estimate-theta", "m", "1", "the unbiased pairwise term needs m >= 2"),
+        ("estimate-theta", "beta", "2.5", "beta must lie in (0, 2)"),
+        ("estimate-theta", "grid", "2", "grid needs at least 3 points"),
+        ("estimate-theta", "theta_min", "900", "need 0 < lower < upper"),
+        ("estimate-theta", "nu", "0", "nu must be positive, got 0.0"),
+        ("estimate-theta", "day_subsample", "0",
+         "day_subsample must be 'all' or a positive count"),
+        ("simulate", "theta", "nan", "theta must be positive, got nan"),
+    ], ids=["m", "beta", "grid", "theta-min", "nu", "day-subsample", "simulate-theta"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
+                                           message, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=2\n{key}={value}\n")
+        flag = "--" + key.replace("_", "-")
+        extra = [flag, value] if source == "flag" else ["--config", cfg]
+        # input files that do not exist: the setting is checked before any is read
+        missing = tmp_path / "missing.csv"
+        rc = run([command, "--locations", missing, "--rainfall", missing,
+                  "--marginals", missing, *extra, "--out", tmp_path / "out"])
+        assert rc == 2
+        where = flag if source == "flag" else f"{cfg}: line 2"
+        assert f"error: {where}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSimulateAndDiagnose:
     def test_pipeline(self, fixture_dir, tmp_path):
         sim_a, sim_b = tmp_path / "sa", tmp_path / "sb"

@@ -1,13 +1,17 @@
-"""Panel construction and file round-trip tests."""
+"""Panel construction, file round-trip and reader memory tests."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from raincop.cli import main
+from raincop.copula import read_ensemble
 from raincop.marginals import GammaMixture, MarginalField
 from raincop.panel import (IngestError, RainPanel, read_features_csv,
                            read_marginals_csv, read_rain_csv, write_features_csv,
                            write_marginals_csv, write_rain_csv)
-from raincop.spatial import LocationTable
+from raincop.spatial import LocationTable, read_locations
 
 
 @pytest.fixture
@@ -78,3 +82,42 @@ class TestRainPanel:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestError, match="row 3"):
             read_rain_csv(path, locs)
+
+
+@pytest.fixture(scope="module")
+def fixture_20x400(tmp_path_factory):
+    """A 20 x 400 synth data set with a 50-replicate ensemble."""
+    fx = tmp_path_factory.mktemp("fx400")
+    assert main(["synth", "--out", str(fx), "--seed", "3", "--n-locations", "20",
+                 "--days", "400"]) == 0
+    assert main(["simulate", "--locations", str(fx / "locations.csv"),
+                 "--rainfall", str(fx / "rainfall.csv"),
+                 "--marginals", str(fx / "marginals.csv"),
+                 "--theta", "450", "--m", "50", "--seed", "3", "--out", str(fx)]) == 0
+    locs = read_locations(fx / "locations.csv")
+    return fx, locs, read_rain_csv(fx / "rainfall.csv", locs)
+
+
+def traced_peak(read):
+    """(tracemalloc peak while read() runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = read()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    """Beyond the cells it returns, a reader holds one bounded block of the file."""
+
+    def test_marginals_peak_below_twice_the_file(self, fixture_20x400):
+        fx, _, panel = fixture_20x400
+        peak, _ = traced_peak(lambda: read_marginals_csv(fx / "marginals.csv", panel))
+        assert peak < 2 * (fx / "marginals.csv").stat().st_size  # about 232 KB
+
+    def test_ensemble_peak_within_1_9_times_its_array(self, fixture_20x400):
+        fx, locs, _ = fixture_20x400
+        peak, (_, ens) = traced_peak(lambda: read_ensemble(fx / "ensemble.csv", locs.ids))
+        assert ens.shape == (400, 50, 20)
+        assert peak <= 1.9 * ens.nbytes

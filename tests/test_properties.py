@@ -1,11 +1,13 @@
 """Property tests: file round-trips through the shared CSV reader and writer, the writer's
-streamed rows matching one joined string, censoring being idempotent, the mixture quantile and CDF inverting each other, and every
+streamed rows matching one joined string, the bulk CSV parse agreeing with the line parser,
+censoring being idempotent, the mixture quantile and CDF inverting each other, and every
 module's exports resolving."""
 
 import importlib
 import os
 import pkgutil
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -17,8 +19,10 @@ from raincop.copula import censor, read_ensemble, write_ensemble
 from raincop.marginals import (IdentityTransform, JglmCoefficients, MarginalField,
                                StandardizeTransform, mixture_cdf, mixture_quantile,
                                read_coefficients, write_coefficients)
-from raincop.panel import (RainPanel, read_features_csv, read_marginals_csv, read_rain_csv,
-                           write_csv, write_features_csv, write_marginals_csv, write_rain_csv)
+from raincop import panel as panel_module
+from raincop.panel import (IngestError, RainPanel, read_features_csv, read_marginals_csv,
+                           read_rain_csv, write_csv, write_features_csv, write_marginals_csv,
+                           write_rain_csv)
 from raincop.spatial import LocationTable, read_locations, write_locations
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -162,6 +166,254 @@ def test_coefficients_round_trip(d, standardize, data):
     if standardize:
         assert np.array_equal(back_transform.mean, transform.mean)
         assert np.array_equal(back_transform.scale, transform.scale)
+
+
+# The bulk parse against the line parser. Each reference below is the reader as it
+# was with the line parser alone: the line parser over the whole file, the first
+# bad cell, then the reader's own checks, with the same messages.
+
+def line_read(path, n_keys, nonnegative=False):
+    """(header, keys, values, row_nos) of a whole file through the line parser."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        keys, values, row_nos = panel_module._parse_lines(path, header, n_keys,
+                                                          fh.read().split("\n"), 2)
+    bad = ~np.isfinite(values)
+    if nonnegative:
+        bad |= values < 0.0
+    if bad.any():
+        r, k = np.unravel_index(np.argmax(bad), bad.shape)
+        v = float(values[r, k])
+        what = f"non-finite value {v!r}" if not np.isfinite(v) else "negative rainfall"
+        col = k + n_keys + 1
+        raise IngestError(f"{path}: row {row_nos[r]}: {what} in column {col} "
+                          f"({header[col - 1]})")
+    return header, keys, values, row_nos
+
+
+def line_read_long(path, panel):
+    _, (dates, locs), values, row_nos = line_read(path, 2)
+    cells = panel.n_locations * panel.n_days
+    if len(row_nos) != cells:
+        raise IngestError(f"{path}: {len(row_nos)} rows but the panel has {cells} cells")
+    order = ((d, loc) for d in panel.day_labels for loc in panel.location_ids)
+    for row_no, date, loc, (want_date, want_loc) in zip(row_nos, dates, locs, order):
+        if date != want_date:
+            raise IngestError(f"{path}: row {row_no}: date {date!r} does not "
+                              f"match panel order (expected {want_date!r})")
+        if loc != want_loc:
+            raise IngestError(f"{path}: row {row_no}: loc {loc!r} does not "
+                              f"match panel order (expected {want_loc!r})")
+    return values
+
+
+def line_read_ensemble(path, location_ids):
+    _, (days, replicates), values, row_nos = line_read(path, 2, nonnegative=True)
+    rows_of_day: dict = {}
+    for r, day in enumerate(days):
+        rows_of_day.setdefault(day, []).append(r)
+    sizes = {len(rows) for rows in rows_of_day.values()}
+    if len(sizes) > 1:
+        raise IngestError(f"{path}: ensemble days hold different numbers of replicates")
+    m = sizes.pop() if sizes else 0
+    for rows in rows_of_day.values():
+        for j, r in enumerate(rows):
+            if replicates[r] != str(j):
+                raise IngestError(f"{path}: row {row_nos[r]}: replicate {replicates[r]!r} "
+                                  f"in column 2 (replicate), expected {j}")
+    order = [r for rows in rows_of_day.values() for r in rows]
+    return list(rows_of_day), values[order].reshape(len(rows_of_day), m, len(location_ids))
+
+
+def line_read_rain(path, locs):
+    _, (labels,), values, _ = line_read(path, 1, nonnegative=True)
+    if not labels:
+        raise IngestError(f"{path}: no data rows")
+    panel = RainPanel(values.T, locs.ids, labels)  # rejects a repeated date
+    return list(panel.day_labels), panel.values
+
+
+def outcome(read):
+    """What a reader gives: its error text, or its result with arrays as exact bytes."""
+    try:
+        result = read()
+    except ValueError as exc:  # IngestError, or a marginal law out of range
+        return "error", type(exc).__name__, str(exc)
+
+    def exact(x):
+        if isinstance(x, np.ndarray):
+            return x.shape, x.tobytes()
+        if isinstance(x, (tuple, list)):
+            return [exact(v) for v in x]
+        return x
+    return "ok", exact(result)
+
+
+# Key text: any character but a line end or a comma, NUL, separators and non-ASCII included.
+KEY = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n,"),
+              min_size=1, max_size=12)
+SPECIAL = [0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, 1.0, 0.5]
+
+
+def cell_token(data, values):
+    """One cell's text for a value drawn from values: 0 as the bare token, else repr or
+    another spelling float() reads."""
+    v = data.draw(values)
+    if v == 0.0:
+        return "0"
+    spelling = data.draw(st.sampled_from(["repr", "repr", "repr", "E", "space", "plus"]))
+    text = repr(v)
+    if spelling == "E":
+        return text.upper()
+    if spelling == "space":
+        return f" {text} "
+    if spelling == "plus" and v > 0:
+        return "+" + text
+    return text
+
+
+SIGNED = st.one_of(st.sampled_from([*SPECIAL, *(-v for v in SPECIAL)]), FINITE)
+NONNEGATIVE = st.one_of(st.sampled_from(SPECIAL), st.floats(min_value=0.0, max_value=1e308))
+# (p, mu, phi) of a marginal cache: p in [0, 1], mu and phi positive.
+MARGINAL = [st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0)),
+            st.one_of(st.sampled_from([5e-324, 1e308]), POSITIVE),
+            POSITIVE]
+
+
+# Mutations of one data row: (name, cells -> cells); a cell list holds the keys first.
+MUTATIONS = {
+    "non-numeric": lambda cells, k: cells[:k] + ["abc"] + cells[k + 1:],
+    "extra-field": lambda cells, k: cells + ["1.5"],
+    "missing-field": lambda cells, k: cells[:-1],
+    "nan": lambda cells, k: cells[:k] + ["nan"] + cells[k + 1:],
+    "inf": lambda cells, k: cells[:k] + ["-inf"] + cells[k + 1:],
+    "negative": lambda cells, k: cells[:k] + ["-2.5"] + cells[k + 1:],
+    "quoted": lambda cells, k: cells[:k] + ['"1.5"'] + cells[k + 1:],
+    "hash": lambda cells, k: cells[:k] + ["1#"] + cells[k + 1:],
+    "underscore": lambda cells, k: cells[:k] + ["1_0"] + cells[k + 1:],
+    "unicode-digits": lambda cells, k: cells[:k] + ["١٢.٥"] + cells[k + 1:],
+    "separator-space": lambda cells, k: cells[:k] + ["\x1c1.5"] + cells[k + 1:],
+    "empty": lambda cells, k: cells[:k] + [""] + cells[k + 1:],
+    "long-key": lambda cells, k: [cells[0] + "Z" * 40] + cells[1:],
+    "key-extended": lambda cells, k: [cells[0] + "Z"] + cells[1:],
+    "nul-key": lambda cells, k: [cells[0] + "\x00"] + cells[1:],
+}
+
+
+def draw_text(data, header, rows, n_keys, extra=()):
+    """The file text: header, then rows with LF or CRLF ends and blank lines between.
+
+    Up to two mutations drawn from MUTATIONS (or extra) change the rows first;
+    two give the errors of both, for the readers to choose between.
+    """
+    rows = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(0, 2), label="mutations")):
+        if not rows:
+            break
+        name = data.draw(st.sampled_from(sorted(MUTATIONS) + list(extra)), label="mutation")
+        if name in MUTATIONS:
+            r = data.draw(st.integers(0, len(rows) - 1))
+            k = data.draw(st.integers(n_keys, len(rows[r]) - 1)) if len(rows[r]) > n_keys else 0
+            rows[r] = MUTATIONS[name](rows[r], k)
+        else:
+            rows = extra[name](rows)
+    lines = [",".join(header)]
+    for row in rows:
+        lines.extend([""] * data.draw(st.sampled_from([0, 0, 0, 1, 2])))
+        lines.append(",".join(row))
+    ends = [data.draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if data.draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no line end after the last row
+    return text
+
+
+def compare_readers(data, text, read, reference):
+    """Both readers give the same outcome at several block sizes."""
+    chars = data.draw(st.sampled_from([1, 9, 64, panel_module._CHARS_PER_COLUMN]),
+                      label="chars per column")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        want = outcome(lambda: reference(path))
+        with mock.patch.object(panel_module, "_CHARS_PER_COLUMN", chars):
+            got = outcome(lambda: read(path))
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.sampled_from(["marginals", "features"]),
+       st.data())
+def test_long_csv_bulk_parse_matches_line_parser(n, t, kind, data):
+    ids = data.draw(st.lists(KEY, min_size=n, max_size=n, unique=True))
+    labels = data.draw(st.lists(KEY, min_size=t, max_size=t, unique=True))
+    panel = RainPanel(np.zeros((n, t)), ids, labels)
+    columns = MARGINAL if kind == "marginals" else [SIGNED] * data.draw(st.integers(0, 3))
+    header = ["date", "loc", *(["p", "mu", "phi"] if kind == "marginals"
+                               else (f"x{k}" for k in range(len(columns))))]
+    rows = [[d, loc, *(cell_token(data, values) for values in columns)]
+            for d in labels for loc in ids]
+    text = draw_text(data, header, rows, 2, extra={
+        "row-dropped": lambda rows: rows[:-1],
+        "rows-swapped": lambda rows: [rows[-1], *rows[1:-1], rows[0]] if len(rows) > 1 else rows,
+    })
+    read = read_marginals_csv if kind == "marginals" else read_features_csv
+
+    def got(path):
+        result = read(path, panel)
+        return [result.p, result.mu, result.phi] if kind == "marginals" else result
+
+    def want(path):
+        values = line_read_long(path, panel)
+        if kind == "features":
+            return values
+        field = MarginalField.from_flat(*values.T, n, t)
+        return [field.p, field.mu, field.phi]
+
+    compare_readers(data, text, got, want)
+
+
+def interleave_days(rows, m):
+    """Two adjacent days' rows taken in turn: each day keeps its replicate order."""
+    if len(rows) < 2 * m:
+        return rows
+    a, b = rows[:m], rows[m:2 * m]
+    return [row for pair in zip(a, b) for row in pair] + rows[2 * m:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_ensemble_bulk_parse_matches_line_parser(days, m, n, data):
+    ids = data.draw(st.lists(KEY, min_size=n, max_size=n, unique=True))
+    labels = data.draw(st.lists(KEY, min_size=days, max_size=days, unique=True))
+    header = ["day", "replicate", *(f"loc_{i}" for i in ids)]
+    rows = [[label, str(j), *(cell_token(data, NONNEGATIVE) for _ in range(n))]
+            for label in labels for j in range(m)]
+    text = draw_text(data, header, rows, 2, extra={
+        "interleaved": lambda rows: interleave_days(rows, m),
+        "replicate-swapped": lambda rows: rows[1::-1] + rows[2:],
+        "replicate-padded": lambda rows: [[rows[0][0], " 0", *rows[0][2:]], *rows[1:]],
+    })
+    compare_readers(data, text,
+                    lambda path: read_ensemble(path, ids),
+                    lambda path: line_read_ensemble(path, ids))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+def test_rain_bulk_parse_matches_line_parser(n, t, data):
+    ids = tuple(data.draw(st.lists(KEY, min_size=n, max_size=n, unique=True)))
+    labels = data.draw(st.lists(KEY, min_size=t, max_size=t, unique=True))
+    rows = [[label, *(cell_token(data, NONNEGATIVE) for _ in range(n))] for label in labels]
+    text = draw_text(data, ["date", *ids], rows, 1)
+    locs = locations(ids)
+
+    def got(path):
+        back = read_rain_csv(path, locs)
+        return list(back.day_labels), back.values
+
+    compare_readers(data, text, got, lambda path: line_read_rain(path, locs))
 
 
 @settings(max_examples=300, deadline=None)
