@@ -15,10 +15,9 @@ from .diagnostics import (EnsembleBlock, RocCurve, crps_sample, cross_correlatio
                           variogram_score)
 from .estimation import (EstimateResult, ProfilePoint, ScoreConfig, ThetaSearchSpec,
                          energy_score_unbiased, estimate_theta, sr_objective)
-from .marginals import (FitConfig, FitResult, GammaMixture, IdentityTransform,
-                        JglmCoefficients, MarginalField, StandardizeTransform,
-                        gm_cdf, gm_quantile, gm_sample, jglm_fit, jglm_predict,
-                        predict_field)
+from .marginals import (FitResult, GammaMixture, IdentityTransform, JglmCoefficients,
+                        MarginalField, StandardizeTransform, gm_cdf, gm_quantile,
+                        gm_sample, jglm_fit, predict_field)
 from .numerics import NotPositiveDefinite, SpdFactor, bessel_k, spd_factorize
 from .panel import IngestError, RainPanel
 from .spatial import (CovarianceMatrix, DistanceMatrix, LocationTable, MaternParams,

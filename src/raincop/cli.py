@@ -26,12 +26,12 @@ from .diagnostics import (cross_correlation, crps_scores, exceedance_frequencies
                           median_bias, rank_counts, roc_auc, variogram_scores)
 from .estimation import (ScoreConfig, ThetaSearchSpec, day_chunks, energy_scores,
                          estimate_theta, write_profile, write_summary)
-from .marginals import (FitConfig, flatten_panel, jglm_fit, make_transform,
-                        predict_field, write_coefficients)
+from .marginals import (flatten_panel, jglm_fit, make_transform, predict_field,
+                        write_coefficients)
 from .numerics import NotPositiveDefinite
 from .panel import (IngestError, read_features_csv, read_kv, read_marginals_csv,
                     read_rain_csv, write_csv, write_marginals_csv, write_rain_csv)
-from .spatial import (MaternParams, build_covariance, build_distance_matrix,
+from .spatial import (MaternParams, build_covariance, build_distance_matrix, check_blend,
                       read_locations, write_locations)
 from .synth import SynthSpec, simulate_dataset, write_truth
 
@@ -45,7 +45,7 @@ DEFAULTS = {
     "day_subsample": "all", "location_subsample": "all",
     "tau_grid": 1001, "q_levels": "0.5,5.0",
     "ecdf_levels": "0,0.5,1,2,4,8,16,32", "rank_bins": 10,
-    "transform": "identity", "max_iter": 5000, "step": 1.0, "rel_tol": 1e-8,
+    "transform": "identity",
     "theta": None,
     "n_locations": 50, "days": 500, "theta_true": 450.0,
     "p": 0.6, "mu": 3.0, "phi": 1.2,
@@ -135,6 +135,14 @@ def _out_dir(settings: Settings) -> str:
     return out
 
 
+def _blend_settings(settings: Settings):
+    """(a, topo_scale), each checked, naming its flag or config line, before any file is read."""
+    a, topo_scale = settings.float("a"), settings.float("topo_scale")
+    settings.check(lambda: check_blend(a=a), "a")
+    settings.check(lambda: check_blend(topo_scale=topo_scale), "topo_scale")
+    return a, topo_scale
+
+
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -172,9 +180,7 @@ def cmd_fit_marginals(settings: Settings, strict: bool) -> int:
     else:
         features = np.empty((panel.n_locations * panel.n_days, 0))
     transform = make_transform(settings.str("transform"))
-    config = FitConfig(step=settings.float("step"), max_iter=settings.int("max_iter"),
-                       rel_tol=settings.float("rel_tol"))
-    fit = jglm_fit(features, flatten_panel(panel.values), transform, config)
+    fit = jglm_fit(features, flatten_panel(panel.values), transform)
     if not fit.converged:
         _log(f"fit-marginals: did not converge (grad norm {fit.grad_norm:.3e})")
         if strict:
@@ -202,14 +208,14 @@ def cmd_estimate_theta(settings: Settings, strict: bool) -> int:
     settings.check(lambda: ThetaSearchSpec(lower, upper), "theta_min", "theta_max")
     settings.check(lambda: ThetaSearchSpec(lower, upper, grid), "grid")
     settings.check(lambda: MaternParams(theta=lower, nu=nu), "nu")
+    a, topo_scale = _blend_settings(settings)
     cfg = ScoreConfig(beta=beta, m=m, day_subsample=days, location_subsample=locations,
                       seed=settings.int("seed"))
     search = ThetaSearchSpec(lower=lower, upper=upper, grid_size=grid)
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
     field = read_marginals_csv(settings.path("marginals"), panel)
-    distance = build_distance_matrix(locs, a=settings.float("a"),
-                                     topo_scale=settings.float("topo_scale"))
+    distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
     result = estimate_theta(panel.values, field, distance, cfg, search, nu=nu)
     out = _out_dir(settings)
     write_profile(os.path.join(out, "profile.csv"), result.profile)
@@ -230,6 +236,9 @@ def cmd_simulate(settings: Settings) -> int:
     theta = None if settings._raw("theta") is None else settings.float("theta")
     if theta is not None:
         settings.check(lambda: MaternParams(theta=theta), "theta")
+    nu = settings.float("nu")
+    settings.check(lambda: MaternParams(theta=1.0, nu=nu), "nu")  # theta may be read later
+    a, topo_scale = _blend_settings(settings)
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
     field = read_marginals_csv(settings.path("marginals"), panel)
@@ -245,9 +254,8 @@ def cmd_simulate(settings: Settings) -> int:
         if not (numeric and np.isfinite(theta)):
             raise IngestError(f"{summary_path}: no finite numeric 'theta_hat'")
     theta = float(theta)
-    distance = build_distance_matrix(locs, a=settings.float("a"),
-                                     topo_scale=settings.float("topo_scale"))
-    cov = build_covariance(distance, MaternParams(theta=theta, nu=settings.float("nu")))
+    distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
+    cov = build_covariance(distance, MaternParams(theta=theta, nu=nu))
     seed = settings.int("seed")
     # Settings are all checked: open the output, then draw and write chunk by chunk.
     blocks = (block for sl in day_chunks(panel.n_days, m * panel.n_locations)
@@ -261,6 +269,7 @@ def cmd_simulate(settings: Settings) -> int:
 
 
 def cmd_diagnose(settings: Settings) -> int:
+    a, topo_scale = _blend_settings(settings)
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
     field = read_marginals_csv(settings.path("marginals"), panel)
@@ -271,8 +280,7 @@ def cmd_diagnose(settings: Settings) -> int:
     if m < 2:
         raise IngestError("ensemble needs at least two replicates per day")
     obs = panel.values.T  # (days, n)
-    distance = build_distance_matrix(locs, a=settings.float("a"),
-                                     topo_scale=settings.float("topo_scale"))
+    distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
     seed = settings.int("seed")
     beta = settings.float("beta")
 
@@ -363,9 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fit-marginals", help="fit mixture coefficients by joint likelihood")
     _add_common(p, "locations", "rainfall", "features")
     p.add_argument("--transform", choices=["identity", "standardize"])
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--step", type=float)
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
 
     p = subs.add_parser("estimate-theta", help="minimum energy-score lengthscale search")
     _add_common(p, "locations", "rainfall", "marginals")

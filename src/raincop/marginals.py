@@ -10,8 +10,8 @@ every observation plus the gamma term on wet observations only.
 
 Each formula has one vectorized implementation: mixture_cdf and
 mixture_quantile for the law, predict_field for the link map, _joint_loss
-for the likelihood. The scalar helpers gm_cdf, gm_quantile, gm_sample and
-jglm_predict wrap them for a single GammaMixture or feature vector.
+for the likelihood. The scalar helpers gm_cdf, gm_quantile and gm_sample
+wrap them for a single GammaMixture.
 
 Flat panel layout convention: wherever a (n_locations, n_days) panel is
 flattened into feature/parameter rows, rows run date-major, i.e. row index
@@ -21,7 +21,7 @@ flattened into feature/parameter rows, rows run date-major, i.e. row index
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -34,14 +34,12 @@ __all__ = [
     "MarginalField",
     "IdentityTransform",
     "StandardizeTransform",
-    "FitConfig",
     "FitResult",
     "gm_cdf",
     "gm_quantile",
     "gm_sample",
     "mixture_cdf",
     "mixture_quantile",
-    "jglm_predict",
     "jglm_fit",
     "predict_field",
     "flatten_panel",
@@ -50,6 +48,8 @@ __all__ = [
 ]
 
 P_CLIP = 1e-12
+GRAD_TOL = 1e-9  # jglm_fit's stop: gradient norm per observation
+MAX_ITER = 100   # jglm_fit's cap on Fisher-scoring steps
 # Keep uniforms strictly inside (0, 1) before inverting the gamma CDF.
 U_HI = np.nextafter(1.0, 0.0)
 
@@ -221,12 +221,6 @@ def gm_sample(law: GammaMixture, rng: np.random.Generator, size=None):
     return float(draws) if size is None else draws
 
 
-def jglm_predict(features, coeffs: JglmCoefficients) -> GammaMixture:
-    """Map one feature vector through the links: logit p, log mu, log phi."""
-    z = np.asarray(features, dtype=float).reshape(1, -1)
-    return predict_field(coeffs, IdentityTransform(), z, 1, 1).law(0, 0)
-
-
 class IdentityTransform:
     """Pass features through unchanged."""
 
@@ -273,16 +267,6 @@ def make_transform(name: str):
 
 
 @dataclass
-class FitConfig:
-    """Gradient-descent settings for jglm_fit."""
-
-    step: float = 1.0
-    max_iter: int = 5000
-    rel_tol: float = 1e-8
-    grad_tol: float = 1e-10
-
-
-@dataclass
 class FitResult:
     coeffs: JglmCoefficients
     transform: object
@@ -290,7 +274,7 @@ class FitResult:
     n_iter: int
     final_loss: float
     grad_norm: float
-    loss_path: list = field(default_factory=list)
+    loss_path: list
 
 
 def _joint_loss(vec, z, y, wet, feature_dim, want_grad):
@@ -329,7 +313,25 @@ def _joint_loss(vec, z, y, wet, feature_dim, want_grad):
     return float(loss), grad
 
 
-def jglm_fit(features, rain, transform=None, config: FitConfig | None = None) -> FitResult:
+def _scoring_step(vec, z, wet, grad):
+    """Solve each diagonal block of the expected information against grad's block.
+
+    The alpha (every row), beta and gamma (wet rows) blocks weight the
+    intercept-augmented features by p(1 - p), k and k(k psi'(k) - 1), k = 1/phi.
+    lstsq takes the minimum-norm step where a constant feature column makes a
+    block singular.
+    """
+    c = JglmCoefficients.unpack(vec, z.shape[1])
+    z1 = np.column_stack([np.ones(len(z)), z])
+    p = _sp.expit(c.alpha0 + z @ c.alpha)
+    k = np.exp(-(c.gamma0 + z[wet] @ c.gamma))
+    weighted = ((z1, p * (1.0 - p)), (z1[wet], k),
+                (z1[wet], k * (k * _sp.polygamma(1, k) - 1.0)))
+    return np.concatenate([np.linalg.lstsq((zz.T * w) @ zz, g, rcond=None)[0]
+                           for (zz, w), g in zip(weighted, np.split(grad, 3))])
+
+
+def jglm_fit(features, rain, transform=None) -> FitResult:
     """Fit shared link-linear coefficients by minimizing the joint mixture loss.
 
     Parameters
@@ -342,14 +344,12 @@ def jglm_fit(features, rain, transform=None, config: FitConfig | None = None) ->
         date-major.
     transform : feature transform, optional
         Fitted on the raw features before regression; identity by default.
-    config : FitConfig, optional
 
-    The descent is plain full-batch gradient descent with a backtracking
-    line search from an all-zero start (links then give p = 0.5 and
-    mu = phi = 1), so the training loss is nonincreasing across accepted
-    iterations and the returned loss never exceeds the initial one. A fit
-    that hits the iteration cap is still returned, flagged via
-    ``converged=False`` with its final gradient norm.
+    Fisher scoring from an all-zero start (p = 0.5, mu = phi = 1), each
+    scoring step backtracked to the Armijo margin, so the loss falls at every
+    iteration. The fit converges once the gradient norm is at most GRAD_TOL
+    per observation; a fit whose line search finds no descent or that reaches
+    MAX_ITER steps is returned with ``converged=False`` and a RuntimeWarning.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
@@ -362,60 +362,38 @@ def jglm_fit(features, rain, transform=None, config: FitConfig | None = None) ->
     wet = y > 0.0
     if not wet.any() or wet.all():
         raise ValueError("fit requires at least one wet and one dry observation")
-    config = config or FitConfig()
     transform = transform or IdentityTransform()
     z = transform.fit(x).apply(x)
     d = z.shape[1]
 
     vec = JglmCoefficients.zeros(d).pack()
     loss, grad = _joint_loss(vec, z, y, wet, d, want_grad=True)
-    step = config.step
     path = [loss]
-    converged = False
-    it = 0
-    for it in range(1, config.max_iter + 1):
-        gnorm2 = float(grad @ grad)
-        if np.sqrt(gnorm2) <= config.grad_tol:
-            converged = True
-            break
-        new_loss = None
-        s = step
-        while s > 1e-20:
-            cand = vec - s * grad
+    tol = GRAD_TOL * y.size
+    n_iter = 0
+    while np.linalg.norm(grad) > tol and n_iter < MAX_ITER:
+        direction = _scoring_step(vec, z, wet, grad)
+        slope = float(grad @ direction)
+        for s in 0.5 ** np.arange(40):
+            cand = vec - s * direction
             cand_loss, _ = _joint_loss(cand, z, y, wet, d, want_grad=False)
-            if cand_loss <= loss - 1e-4 * s * gnorm2:
-                new_loss = cand_loss
+            if cand_loss <= loss - 1e-4 * s * slope:
                 break
-            s *= 0.5
-        if new_loss is None:
-            # No admissible step: the iterate is at numerical stationarity.
-            converged = True
-            break
-        rel_drop = (loss - new_loss) / max(abs(loss), 1.0)
+        else:
+            break  # no descent along the scoring direction
         vec = cand
         loss, grad = _joint_loss(vec, z, y, wet, d, want_grad=True)
         path.append(loss)
-        step = min(s * 2.0, 1e6)
-        if rel_drop <= config.rel_tol:
-            converged = True
-            break
+        n_iter += 1
 
     grad_norm = float(np.linalg.norm(grad))
+    converged = grad_norm <= tol
     if not converged:
-        warnings.warn(
-            f"jglm_fit stopped at the iteration cap ({config.max_iter}); "
-            f"final gradient norm {grad_norm:.3e}",
-            RuntimeWarning,
-        )
-    return FitResult(
-        coeffs=JglmCoefficients.unpack(vec, d),
-        transform=transform,
-        converged=converged,
-        n_iter=it,
-        final_loss=float(loss),
-        grad_norm=grad_norm,
-        loss_path=path,
-    )
+        warnings.warn(f"jglm_fit did not converge in {n_iter} iterations: gradient "
+                      f"norm {grad_norm:.3e} above {tol:.3e}", RuntimeWarning)
+    return FitResult(coeffs=JglmCoefficients.unpack(vec, d), transform=transform,
+                     converged=converged, n_iter=n_iter, final_loss=float(loss),
+                     grad_norm=grad_norm, loss_path=path)
 
 
 def predict_field(coeffs: JglmCoefficients, transform, features,

@@ -272,11 +272,21 @@ def read_rain_csv(path, locs) -> RainPanel:
                 f"{path}: {len(header) - 1} id columns but {len(locs)} locations"
             )
 
-    labels = []
-    values = read_csv(path, 1, check_header, nonnegative=True,
-                      each_block=lambda block, first: labels.extend(block.keys[0].tolist()))
+    labels, seen, repeated = [], set(), []  # repeated: the first repeated date's message
+
+    def collect(block, first):
+        for r, label in enumerate(block.keys[0].tolist()):
+            if label in seen and not repeated:
+                repeated.append(f"{path}: row {block.row_nos()[r]}: date {label!r} "
+                                "repeats an earlier row")
+            seen.add(label)
+            labels.append(label)
+
+    values = read_csv(path, 1, check_header, nonnegative=True, each_block=collect)
     if not labels:
         raise IngestError(f"{path}: no data rows")
+    if repeated:
+        raise IngestError(repeated[0])
     return RainPanel(values=values.T, location_ids=locs.ids, day_labels=labels)
 
 

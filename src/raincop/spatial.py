@@ -28,6 +28,7 @@ __all__ = [
     "DistanceMatrix",
     "MaternParams",
     "CovarianceMatrix",
+    "check_blend",
     "build_distance_matrix",
     "matern_kernel",
     "build_covariance",
@@ -143,6 +144,14 @@ class CovarianceMatrix:
         return self.sigma.shape[0]
 
 
+def check_blend(a: float = DEFAULT_BLEND, topo_scale: float = DEFAULT_TOPO_SCALE) -> None:
+    """Reject a blend coefficient outside [0, 1] or a topo_scale that is not positive."""
+    if not (0.0 <= a <= 1.0):
+        raise ValueError(f"blend coefficient a must lie in [0, 1], got {a}")
+    if not topo_scale > 0.0:
+        raise ValueError(f"topo_scale must be positive, got {topo_scale}")
+
+
 def build_distance_matrix(locs: LocationTable, a: float = DEFAULT_BLEND,
                           topo_scale: float = DEFAULT_TOPO_SCALE) -> DistanceMatrix:
     """Blend geographic and scaled topographic distances with coefficient a.
@@ -152,10 +161,7 @@ def build_distance_matrix(locs: LocationTable, a: float = DEFAULT_BLEND,
     allowed but produce zero off-diagonal distances, flagged as a warning
     since positive definiteness then rests on the jitter policy.
     """
-    if not (0.0 <= a <= 1.0):
-        raise ValueError("blend coefficient a must lie in [0, 1]")
-    if topo_scale <= 0.0:
-        raise ValueError("topo_scale must be positive")
+    check_blend(a, topo_scale)
     if len(locs) < 2:
         raise ValueError("need at least two locations")
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from raincop import marginals
 from raincop.cli import main
 
 
@@ -93,6 +94,35 @@ class TestFitMarginals:
                   "--features", tmp_path / "nope.csv", "--out", tmp_path])
         assert rc == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_strict_nonconvergence_exit_3_writes_nothing(self, fixture_dir, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr(marginals, "MAX_ITER", 1)
+        with pytest.warns(RuntimeWarning):
+            rc = run(["fit-marginals", "--locations", fixture_dir / "locations.csv",
+                      "--rainfall", fixture_dir / "rainfall.csv", "--strict",
+                      "--out", tmp_path / "out"])
+        assert rc == 3
+        assert "fit-marginals: did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_fit_flag_exit_2(self, fixture_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit-marginals", "--locations", fixture_dir / "locations.csv",
+                 "--rainfall", fixture_dir / "rainfall.csv", "--step", "0.5",
+                 "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_fit_config_key_exit_2(self, fixture_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=2\nrel_tol=1e-8\n")
+        rc = run(["fit-marginals", "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv", "--config", cfg,
+                  "--out", tmp_path / "out"])
+        assert rc == 2
+        assert f"{cfg}: line 2: unknown key 'rel_tol'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, fixture_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -186,7 +216,16 @@ class TestSettingSources:
         ("estimate-theta", "day_subsample", "0",
          "day_subsample must be 'all' or a positive count"),
         ("simulate", "theta", "nan", "theta must be positive, got nan"),
-    ], ids=["m", "beta", "grid", "theta-min", "nu", "day-subsample", "simulate-theta"])
+        ("estimate-theta", "a", "2", "blend coefficient a must lie in [0, 1], got 2.0"),
+        ("estimate-theta", "topo_scale", "0", "topo_scale must be positive, got 0.0"),
+        ("simulate", "a", "-0.5", "blend coefficient a must lie in [0, 1], got -0.5"),
+        ("simulate", "topo_scale", "nan", "topo_scale must be positive, got nan"),
+        ("simulate", "nu", "0", "nu must be positive, got 0.0"),
+        ("diagnose", "a", "1.5", "blend coefficient a must lie in [0, 1], got 1.5"),
+        ("diagnose", "topo_scale", "-70", "topo_scale must be positive, got -70.0"),
+    ], ids=["m", "beta", "grid", "theta-min", "nu", "day-subsample", "simulate-theta",
+            "a", "topo-scale", "simulate-a", "simulate-topo-scale", "simulate-nu",
+            "diagnose-a", "diagnose-topo-scale"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
                                            message, source):

@@ -10,14 +10,14 @@ import re
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
-from scipy.special import expit, logit
+from scipy import integrate, optimize, stats
+from scipy.special import digamma, expit, logit
 
-from raincop.marginals import (FitConfig, GammaMixture, IdentityTransform,
-                               JglmCoefficients, MarginalField, StandardizeTransform,
-                               _joint_loss, flatten_panel, gm_cdf, gm_quantile, gm_sample,
-                               jglm_fit, jglm_predict, predict_field, read_coefficients,
-                               write_coefficients)
+from raincop import marginals
+from raincop.marginals import (GammaMixture, IdentityTransform, JglmCoefficients,
+                               MarginalField, StandardizeTransform, _joint_loss,
+                               flatten_panel, gm_cdf, gm_quantile, gm_sample, jglm_fit,
+                               predict_field, read_coefficients, write_coefficients)
 from raincop.panel import IngestError
 
 GM_CDF_CASE = 0.87261367275819719     # p=.5, mu=3, phi=.5 at y=4 (quadrature)
@@ -155,29 +155,36 @@ class TestLosses:
         assert loss == pytest.approx(-np.log(1.0 - p), abs=1e-12)
 
 
-class TestJglmPredict:
+class TestPredictField:
+    """The link map on one feature row: logit p, log mu and log phi."""
+
+    @staticmethod
+    def law(features, coeffs):
+        z = np.asarray(features, dtype=float).reshape(1, -1)
+        return predict_field(coeffs, IdentityTransform(), z, 1, 1).law(0, 0)
+
     def test_links_at_zero(self):
-        law = jglm_predict(np.zeros(2), JglmCoefficients.zeros(2))
+        law = self.law(np.zeros(2), JglmCoefficients.zeros(2))
         assert (law.p, law.mu, law.phi) == (0.5, 1.0, 1.0)
 
     def test_intercept_only(self):
         coeffs = JglmCoefficients(alpha0=2.0, alpha=[], beta0=0.0, beta=[],
                                   gamma0=0.0, gamma=[])
-        law = jglm_predict(np.empty(0), coeffs)
+        law = self.law(np.empty(0), coeffs)
         assert law.p == pytest.approx(1.0 / (1.0 + np.exp(-2.0)), abs=1e-12)
 
     def test_hand_link_inversion(self):
         coeffs = JglmCoefficients(alpha0=0.3, alpha=[0.5, -0.2], beta0=1.0,
                                   beta=[0.1, 0.4], gamma0=-0.5, gamma=[0.2, 0.0])
         z = np.array([0.7, -1.1])
-        law = jglm_predict(z, coeffs)
+        law = self.law(z, coeffs)
         assert law.p == pytest.approx(expit(0.3 + 0.5 * 0.7 - 0.2 * -1.1), rel=1e-12)
         assert law.mu == pytest.approx(np.exp(1.0 + 0.1 * 0.7 + 0.4 * -1.1), rel=1e-12)
         assert law.phi == pytest.approx(np.exp(-0.5 + 0.2 * 0.7), rel=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            jglm_predict(np.zeros(3), JglmCoefficients.zeros(2))
+            self.law(np.zeros(3), JglmCoefficients.zeros(2))
 
 
 TRUTH = JglmCoefficients(alpha0=0.25, alpha=[0.5, -0.35, 0.3],
@@ -199,13 +206,74 @@ def synthetic_observations(n_obs=5000, seed=4):
     return x, y
 
 
+def lbfgs_reference(x, y):
+    """Maximum-likelihood [intercept, slopes] of alpha, beta and gamma on raw features.
+
+    An independent reference for jglm_fit: the occurrence and amount terms
+    share no coefficient, so each is minimized apart by L-BFGS-B with its own
+    analytic gradient.
+    """
+    z = np.column_stack([np.ones(len(x)), x])
+    wet = y > 0.0
+    zw, yw = z[wet], y[wet]
+    d1 = z.shape[1]
+
+    def occurrence(a):
+        t = z @ a
+        return np.logaddexp(0.0, t).sum() - t[wet].sum(), z.T @ (expit(t) - wet)
+
+    def amount(v):
+        mu, phi = np.exp(zw @ v[:d1]), np.exp(zw @ v[d1:])
+        k, r = 1.0 / phi, yw / mu
+        nll = -stats.gamma.logpdf(yw, a=k, scale=phi * mu).sum()
+        d_log_mu = k * (1.0 - r)
+        d_log_phi = k * (np.log(k * r) + 1.0 - r - digamma(k))
+        return nll, np.concatenate([zw.T @ d_log_mu, zw.T @ d_log_phi])
+
+    opts = {"gtol": 1e-10, "ftol": 1e-16, "maxiter": 20_000}
+    a = optimize.minimize(occurrence, np.zeros(d1), jac=True, method="L-BFGS-B",
+                          options=opts).x
+    bg = optimize.minimize(amount, np.zeros(2 * d1), jac=True, method="L-BFGS-B",
+                           options=opts).x
+    return np.concatenate([a, bg])
+
+
+def raw_coefficients(fit):
+    """The fit's [intercept, slopes] of alpha, beta and gamma on the raw features."""
+    c, t = fit.coeffs, fit.transform
+    out = []
+    for v0, v in ((c.alpha0, c.alpha), (c.beta0, c.beta), (c.gamma0, c.gamma)):
+        if t.name == "standardize":
+            v = v / t.scale
+            v0 = v0 - v @ t.mean
+        out += [v0, *v]
+    return np.array(out)
+
+
 class TestJglmFit:
     def test_synthetic_recovery(self):
         x, y = synthetic_observations()
-        fit = jglm_fit(x, y, IdentityTransform(), FitConfig())
+        fit = jglm_fit(x, y, IdentityTransform())
         truth = TRUTH.pack()
         assert fit.converged
         assert np.all(np.abs(fit.coeffs.pack() - truth) <= 0.05)
+
+    @pytest.mark.parametrize("transform", [IdentityTransform, StandardizeTransform])
+    def test_matches_lbfgs_reference(self, transform):
+        x, y = synthetic_observations(n_obs=3000, seed=11)
+        x = 2.5 * x + 1.0  # shifted/scaled features exercise standardization
+        fit = jglm_fit(x, y, transform())
+        assert fit.converged
+        assert fit.grad_norm <= marginals.GRAD_TOL * y.size
+        assert np.max(np.abs(raw_coefficients(fit) - lbfgs_reference(x, y))) <= 1e-6
+
+    def test_intercept_only_closed_forms(self):
+        _, y = synthetic_observations(n_obs=2000, seed=6)
+        fit = jglm_fit(np.empty((y.size, 0)), y)
+        wet = y > 0.0
+        assert fit.converged
+        assert fit.coeffs.alpha0 == pytest.approx(logit(wet.mean()), abs=1e-9)
+        assert fit.coeffs.beta0 == pytest.approx(np.log(y[wet].mean()), abs=1e-9)
 
     def test_all_dry_rejected(self):
         x = np.zeros((10, 1))
@@ -224,19 +292,20 @@ class TestJglmFit:
     def test_transform_equivalence(self):
         x, y = synthetic_observations(n_obs=3000, seed=5)
         x = 2.5 * x + 1.0  # shifted/scaled features exercise standardization
-        tight = FitConfig(rel_tol=1e-12, max_iter=20000)
-        fit_id = jglm_fit(x, y, IdentityTransform(), tight)
-        fit_st = jglm_fit(x, y, StandardizeTransform(), tight)
+        fit_id = jglm_fit(x, y, IdentityTransform())
+        fit_st = jglm_fit(x, y, StandardizeTransform())
         p_id = predict_field(fit_id.coeffs, fit_id.transform, x, x.shape[0], 1).p
         p_st = predict_field(fit_st.coeffs, fit_st.transform, x, x.shape[0], 1).p
-        assert np.max(np.abs(p_id - p_st)) < 1e-4
+        assert np.max(np.abs(p_id - p_st)) < 1e-7
 
-    def test_cap_flags_nonconvergence(self):
+    def test_cap_flags_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(marginals, "MAX_ITER", 3)
         x, y = synthetic_observations(n_obs=500, seed=9)
         with pytest.warns(RuntimeWarning):
-            fit = jglm_fit(x, y, config=FitConfig(max_iter=3))
+            fit = jglm_fit(x, y)
         assert not fit.converged
-        assert fit.grad_norm > 0.0
+        assert fit.n_iter == 3
+        assert fit.grad_norm > marginals.GRAD_TOL * y.size
 
 
 class TestFieldAndSerialization:

@@ -1,5 +1,6 @@
 """Panel construction, file round-trip and reader memory tests."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from raincop.cli import main
 from raincop.copula import read_ensemble
+from raincop import panel as panel_module
 from raincop.marginals import GammaMixture, MarginalField
 from raincop.panel import (IngestError, RainPanel, read_features_csv,
                            read_marginals_csv, read_rain_csv, write_features_csv,
@@ -81,6 +83,21 @@ class TestRainPanel:
         lines[2] = lines[2].rsplit(",", 1)[0]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestError, match="row 3"):
+            read_rain_csv(path, locs)
+
+    @pytest.mark.parametrize("chars_per_column", [1, 4096], ids=["row-blocks", "one-block"])
+    def test_repeated_date_names_file_row_and_date(self, locs, panel, tmp_path, monkeypatch,
+                                                   chars_per_column):
+        monkeypatch.setattr(panel_module, "_CHARS_PER_COLUMN", chars_per_column)
+        path = tmp_path / "rainfall.csv"
+        write_rain_csv(path, panel)
+        lines = path.read_text().splitlines()
+        # the third data row carries the second's date, after a blank line
+        lines[3] = lines[2].split(",", 1)[0] + "," + lines[3].split(",", 1)[1]
+        lines.insert(3, "")
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: row 5: date '2001-01-02' repeats an earlier row"
+        with pytest.raises(IngestError, match=re.escape(message)):
             read_rain_csv(path, locs)
 
 

@@ -226,10 +226,13 @@ def line_read_ensemble(path, location_ids):
 
 
 def line_read_rain(path, locs):
-    _, (labels,), values, _ = line_read(path, 1, nonnegative=True)
+    _, (labels,), values, row_nos = line_read(path, 1, nonnegative=True)
     if not labels:
         raise IngestError(f"{path}: no data rows")
-    panel = RainPanel(values.T, locs.ids, labels)  # rejects a repeated date
+    for r, label in enumerate(labels):
+        if label in labels[:r]:
+            raise IngestError(f"{path}: row {row_nos[r]}: date {label!r} repeats an earlier row")
+    panel = RainPanel(values.T, locs.ids, labels)
     return list(panel.day_labels), panel.values
 
 
@@ -406,7 +409,9 @@ def test_rain_bulk_parse_matches_line_parser(n, t, data):
     ids = tuple(data.draw(st.lists(KEY, min_size=n, max_size=n, unique=True)))
     labels = data.draw(st.lists(KEY, min_size=t, max_size=t, unique=True))
     rows = [[label, *(cell_token(data, NONNEGATIVE) for _ in range(n))] for label in labels]
-    text = draw_text(data, ["date", *ids], rows, 1)
+    text = draw_text(data, ["date", *ids], rows, 1, extra={
+        "date-repeated": lambda rows: rows + [[rows[0][0], *rows[-1][1:]]],
+    })
     locs = locations(ids)
 
     def got(path):
