@@ -1,11 +1,14 @@
 """Command-line front-end: synth, fit-marginals, estimate-theta, simulate, diagnose.
 
 Configuration is a flat key=value file (# comments allowed); command-line
-flags override file values, which override built-in defaults. Every
-subcommand is deterministic for a fixed seed and inputs: reruns produce
-byte-identical output files. --threads (and estimate-theta's
---refine-day-subsample) is accepted for compatibility and changes neither the
-outputs nor the work done: no subcommand starts threads of its own.
+flags override file values, which override built-in defaults. The parser is
+built from one table, COMMANDS, and takes every flag as text: Settings
+converts each value the same way whether it came from a flag or a config
+line, and names that flag or line when it does not convert, before any input
+file is read. Every subcommand is deterministic for a fixed seed and inputs:
+reruns produce byte-identical output files. --threads must be an integer and
+(like estimate-theta's --refine-day-subsample) changes neither the outputs
+nor the work done: no subcommand starts threads of its own.
 
 Exit codes: 0 success, 2 ingestion error, 3 numerical/convergence error
 (including --strict escalations), 4 internal invariant violation.
@@ -26,11 +29,10 @@ from .diagnostics import (cross_correlation, crps_scores, exceedance_frequencies
                           median_bias, rank_counts, roc_auc, variogram_scores)
 from .estimation import (ScoreConfig, ThetaSearchSpec, day_chunks, energy_scores,
                          estimate_theta, write_profile, write_summary)
-from .marginals import (flatten_panel, jglm_fit, make_transform, predict_field,
-                        write_coefficients)
+from .marginals import flatten_panel, jglm_fit, make_transform, predict_field, write_coefficients
 from .numerics import NotPositiveDefinite
 from .panel import (IngestError, read_features_csv, read_kv, read_marginals_csv,
-                    read_rain_csv, write_csv, write_marginals_csv, write_rain_csv)
+                    read_rain_csv, write_csv, write_json, write_marginals_csv, write_rain_csv)
 from .spatial import (MaternParams, build_covariance, build_distance_matrix, check_blend,
                       read_locations, write_locations)
 from .synth import SynthSpec, simulate_dataset, write_truth
@@ -55,26 +57,49 @@ DEFAULTS = {
 }
 
 
-class Settings:
-    """Layered lookup: CLI flag > config file > built-in default.
+# How each setting's text is converted; any other setting stays text.
+CONVERT = {
+    **dict.fromkeys(("seed", "threads", "n_locations", "days", "grid", "m", "tau_grid",
+                     "rank_bins"), int),
+    **dict.fromkeys(("a", "topo_scale", "nu", "beta", "theta_min", "theta_max", "theta",
+                     "theta_true", "p", "mu", "phi", "lat_min", "lat_max", "lon_min",
+                     "lon_max", "elev_min", "elev_max"), float),
+    **dict.fromkeys(("day_subsample", "location_subsample"),
+                    lambda v: "all" if str(v).strip().lower() == "all" else int(v)),
+    **dict.fromkeys(("q_levels", "ecdf_levels"),
+                    lambda v: [float(tok) for tok in str(v).split(",") if tok.strip()]),
+    "transform": make_transform,
+    "strict": lambda v: str(v).strip().lower() in ("1", "true", "yes", "on"),
+}
 
-    A config key must be a default or a flag of the running command; a value
-    that does not parse is reported with the flag or config line it came from.
+
+class Settings(dict):
+    """Every setting of a command, converted: CLI flag > config file > built-in default.
+
+    A config key must be a default or a flag of the running command. Each
+    flag of the command is converted as soon as the settings are read, from
+    whichever source it came; a value that does not convert is reported with
+    that flag or config line. settings[key] is the converted value, None
+    where nothing set it.
     """
 
     def __init__(self, args: argparse.Namespace):
+        super().__init__()
         self.cli = vars(args)
         self.file = {}
         if self.cli.get("config"):
-            self.config = self.path("config")
+            self.config = self.cli["config"]
+            if not os.path.exists(self.config):
+                raise IngestError(f"config file not found: {self.config}")
             self.file = read_kv(self.config)
             known = (set(DEFAULTS) | set(self.cli)) - {"command"}
             for key, (line_no, _) in self.file.items():
                 if key not in known:
                     raise IngestError(f"{self.config}: line {line_no}: unknown key '{key}'")
+        self.update((key, self._convert(key)) for key in self.cli if key != "command")
 
-    def _lookup(self, key):
-        """(value, where it came from) of a setting."""
+    def source(self, key):
+        """(unconverted value, where it came from) of a setting."""
         v = self.cli.get(key)
         if v is not None:
             return v, "--" + key.replace("_", "-")
@@ -83,35 +108,20 @@ class Settings:
             return v, f"{self.config}: line {line_no}"
         return DEFAULTS.get(key), "default"
 
-    def _raw(self, key):
-        return self._lookup(key)[0]
-
-    def _convert(self, key, convert):
-        v, source = self._lookup(key)
+    def _convert(self, key):
+        v, where = self.source(key)
+        if v is None:
+            return None
         try:
-            return convert(v)
+            return CONVERT.get(key, str)(v)
         except (TypeError, ValueError) as exc:
-            raise IngestError(f"{source}: invalid value {v!r} for {key}") from exc
+            raise IngestError(f"{where}: invalid value {v!r} for {key}") from exc
 
-    def str(self, key):
-        v = self._raw(key)
-        return None if v is None else str(v)
-
-    def float(self, key) -> float:
-        return self._convert(key, float)
-
-    def int(self, key) -> int:
-        return self._convert(key, int)
-
-    def count_or_all(self, key):
-        return self._convert(key, lambda v: "all" if str(v).strip().lower() == "all" else int(v))
-
-    def path(self, key, must_exist=True):
-        v = self._raw(key)
+    def path(self, key):
+        v = self[key]
         if v is None:
             raise IngestError(f"missing required path setting '{key}'")
-        v = str(v)
-        if must_exist and not os.path.exists(v):
+        if not os.path.exists(v):
             raise IngestError(f"{key} file not found: {v}")
         return v
 
@@ -120,24 +130,20 @@ class Settings:
         try:
             validate()
         except ValueError as exc:
-            sources = [self._lookup(key)[1] for key in keys]
+            sources = [self.source(key)[1] for key in keys]
             where = ", ".join(s for s in sources if s != "default") or "default"
             raise IngestError(f"{where}: {exc}") from exc
 
-    def floats(self, key):
-        return self._convert(key, lambda v: [float(tok) for tok in str(v).split(",")
-                                             if tok.strip()])
-
 
 def _out_dir(settings: Settings) -> str:
-    out = settings.str("out") or "."
+    out = settings["out"] or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _blend_settings(settings: Settings):
     """(a, topo_scale), each checked, naming its flag or config line, before any file is read."""
-    a, topo_scale = settings.float("a"), settings.float("topo_scale")
+    a, topo_scale = settings["a"], settings["topo_scale"]
     settings.check(lambda: check_blend(a=a), "a")
     settings.check(lambda: check_blend(topo_scale=topo_scale), "topo_scale")
     return a, topo_scale
@@ -149,18 +155,18 @@ def _log(msg: str) -> None:
 
 def cmd_synth(settings: Settings) -> int:
     spec = SynthSpec(
-        n_locations=settings.int("n_locations"),
-        n_days=settings.int("days"),
-        theta_true=settings.float("theta_true"),
-        blend=settings.float("a"),
-        nu=settings.float("nu"),
-        topo_scale=settings.float("topo_scale"),
-        lat_range=(settings.float("lat_min"), settings.float("lat_max")),
-        lon_range=(settings.float("lon_min"), settings.float("lon_max")),
-        elev_range=(settings.float("elev_min"), settings.float("elev_max")),
-        p=settings.float("p"), mu=settings.float("mu"), phi=settings.float("phi"),
-        seed=settings.int("seed"),
-        start_date=settings.str("start_date"),
+        n_locations=settings["n_locations"],
+        n_days=settings["days"],
+        theta_true=settings["theta_true"],
+        blend=settings["a"],
+        nu=settings["nu"],
+        topo_scale=settings["topo_scale"],
+        lat_range=(settings["lat_min"], settings["lat_max"]),
+        lon_range=(settings["lon_min"], settings["lon_max"]),
+        elev_range=(settings["elev_min"], settings["elev_max"]),
+        p=settings["p"], mu=settings["mu"], phi=settings["phi"],
+        seed=settings["seed"],
+        start_date=settings["start_date"],
     )
     out = _out_dir(settings)
     result = simulate_dataset(spec)
@@ -172,18 +178,17 @@ def cmd_synth(settings: Settings) -> int:
     return 0
 
 
-def cmd_fit_marginals(settings: Settings, strict: bool) -> int:
+def cmd_fit_marginals(settings: Settings) -> int:
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
-    if settings.str("features") is not None:
+    if settings["features"] is not None:
         features = read_features_csv(settings.path("features"), panel)
     else:
         features = np.empty((panel.n_locations * panel.n_days, 0))
-    transform = make_transform(settings.str("transform"))
-    fit = jglm_fit(features, flatten_panel(panel.values), transform)
+    fit = jglm_fit(features, flatten_panel(panel.values), settings["transform"])
     if not fit.converged:
         _log(f"fit-marginals: did not converge (grad norm {fit.grad_norm:.3e})")
-        if strict:
+        if settings["strict"]:
             return 3
     field = predict_field(fit.coeffs, fit.transform, features,
                           panel.n_locations, panel.n_days)
@@ -194,12 +199,11 @@ def cmd_fit_marginals(settings: Settings, strict: bool) -> int:
     return 0
 
 
-def cmd_estimate_theta(settings: Settings, strict: bool) -> int:
-    beta, m, nu = settings.float("beta"), settings.int("m"), settings.float("nu")
-    days, locations = (settings.count_or_all(key)
-                       for key in ("day_subsample", "location_subsample"))
-    lower, upper = settings.float("theta_min"), settings.float("theta_max")
-    grid = settings.int("grid")
+def cmd_estimate_theta(settings: Settings) -> int:
+    beta, m, nu = settings["beta"], settings["m"], settings["nu"]
+    days, locations = settings["day_subsample"], settings["location_subsample"]
+    lower, upper = settings["theta_min"], settings["theta_max"]
+    grid = settings["grid"]
     # Each setting is checked, naming its flag or config line, before any file is read.
     settings.check(lambda: ScoreConfig(beta=beta), "beta")
     settings.check(lambda: ScoreConfig(m=m), "m")
@@ -210,7 +214,7 @@ def cmd_estimate_theta(settings: Settings, strict: bool) -> int:
     settings.check(lambda: MaternParams(theta=lower, nu=nu), "nu")
     a, topo_scale = _blend_settings(settings)
     cfg = ScoreConfig(beta=beta, m=m, day_subsample=days, location_subsample=locations,
-                      seed=settings.int("seed"))
+                      seed=settings["seed"])
     search = ThetaSearchSpec(lower=lower, upper=upper, grid_size=grid)
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
@@ -224,19 +228,19 @@ def cmd_estimate_theta(settings: Settings, strict: bool) -> int:
          f"({result.n_evaluations} evaluations, {result.wall_clock_s:.2f}s)")
     if result.boundary:
         _log("estimate-theta: minimizer on search boundary")
-        if strict:
+        if settings["strict"]:
             return 3
     return 0
 
 
 def cmd_simulate(settings: Settings) -> int:
-    m = settings.int("m")
+    m = settings["m"]
     if m < 1:
-        raise IngestError(f"{settings._lookup('m')[1]}: need at least one draw, got {m}")
-    theta = None if settings._raw("theta") is None else settings.float("theta")
+        raise IngestError(f"{settings.source('m')[1]}: need at least one draw, got {m}")
+    theta = settings["theta"]
     if theta is not None:
         settings.check(lambda: MaternParams(theta=theta), "theta")
-    nu = settings.float("nu")
+    nu = settings["nu"]
     settings.check(lambda: MaternParams(theta=1.0, nu=nu), "nu")  # theta may be read later
     a, topo_scale = _blend_settings(settings)
     locs = read_locations(settings.path("locations"))
@@ -253,10 +257,14 @@ def cmd_simulate(settings: Settings) -> int:
         numeric = isinstance(theta, (int, float)) and not isinstance(theta, bool)
         if not (numeric and np.isfinite(theta)):
             raise IngestError(f"{summary_path}: no finite numeric 'theta_hat'")
-    theta = float(theta)
+        theta = float(theta)
+        try:
+            MaternParams(theta=theta, nu=nu)
+        except ValueError as exc:
+            raise IngestError(f"{summary_path}: theta_hat: {exc}") from exc
     distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
     cov = build_covariance(distance, MaternParams(theta=theta, nu=nu))
-    seed = settings.int("seed")
+    seed = settings["seed"]
     # Settings are all checked: open the output, then draw and write chunk by chunk.
     blocks = (block for sl in day_chunks(panel.n_days, m * panel.n_locations)
               for block in joint_forecast(cov, field, range(panel.n_days)[sl], m, seed,
@@ -281,16 +289,16 @@ def cmd_diagnose(settings: Settings) -> int:
         raise IngestError("ensemble needs at least two replicates per day")
     obs = panel.values.T  # (days, n)
     distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
-    seed = settings.int("seed")
-    beta = settings.float("beta")
+    seed = settings["seed"]
+    beta = settings["beta"]
 
     # Compute every result before writing any file: a rejected setting writes nothing.
-    tau_grid = np.linspace(0.0, 1.0, settings.int("tau_grid"))
+    tau_grid = np.linspace(0.0, 1.0, settings["tau_grid"])
     curves = {f"{q:g}": roc_auc(field, panel.values, q, tau_grid)
-              for q in settings.floats("q_levels")}
-    bins = settings.int("rank_bins")
+              for q in settings["q_levels"]}
+    bins = settings["rank_bins"]
     counts, freq = rank_counts(ens, obs, bins, substream(seed, _RANK_TAG))
-    levels = np.array(settings.floats("ecdf_levels"))
+    levels = np.array(settings["ecdf_levels"])
     model_freq, obs_freq = exceedance_frequencies(ens, obs, levels)
     center_id, obs_corr = cross_correlation(panel.values, locs)
     pooled = ens.transpose(2, 0, 1).reshape(n, days * m)
@@ -327,9 +335,7 @@ def cmd_diagnose(settings: Settings) -> int:
               _float_rows(levels, model_freq, obs_freq))
     write_csv(os.path.join(out, "crosscorr.csv"), ["id", "observed", "model"],
               ([i, *row] for i, row in zip(locs.ids, _float_rows(obs_corr, model_corr))))
-    with open(os.path.join(out, "diagnostics.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "diagnostics.json"), summary)
     _log(f"diagnose: wrote diagnostics for {panel.n_days} days to {out}")
     return 0
 
@@ -339,16 +345,34 @@ def _float_rows(*columns):
     return ([repr(float(v)) for v in row] for row in zip(*columns))
 
 
-def _add_common(sub: argparse.ArgumentParser, *input_files: str) -> None:
-    """Flags every command takes, then one path flag per named input file."""
-    for name in input_files:
-        sub.add_argument(f"--{name}")
-    sub.add_argument("--config", help="flat key=value configuration file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--threads", type=int)
-    sub.add_argument("--strict", action="store_true", default=None,
-                     help="escalate convergence/boundary warnings to exit code 3")
+# command -> (help, input files, setting keys): each is a flag --key-name taken as
+# text, converted by Settings. Every command also takes the _COMMON flags.
+COMMANDS = {
+    "synth": ("generate a ground-truth-known fixture", (),
+              ("n_locations", "days", "theta_true", "a", "nu", "topo_scale", "p", "mu", "phi",
+               "lat_min", "lat_max", "lon_min", "lon_max", "elev_min", "elev_max",
+               "start_date")),
+    "fit-marginals": ("fit mixture coefficients by joint likelihood",
+                      ("locations", "rainfall", "features"), ("transform",)),
+    "estimate-theta": ("minimum energy-score lengthscale search",
+                       ("locations", "rainfall", "marginals"),
+                       ("a", "topo_scale", "nu", "beta", "theta_min", "theta_max", "grid", "m",
+                        "day_subsample", "location_subsample", "refine_day_subsample")),
+    "simulate": ("sample joint rainfall forecasts", ("locations", "rainfall", "marginals"),
+                 ("theta", "summary", "a", "topo_scale", "nu", "m")),
+    "diagnose": ("verification diagnostics of an ensemble",
+                 ("locations", "rainfall", "marginals", "ensemble"),
+                 ("a", "topo_scale", "beta", "tau_grid", "q_levels", "ecdf_levels",
+                  "rank_bins")),
+}
+_COMMON = ("config", "seed", "out", "threads", "strict")
+_HELP = {
+    "config": "flat key=value configuration file",
+    "out": "output directory",
+    "strict": "escalate convergence/boundary warnings to exit code 3",
+    "summary": "summary.json to take theta_hat from",
+    "refine_day_subsample": "accepted and ignored",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,71 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("synth", help="generate a ground-truth-known fixture")
-    _add_common(p)
-    for key in ("n_locations", "days"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=int, dest=key)
-    for key in ("theta_true", "a", "nu", "topo_scale", "p", "mu", "phi",
-                "lat_min", "lat_max", "lon_min", "lon_max", "elev_min", "elev_max"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p.add_argument("--start-date", dest="start_date")
-
-    p = subs.add_parser("fit-marginals", help="fit mixture coefficients by joint likelihood")
-    _add_common(p, "locations", "rainfall", "features")
-    p.add_argument("--transform", choices=["identity", "standardize"])
-
-    p = subs.add_parser("estimate-theta", help="minimum energy-score lengthscale search")
-    _add_common(p, "locations", "rainfall", "marginals")
-    for key in ("a", "topo_scale", "nu", "beta", "theta_min", "theta_max"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--day-subsample", dest="day_subsample")
-    p.add_argument("--location-subsample", dest="location_subsample")
-    p.add_argument("--refine-day-subsample", dest="refine_day_subsample",
-                   help="accepted and ignored")
-
-    p = subs.add_parser("simulate", help="sample joint rainfall forecasts")
-    _add_common(p, "locations", "rainfall", "marginals")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--summary", help="summary.json to take theta_hat from")
-    for key in ("a", "topo_scale", "nu"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p.add_argument("--m", type=int)
-
-    p = subs.add_parser("diagnose", help="verification diagnostics of an ensemble")
-    _add_common(p, "locations", "rainfall", "marginals", "ensemble")
-    for key in ("a", "topo_scale", "beta"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p.add_argument("--tau-grid", type=int, dest="tau_grid")
-    p.add_argument("--q-levels", dest="q_levels")
-    p.add_argument("--ecdf-levels", dest="ecdf_levels")
-    p.add_argument("--rank-bins", type=int, dest="rank_bins")
+    for command, (help_text, input_files, keys) in COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        for key in (*input_files, *_COMMON, *keys):
+            flag = "--" + key.replace("_", "-")
+            if key == "strict":
+                p.add_argument(flag, action="store_true", default=None, help=_HELP[key])
+            else:
+                p.add_argument(flag, dest=key, help=_HELP.get(key))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        settings = Settings(args)
-        raw_strict = settings._raw("strict")
-        if isinstance(raw_strict, str):
-            strict = raw_strict.strip().lower() in ("1", "true", "yes", "on")
-        else:
-            strict = bool(raw_strict)
-        if args.command == "synth":
-            return cmd_synth(settings)
-        if args.command == "fit-marginals":
-            return cmd_fit_marginals(settings, strict)
-        if args.command == "estimate-theta":
-            return cmd_estimate_theta(settings, strict)
-        if args.command == "simulate":
-            return cmd_simulate(settings)
-        if args.command == "diagnose":
-            return cmd_diagnose(settings)
-        parser.error(f"unknown command {args.command}")
+        run = {"synth": cmd_synth, "fit-marginals": cmd_fit_marginals,
+               "estimate-theta": cmd_estimate_theta, "simulate": cmd_simulate,
+               "diagnose": cmd_diagnose}[args.command]
+        return run(Settings(args))
     except (IngestError, FileNotFoundError) as exc:
         _log(f"error: {exc}")
         return 2
@@ -435,7 +412,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # invariant violations and anything unforeseen
         _log(f"internal error: {type(exc).__name__}: {exc}")
         return 4
-    return 0
 
 
 def entry() -> None:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .marginals import MarginalField, mixture_cdf, mixture_quantile
-from .panel import IngestError, format_rain, read_csv, write_csv
+from .panel import IngestError, file_row, format_rain, read_csv, write_csv
 from .spatial import CovarianceMatrix
 
 __all__ = [
@@ -147,10 +147,10 @@ def read_ensemble(path, location_ids):
 
     days_seen: dict = {}  # day label -> [its index, its data rows so far], in file order
     day = array("i")  # the day index of each data row, in file order
-    misplaced = []  # ((day, place), message) of the first replicate out of place
+    misplaced = []  # (day, place, data row, token) of the first replicate out of place
 
-    def check_block(block, first):
-        labels, replicates = block.keys
+    def check_block(keys, first):
+        labels, replicates = keys
         if not len(labels):
             return
         # runs of rows with one label: each day is one run in a contiguous file
@@ -168,10 +168,8 @@ def read_ensemble(path, location_ids):
         bad = np.flatnonzero(replicates != np.arange(j.max() + 1).astype(str)[j])
         if bad.size:
             r = bad[np.lexsort((j[bad], d[bad]))[0]]  # the first day's, then its first place
-            if not misplaced or (d[r], j[r]) < misplaced[0][0]:
-                misplaced[:] = [((d[r], j[r]), f"{path}: row {block.row_nos()[r]}: replicate "
-                                 f"{str(replicates[r])!r} in column 2 (replicate), "
-                                 f"expected {j[r]}")]
+            if not misplaced or (d[r], j[r]) < misplaced[0][:2]:
+                misplaced[:] = [(d[r], j[r], first + r, str(replicates[r]))]
 
     values = read_csv(path, 2, check_header, nonnegative=True, each_block=check_block)
     sizes = {rows for _, rows in days_seen.values()}
@@ -179,7 +177,9 @@ def read_ensemble(path, location_ids):
         raise IngestError(f"{path}: ensemble days hold different numbers of replicates")
     m = sizes.pop() if sizes else 0
     if misplaced:
-        raise IngestError(misplaced[0][1])
+        _, j, r, token = misplaced[0]
+        raise IngestError(f"{path}: row {file_row(path, r)}: replicate {token!r} in column 2 "
+                          f"(replicate), expected {j}")
     day = np.frombuffer(day, dtype=np.intc)
     if np.any(day[1:] < day[:-1]):  # a day's rows are not contiguous in the file
         values = values[np.argsort(day, kind="stable")]

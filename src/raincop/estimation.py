@@ -41,7 +41,7 @@ import numpy as np
 
 from .copula import censor, censor_thresholds, obs_to_gaussian, substream
 from .marginals import MarginalField
-from .panel import write_csv
+from .panel import write_csv, write_json
 from .spatial import DistanceMatrix, MaternParams, build_covariance
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "energy_score_unbiased",
     "energy_scores",
     "day_chunks",
-    "sr_objective",
     "estimate_theta",
     "subsample_indices",
     "write_profile",
@@ -211,7 +210,11 @@ def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
 
 def _objective_terms(thetas, obs_gauss, thresholds, distance: DistanceMatrix,
                      cfg: ScoreConfig, nu: float, days, locations) -> np.ndarray:
-    """Per-day unbiased scores, (len(thetas), days); days/locations override subsampling."""
+    """Per-day unbiased scores, (len(thetas), days), under common random numbers.
+
+    Explicit days/locations index arrays override the seeded subsampling; both
+    are sorted first, so any permutation of the same set scores the same.
+    """
     n_days_total = obs_gauss.shape[1]
     if days is None:
         days = subsample_indices(cfg.seed, _SEL_DAYS, n_days_total, cfg.day_subsample)
@@ -229,24 +232,6 @@ def _objective_terms(thetas, obs_gauss, thresholds, distance: DistanceMatrix,
     group = max(1, _ELEMENT_BUDGET // (sub.n * sub.n))
     return np.vstack([_group_terms(thetas[g:g + group], sub, nu, cfg, days, obs, thr)
                       for g in range(0, len(thetas), group)])
-
-
-def sr_objective(theta: float, panel_values: np.ndarray, field: MarginalField,
-                 distance: DistanceMatrix, cfg: ScoreConfig, nu: float = 3.5,
-                 days=None, locations=None) -> float:
-    """Sum of per-day unbiased energy scores of censored simulations at theta.
-
-    Deterministic given cfg.seed: repeated calls agree bitwise, and the same
-    latent normals are reused across theta values (common random numbers).
-    Explicit ``days`` / ``locations`` index arrays override the seeded
-    subsampling; selected locations are canonicalized to ascending order, so
-    any permutation of the same set yields the identical value.
-    """
-    obs_gauss = obs_to_gaussian(panel_values, field)
-    thresholds = censor_thresholds(field)
-    scores = _objective_terms([theta], obs_gauss, thresholds, distance, cfg, nu,
-                              days, locations)
-    return float(scores.sum())
 
 
 def _grid_vertex(grid: np.ndarray, scores: np.ndarray) -> tuple:
@@ -327,8 +312,6 @@ def write_summary(path, result: EstimateResult, cfg: ScoreConfig,
     Wall-clock time lives on the result object and in the CLI log only;
     keeping it out of the file makes reruns byte-identical.
     """
-    import json
-
     payload = {
         "theta_hat": result.theta_hat,
         "theta_lower": search.lower,
@@ -344,6 +327,4 @@ def write_summary(path, result: EstimateResult, cfg: ScoreConfig,
         "refine_bracket": list(result.refine_bracket),
         "n_evaluations": result.n_evaluations,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -16,23 +16,27 @@ cells. Every token float() accepts is accepted with float()'s value: a block
 that loadtxt rejects (1_0, non-ASCII digits, a wrong field count, a
 non-numeric cell) or that holds a character of _BULK_UNSAFE goes through the
 line parser, which reads each line with str.split and float() and words every
-error. The line parser runs on no other block, except to find the file row of
-a bad cell or key.
+error. The line parser runs on no other block. The readers count data rows;
+a message that names a file row finds it with file_row, which reads the file
+again.
 
 Every CSV the package writes goes through write_csv, whose cells the caller
 has already formatted: repr of a Python float (the shortest text that reads
 back to the same double), or format_rain for rainfall, which writes a dry
 cell as the bare token 0. The one exception is locations.csv, written by
-csv.writer with its CRLF line ends.
+csv.writer with its CRLF line ends. Every JSON file goes through write_json.
 """
 
 from __future__ import annotations
 
+import json
 from array import array
+from itertools import islice
 
 import numpy as np
 
-__all__ = ["IngestError", "RainPanel", "read_csv", "read_kv", "write_csv", "format_rain",
+__all__ = ["IngestError", "RainPanel", "read_csv", "file_row", "read_kv", "write_csv",
+           "write_json", "format_rain",
            "read_rain_csv", "write_rain_csv",
            "read_features_csv", "write_features_csv",
            "read_marginals_csv", "write_marginals_csv"]
@@ -121,58 +125,39 @@ def _parse_lines(path, header, n_keys: int, lines, row_no: int):
     return keys, values, row_nos
 
 
-class _Block:
-    """One block of whole lines of a CSV body, the first at file row row_no.
+def _parse_block(path, header, n_keys: int, dtype: np.dtype, text: str, row_no: int):
+    """(keys, values) of a block of whole lines of a CSV body, the first at file row row_no.
 
     keys holds one array per key column and values the (rows, cells) floats.
     One np.loadtxt call parses the block unless it holds a character of
     _BULK_UNSAFE, loadtxt rejects it or a key fills its column's width in dtype;
     such a block goes through the line parser, which words the error of a
-    wrong field count or a non-numeric cell. row_nos() runs the line parser on
-    a bulk-parsed block to find the file row of each data row.
+    wrong field count or a non-numeric cell.
     """
+    lines = text.split("\n")
+    rec = None
+    if any(lines) and not any(c in text for c in _BULK_UNSAFE):
+        try:
+            rec = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                             quotechar=None, ndmin=1)
+        except ValueError:
+            pass
+    if rec is not None and all(np.char.str_len(rec[f"k{i}"]).max(initial=0)
+                               < dtype[f"k{i}"].itemsize // 4 for i in range(n_keys)):
+        return [rec[f"k{i}"] for i in range(n_keys)], np.ascontiguousarray(rec["v"])
+    keys, values, _ = _parse_lines(path, header, n_keys, lines, row_no)
+    return [np.array(column, dtype=object) for column in keys], values
 
-    def __init__(self, path, header, n_keys: int, dtype: np.dtype, text: str, row_no: int):
-        self.path, self.header, self.n_keys = path, header, n_keys
-        self.text, self.row_no = text, row_no
-        self._row_nos = None
-        lines = text.split("\n")
-        self.n_lines = len(lines) - 1  # the line ends in text
-        rec = None
-        if any(lines) and not any(c in text for c in _BULK_UNSAFE):
-            try:
-                rec = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                 quotechar=None, ndmin=1)
-            except ValueError:
-                pass
-        if rec is not None and all(np.char.str_len(rec[f"k{i}"]).max(initial=0)
-                                   < dtype[f"k{i}"].itemsize // 4 for i in range(n_keys)):
-            self.keys = [rec[f"k{i}"] for i in range(n_keys)]
-            self.values = np.ascontiguousarray(rec["v"])
-        else:
-            keys, self.values, self._row_nos = _parse_lines(path, header, n_keys, lines, row_no)
-            self.keys = [np.array(column, dtype=object) for column in keys]
 
-    def row_nos(self) -> list:
-        """The file row of each data row of the block."""
-        if self._row_nos is None:
-            self._row_nos = _parse_lines(self.path, self.header, self.n_keys,
-                                         self.text.split("\n"), self.row_no)[2]
-        return self._row_nos
+def file_row(path, r: int) -> int:
+    """The file row of data row r (from 0; blank lines hold none) of a CSV.
 
-    def bad_cell(self, nonnegative: bool):
-        """IngestError naming the first non-finite (or negative) cell, or None."""
-        bad = ~np.isfinite(self.values)
-        if nonnegative:
-            bad |= self.values < 0.0
-        if not bad.any():
-            return None
-        r, k = np.unravel_index(np.argmax(bad), bad.shape)
-        v = float(self.values[r, k])
-        what = f"non-finite value {v!r}" if not np.isfinite(v) else "negative rainfall"
-        col = k + self.n_keys + 1
-        return IngestError(f"{self.path}: row {self.row_nos()[r]}: {what} in column {col} "
-                           f"({self.header[col - 1]})")
+    It reads the file again, so only a message that names a row calls it.
+    """
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        rows = (row_no for row_no, line in enumerate(fh, start=2) if line != "\n")
+        return next(islice(rows, r, None))
 
 
 def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_block=None,
@@ -186,11 +171,11 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
     non-numeric cell in the file, else the first non-finite or negative cell.
     Every token float() accepts is accepted, with the value float() gives.
 
-    each_block(block, first) sees each block in file order: block.keys holds
-    its key columns as arrays, block.row_nos() the file row of each of its data
-    rows, and first is the index of its first data row. It runs before the
-    cells of later blocks are checked, so it records what it finds rather than
-    raise. Returns the (rows, columns - n_keys) float array of the cells.
+    each_block(keys, first) sees each block in file order: keys holds its key
+    columns as arrays and first is the index of its first data row (file_row
+    names the row of a data row index). It runs before the cells of later
+    blocks are checked, so it records what it finds rather than raise.
+    Returns the (rows, columns - n_keys) float array of the cells.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
@@ -199,22 +184,30 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
         dtype = np.dtype([*((f"k{i}", f"U{width}") for i, width in enumerate(widths)),
                           ("v", "f8", (len(header) - n_keys,))])
         cells = array("d")
-        n_rows, row_no, bad_cell = 0, 2, None
+        n_rows, row_no, bad = 0, 2, None  # bad: (data row, column, value) of the first bad cell
         block_chars = _CHARS_PER_COLUMN * len(header)
         while text := fh.read(block_chars):
             if not text.endswith("\n"):
                 text += fh.readline()
-            block = _Block(path, header, n_keys, dtype, text, row_no)
-            if bad_cell is None:
-                bad_cell = block.bad_cell(nonnegative)
+            keys, values = _parse_block(path, header, n_keys, dtype, text, row_no)
+            if bad is None:
+                wrong = ~np.isfinite(values)
+                if nonnegative:
+                    wrong |= values < 0.0
+                if wrong.any():
+                    r, k = np.unravel_index(np.argmax(wrong), wrong.shape)
+                    bad = n_rows + r, k + n_keys + 1, float(values[r, k])
             if each_block is not None:
-                each_block(block, n_rows)
-            cells.frombytes(memoryview(block.values.ravel()).cast("B"))
-            n_rows += len(block.values)
-            row_no += block.n_lines
-            del block, text  # before the next block is read
-    if bad_cell is not None:
-        raise bad_cell
+                each_block(keys, n_rows)
+            cells.frombytes(memoryview(values.ravel()).cast("B"))
+            n_rows += len(values)
+            row_no += text.count("\n")
+            del keys, values, text  # before the next block is read
+    if bad is not None:
+        r, col, v = bad
+        what = f"non-finite value {v!r}" if not np.isfinite(v) else "negative rainfall"
+        raise IngestError(f"{path}: row {file_row(path, r)}: {what} in column {col} "
+                          f"({header[col - 1]})")
     return np.frombuffer(cells, dtype=float).reshape(n_rows, len(header) - n_keys)
 
 
@@ -238,6 +231,13 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_json(path, payload) -> None:
+    """Deterministic JSON: keys sorted, two-space indent, a final line end."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def format_rain(v: float) -> str:
@@ -272,13 +272,12 @@ def read_rain_csv(path, locs) -> RainPanel:
                 f"{path}: {len(header) - 1} id columns but {len(locs)} locations"
             )
 
-    labels, seen, repeated = [], set(), []  # repeated: the first repeated date's message
+    labels, seen, repeated = [], set(), []  # repeated: the data row of the first repeated date
 
-    def collect(block, first):
-        for r, label in enumerate(block.keys[0].tolist()):
+    def collect(keys, first):
+        for r, label in enumerate(keys[0].tolist(), start=first):
             if label in seen and not repeated:
-                repeated.append(f"{path}: row {block.row_nos()[r]}: date {label!r} "
-                                "repeats an earlier row")
+                repeated.append(r)
             seen.add(label)
             labels.append(label)
 
@@ -286,7 +285,9 @@ def read_rain_csv(path, locs) -> RainPanel:
     if not labels:
         raise IngestError(f"{path}: no data rows")
     if repeated:
-        raise IngestError(repeated[0])
+        r = repeated[0]
+        raise IngestError(f"{path}: row {file_row(path, r)}: date {labels[r]!r} "
+                          "repeats an earlier row")
     return RainPanel(values=values.T, location_ids=locs.ids, day_labels=labels)
 
 
@@ -315,29 +316,30 @@ def _read_long_csv(path, panel: RainPanel, value_names):
 
     n, cells = panel.n_locations, panel.n_locations * panel.n_days
     dates, locs = _key_array(panel.day_labels), _key_array(panel.location_ids)
-    misordered = []  # the message of the first row out of panel order
+    misordered = []  # (data row, what it says) of the first row out of panel order
 
-    def check_keys(block, first):
+    def check_keys(keys, first):
         if misordered:
             return
         # the panel cell of each row; rows past the last cell are only counted
-        cell = np.arange(first, min(first + len(block.values), cells))
-        got_date, got_loc = (keys[:len(cell)] for keys in block.keys)
+        cell = np.arange(first, min(first + len(keys[0]), cells))
+        got_date, got_loc = (column[:len(cell)] for column in keys)
         bad_date = got_date != dates[cell // n]
         bad = bad_date | (got_loc != locs[cell % n])
         if bad.any():
             r = int(np.argmax(bad))
             name, got, want = (("date", got_date[r], dates[cell[r] // n]) if bad_date[r] else
                                ("loc", got_loc[r], locs[cell[r] % n]))
-            misordered.append(f"{path}: row {block.row_nos()[r]}: {name} {str(got)!r} does "
-                              f"not match panel order (expected {str(want)!r})")
+            misordered.append((cell[r], f"{name} {str(got)!r} does not match panel order "
+                                        f"(expected {str(want)!r})"))
 
     widths = [max(map(len, keys)) + 1 for keys in (panel.day_labels, panel.location_ids)]
     values = read_csv(path, 2, check_header, each_block=check_keys, key_widths=widths)
     if len(values) != cells:
         raise IngestError(f"{path}: {len(values)} rows but the panel has {cells} cells")
     if misordered:
-        raise IngestError(misordered[0])
+        r, what = misordered[0]
+        raise IngestError(f"{path}: row {file_row(path, r)}: {what}")
     return values
 
 

@@ -270,7 +270,7 @@ def read_locations(path) -> LocationTable:
 
     ids = []
     values = read_csv(path, 1, check_header,
-                      each_block=lambda block, first: ids.extend(block.keys[0].tolist()))
+                      each_block=lambda keys, first: ids.extend(keys[0].tolist()))
     lat, lon, elev = values.T.copy()
     return LocationTable(ids=tuple(loc_id.strip() for loc_id in ids), lat=lat, lon=lon,
                          elev=elev)

@@ -18,7 +18,6 @@ distances across the default lengthscale search band [200, 800]. Shrink it
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .copula import joint_forecast, substream
 from .estimation import day_chunks
 from .marginals import (GammaMixture, IdentityTransform, JglmCoefficients, MarginalField,
                         predict_field)
-from .panel import RainPanel
+from .panel import RainPanel, write_json
 from .spatial import (DistanceMatrix, LocationTable, MaternParams,
                       build_covariance, build_distance_matrix)
 
@@ -150,6 +149,4 @@ def write_truth(path, spec: SynthSpec) -> None:
             {"mode": "jglm", "feature_dim": spec.coeffs.feature_dim}
         ),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -223,9 +223,14 @@ class TestSettingSources:
         ("simulate", "nu", "0", "nu must be positive, got 0.0"),
         ("diagnose", "a", "1.5", "blend coefficient a must lie in [0, 1], got 1.5"),
         ("diagnose", "topo_scale", "-70", "topo_scale must be positive, got -70.0"),
+        # a flag's text is converted like a config line's
+        ("estimate-theta", "m", "abc", "invalid value 'abc' for m"),
+        ("fit-marginals", "transform", "bogus", "invalid value 'bogus' for transform"),
+        ("simulate", "threads", "x", "invalid value 'x' for threads"),
     ], ids=["m", "beta", "grid", "theta-min", "nu", "day-subsample", "simulate-theta",
             "a", "topo-scale", "simulate-a", "simulate-topo-scale", "simulate-nu",
-            "diagnose-a", "diagnose-topo-scale"])
+            "diagnose-a", "diagnose-topo-scale", "m-malformed", "transform-malformed",
+            "threads-malformed"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
                                            message, source):
@@ -235,8 +240,8 @@ class TestSettingSources:
         extra = [flag, value] if source == "flag" else ["--config", cfg]
         # input files that do not exist: the setting is checked before any is read
         missing = tmp_path / "missing.csv"
-        rc = run([command, "--locations", missing, "--rainfall", missing,
-                  "--marginals", missing, *extra, "--out", tmp_path / "out"])
+        rc = run([command, "--locations", missing, "--rainfall", missing, *extra,
+                  "--out", tmp_path / "out"])
         assert rc == 2
         where = flag if source == "flag" else f"{cfg}: line 2"
         assert f"error: {where}: {message}" in capsys.readouterr().err
@@ -456,7 +461,9 @@ class TestSimulateFromSummary:
         ('{"theta_hat": null}', "no finite numeric 'theta_hat'"),
         ('[450.0]', "no finite numeric 'theta_hat'"),
         ('theta_hat=450', "not valid JSON"),
-    ], ids=["no-theta-hat", "null-theta-hat", "not-an-object", "not-json"])
+        ('{"theta_hat": -5}', "theta_hat: theta must be positive, got -5.0"),
+    ], ids=["no-theta-hat", "null-theta-hat", "not-an-object", "not-json",
+            "negative-theta-hat"])
     def test_bad_summary_exit_2(self, fixture_dir, tmp_path, capsys, content, message):
         summary = tmp_path / "summary.json"
         summary.write_text(content)

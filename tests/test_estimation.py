@@ -12,8 +12,8 @@ from raincop import estimation
 from raincop.copula import censor, censor_thresholds, obs_to_gaussian, substream
 from raincop.estimation import (ProfilePoint, ScoreConfig, ThetaSearchSpec,
                                 energy_score_unbiased, energy_scores, estimate_theta,
-                                sr_objective, subsample_indices, write_profile,
-                                write_summary, _SEL_LOCS, _grid_vertex, _objective_terms)
+                                subsample_indices, write_profile, write_summary, _SEL_LOCS,
+                                _grid_vertex, _objective_terms)
 from raincop.synth import SynthSpec, simulate_dataset
 
 
@@ -86,45 +86,52 @@ def small_case(seed=5, n=10, days=80):
     return res
 
 
+def objective(theta, panel_values, field, distance, cfg, days=None, locations=None):
+    """The summed per-day scores of one theta, as estimate_theta scores a grid point."""
+    return float(_objective_terms([theta], obs_to_gaussian(panel_values, field),
+                                  censor_thresholds(field), distance, cfg, 3.5,
+                                  days, locations).sum())
+
+
 class TestSrObjective:
     def test_self_consistency_arch(self):
         res = small_case()
         cfg = ScoreConfig(seed=17, m=30)
         args = (res.panel.values, res.field, res.distance, cfg)
-        at_truth = sr_objective(450.0, *args)
-        assert at_truth < sr_objective(112.5, *args)
-        assert at_truth < sr_objective(1800.0, *args)
+        at_truth = objective(450.0, *args)
+        assert at_truth < objective(112.5, *args)
+        assert at_truth < objective(1800.0, *args)
 
     def test_bitwise_deterministic(self):
         res = small_case()
         cfg = ScoreConfig(seed=3, m=10)
-        a = sr_objective(300.0, res.panel.values, res.field, res.distance, cfg)
-        b = sr_objective(300.0, res.panel.values, res.field, res.distance, cfg)
+        a = objective(300.0, res.panel.values, res.field, res.distance, cfg)
+        b = objective(300.0, res.panel.values, res.field, res.distance, cfg)
         assert a == b
 
     def test_location_permutation_invariance(self):
         res = small_case()
         cfg = ScoreConfig(seed=4, m=10)
         subset = [7, 2, 5, 0]
-        a = sr_objective(400.0, res.panel.values, res.field, res.distance, cfg,
-                         locations=subset)
-        b = sr_objective(400.0, res.panel.values, res.field, res.distance, cfg,
-                         locations=sorted(subset))
+        a = objective(400.0, res.panel.values, res.field, res.distance, cfg,
+                      locations=subset)
+        b = objective(400.0, res.panel.values, res.field, res.distance, cfg,
+                      locations=sorted(subset))
         assert a == b
 
     def test_additivity_over_days(self):
         res = small_case(days=12)
         cfg = ScoreConfig(seed=8, m=8)
         args = (res.panel.values, res.field, res.distance, cfg)
-        total = sr_objective(350.0, *args)
-        singles = [sr_objective(350.0, *args, days=[s]) for s in range(12)]
+        total = objective(350.0, *args)
+        singles = [objective(350.0, *args, days=[s]) for s in range(12)]
         assert np.sum(singles) == pytest.approx(total, rel=1e-12)
 
     def test_subsampled_day_selection_is_seeded(self):
         res = small_case(days=30)
         cfg = ScoreConfig(seed=12, m=6, day_subsample=7)
-        a = sr_objective(500.0, res.panel.values, res.field, res.distance, cfg)
-        b = sr_objective(500.0, res.panel.values, res.field, res.distance, cfg)
+        a = objective(500.0, res.panel.values, res.field, res.distance, cfg)
+        b = objective(500.0, res.panel.values, res.field, res.distance, cfg)
         assert a == b
 
     def test_location_subsample_matches_exhaustive_average(self):
@@ -138,7 +145,7 @@ class TestSrObjective:
         def score_for(subset):
             key = tuple(sorted(int(i) for i in subset))
             if key not in cache:
-                cache[key] = sr_objective(450.0, *args, days=[0], locations=list(key))
+                cache[key] = objective(450.0, *args, days=[0], locations=list(key))
             return cache[key]
 
         exhaustive = [score_for(c) for c in itertools.combinations(range(6), 3)]

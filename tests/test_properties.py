@@ -1,7 +1,7 @@
 """Property tests: file round-trips through the shared CSV reader and writer, the writer's
 streamed rows matching one joined string, the bulk CSV parse agreeing with the line parser,
-censoring being idempotent, the mixture quantile and CDF inverting each other, and every
-module's exports resolving."""
+file_row agreeing with the line parser's row numbers, censoring being idempotent, the
+mixture quantile and CDF inverting each other, and every module's exports resolving."""
 
 import importlib
 import os
@@ -419,6 +419,28 @@ def test_rain_bulk_parse_matches_line_parser(n, t, data):
         return list(back.day_labels), back.values
 
     compare_readers(data, text, got, lambda path: line_read_rain(path, locs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), KEY), max_size=8), st.integers(0, 2), st.data())
+def test_file_row_matches_line_parser(rows, trailing_blanks, data):
+    lines = ["key,value"]
+    for blanks, key in rows:
+        lines += [""] * blanks + [f"{key},1.5"]
+    lines += [""] * trailing_blanks
+    ends = [data.draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if data.draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no line end after the last line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+            row_nos = panel_module._parse_lines(path, header, 1, fh.read().split("\n"), 2)[2]
+        assert [panel_module.file_row(path, r) for r in range(len(row_nos))] == row_nos
+    assert len(row_nos) == len(rows)
 
 
 @settings(max_examples=300, deadline=None)
