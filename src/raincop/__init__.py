@@ -10,9 +10,8 @@ harness with known ground truth.
 __version__ = "0.1.0"
 
 from .copula import joint_forecast, substream
-from .diagnostics import EnsembleBlock, crps_sample, rank_histogram, roc_auc, variogram_score
+from .diagnostics import crps_sample, rank_histogram, roc_auc, variogram_score
 from .estimation import ScoreConfig, ThetaSearchSpec, estimate_theta
-from .marginals import (GammaMixture, JglmCoefficients, MarginalField, gm_cdf, gm_quantile,
-                        gm_sample, jglm_fit)
+from .marginals import GammaMixture, JglmCoefficients, MarginalField, jglm_fit
 from .spatial import MaternParams, build_covariance
 from .synth import SynthSpec, simulate_dataset

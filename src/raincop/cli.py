@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .copula import joint_forecast, read_ensemble, substream, write_ensemble
-from .diagnostics import (cross_correlation, crps_scores, exceedance_frequencies,
-                          median_bias, rank_counts, roc_auc, variogram_scores)
-from .estimation import (ScoreConfig, ThetaSearchSpec, day_chunks, energy_scores,
+from .diagnostics import (cross_correlation, crps_sample, ecdf_curve, rank_histogram,
+                          rmsb_mab, roc_auc, variogram_score)
+from .estimation import (ScoreConfig, ThetaSearchSpec, day_chunks, energy_score_unbiased,
                          estimate_theta, write_profile, write_summary)
 from .marginals import flatten_panel, jglm_fit, make_transform, predict_field, write_coefficients
 from .numerics import NotPositiveDefinite
@@ -91,6 +91,8 @@ class Settings(dict):
             self.config = self.cli["config"]
             if not os.path.exists(self.config):
                 raise IngestError(f"config file not found: {self.config}")
+            if os.path.isdir(self.config):
+                raise IngestError(f"--config: {self.config} is a directory, not a file")
             self.file = read_kv(self.config)
             known = (set(DEFAULTS) | set(self.cli)) - {"command"}
             for key, (line_no, _) in self.file.items():
@@ -123,6 +125,8 @@ class Settings(dict):
             raise IngestError(f"missing required path setting '{key}'")
         if not os.path.exists(v):
             raise IngestError(f"{key} file not found: {v}")
+        if os.path.isdir(v):
+            raise IngestError(f"{self.source(key)[1]}: {v} is a directory, not a file")
         return v
 
     def check(self, validate, *keys) -> None:
@@ -297,17 +301,16 @@ def cmd_diagnose(settings: Settings) -> int:
     curves = {f"{q:g}": roc_auc(field, panel.values, q, tau_grid)
               for q in settings["q_levels"]}
     bins = settings["rank_bins"]
-    counts, freq = rank_counts(ens, obs, bins, substream(seed, _RANK_TAG))
+    counts, freq = rank_histogram(ens, obs, bins, substream(seed, _RANK_TAG))
     levels = np.array(settings["ecdf_levels"])
-    model_freq, obs_freq = exceedance_frequencies(ens, obs, levels)
+    model_freq, obs_freq = ecdf_curve(ens, obs, levels)
     center_id, obs_corr = cross_correlation(panel.values, locs)
     pooled = ens.transpose(2, 0, 1).reshape(n, days * m)
     _, model_corr = cross_correlation(pooled, locs, center=center_id)
-    crps_vals = crps_scores(ens, obs)
-    energy_vals = np.concatenate([energy_scores(ens[sl], obs[sl], beta)
-                                  for sl in day_chunks(days, m * n)])
-    vario_vals = variogram_scores(ens, obs, distance)
-    rmsb, mab = median_bias(ens, obs)
+    crps_vals = crps_sample(ens, obs)
+    energy_vals = energy_score_unbiased(ens, obs, beta)
+    vario_vals = variogram_score(ens, obs, distance)
+    rmsb, mab = rmsb_mab(ens, obs)
     summary = {
         "crps_mean": float(np.mean(crps_vals)),
         "energy_score_mean": float(np.mean(energy_vals)),

@@ -8,15 +8,13 @@ inverse-distance weights. Accuracy: sample CRPS (the univariate energy
 score, with the unbiased pairwise divisor so values are comparable across
 ensemble sizes) and median-forecast bias summaries.
 
-The ensemble scores are array kernels over a whole forecast: (days, m, n)
-samples against (days, n) observations (`crps_scores`, `variogram_scores`,
-`rank_counts`, `exceedance_frequencies`, `median_bias`). Each walks the days
-in the consecutive chunks `estimation.day_chunks` gives under its element
-budget, so its temporaries stay bounded whatever the number of days.
-`EnsembleBlock` and the per-day and per-cell functions (`crps_sample`,
-`variogram_score`, `rank_histogram`, `ecdf_curve`, `rmsb_mab`) call the
-same kernels. All diagnostics are pure over their inputs with fixed
-iteration order.
+Each ensemble score is one array kernel over a whole forecast: (days, m, n)
+samples against (days, n) observations (`crps_sample`, `variogram_score`,
+`rank_histogram`, `ecdf_curve`, `rmsb_mab`). Each walks the days in the
+consecutive chunks `estimation.day_chunks` gives under its element budget,
+so its temporaries stay bounded whatever the number of days; one day or one
+cell is scored as a stack of one. All diagnostics are pure over their inputs
+with fixed iteration order.
 """
 
 from __future__ import annotations
@@ -26,53 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import day_chunks
+from .estimation import day_chunks, ensemble_arrays
 from .marginals import MarginalField
 from .spatial import DistanceMatrix, LocationTable
 
 __all__ = [
-    "EnsembleBlock",
     "RocCurve",
     "roc_auc",
-    "rank_counts",
     "rank_histogram",
-    "exceedance_frequencies",
     "ecdf_curve",
     "cross_correlation",
-    "crps_scores",
     "crps_sample",
-    "variogram_scores",
     "variogram_score",
-    "median_bias",
     "rmsb_mab",
 ]
-
-
-@dataclass(frozen=True)
-class EnsembleBlock:
-    """One day's forecast ensemble: (m, n) samples and the n observed values."""
-
-    day: int
-    samples: np.ndarray
-    obs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        object.__setattr__(self, "obs", np.asarray(self.obs, dtype=float).reshape(-1))
-        if self.samples.ndim != 2 or self.samples.shape[1] != self.obs.size:
-            raise ValueError("samples must be (m, n) aligned with the observation vector")
-        if self.samples.shape[0] < 2:
-            raise ValueError("need at least two ensemble members")
-        if np.any(self.samples < 0.0) or np.any(self.obs < 0.0):
-            raise ValueError("rainfall values must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[1]
 
 
 @dataclass(frozen=True)
@@ -135,7 +100,7 @@ def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float,
     return RocCurve(q=float(q), taus=taus, fpr=fpr, tpr=tpr, auc=auc)
 
 
-def rank_counts(samples, obs, bins: int, rng: np.random.Generator | None = None):
+def rank_histogram(samples, obs, bins: int, rng: np.random.Generator | None = None):
     """Histogram of observation ranks within their ensembles, (days, m, n) at once.
 
     The rank of an observation is the number of members strictly below it,
@@ -146,7 +111,7 @@ def rank_counts(samples, obs, bins: int, rng: np.random.Generator | None = None)
     counts are drawn day by day, location by location, so a generator gives
     the same ranks however the days are chunked.
     """
-    samples, obs = _ensemble_arrays(samples, obs)
+    samples, obs = ensemble_arrays(samples, obs)
     days, m, n = samples.shape
     if bins < 1 or bins > m + 1:
         raise ValueError("bins must lie in [1, m + 1]")
@@ -160,12 +125,7 @@ def rank_counts(samples, obs, bins: int, rng: np.random.Generator | None = None)
     return counts, counts / counts.sum()
 
 
-def rank_histogram(blocks, bins: int, rng: np.random.Generator | None = None):
-    """rank_counts over a list of EnsembleBlocks sharing one ensemble size."""
-    return rank_counts(*_stack_blocks(blocks), bins, rng)
-
-
-def exceedance_frequencies(samples, obs, levels):
+def ecdf_curve(samples, obs, levels):
     """Pooled exceedance frequencies of the model and the observations.
 
     For each level x: the fraction of all ensemble values above x and the
@@ -173,7 +133,7 @@ def exceedance_frequencies(samples, obs, levels):
     (days, n) observations. A calibrated model's curve tracks the observed
     one.
     """
-    samples, obs = _ensemble_arrays(samples, obs)
+    samples, obs = ensemble_arrays(samples, obs)
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0.0):
         raise ValueError("levels must be nonnegative")
@@ -184,11 +144,6 @@ def exceedance_frequencies(samples, obs, levels):
         model += (samples[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
         observed += (obs[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
     return model / samples.size, observed / obs.size
-
-
-def ecdf_curve(blocks, levels):
-    """exceedance_frequencies over a list of EnsembleBlocks."""
-    return exceedance_frequencies(*_stack_blocks(blocks), levels)
 
 
 def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
@@ -222,7 +177,7 @@ def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
     return locs.ids[center_idx], corr
 
 
-def crps_scores(samples, obs) -> np.ndarray:
+def crps_sample(samples, obs) -> np.ndarray:
     """Sample CRPS of every (day, location) cell, with the unbiased pairwise divisor.
 
     samples is (days, m, n) with m >= 2, obs (days, n); returns (days, n):
@@ -232,9 +187,10 @@ def crps_scores(samples, obs) -> np.ndarray:
     days is transposed to (days, n, m) so every cell's members are
     contiguous, then sorted on that axis for the pair term. Both terms are
     numpy sums along that axis, so a cell's score does not depend on the
-    array it is part of: crps_sample gives the same bits.
+    array it is part of: a cell scored alone, as a (1, m, 1) stack, gives
+    the same bits as that cell scored inside a larger array.
     """
-    samples, obs = _ensemble_arrays(samples, obs)
+    samples, obs = ensemble_arrays(samples, obs)
     days, m, n = samples.shape
     # sum_{j<k} (x_(k) - x_(j)) = sum_k (2k - m + 1) x_(k) on the sorted sample
     weights = 2.0 * np.arange(m) - m + 1.0
@@ -248,14 +204,8 @@ def crps_scores(samples, obs) -> np.ndarray:
     return out
 
 
-def crps_sample(samples, y: float) -> float:
-    """crps_scores of one cell: an (m,) sample against the observation y."""
-    x = np.asarray(samples, dtype=float).reshape(1, -1, 1)
-    return float(crps_scores(x, np.full((1, 1), float(y)))[0, 0])
-
-
-def variogram_scores(samples, obs, distance: DistanceMatrix,
-                     p_exp: float = 1.0) -> np.ndarray:
+def variogram_score(samples, obs, distance: DistanceMatrix,
+                    p_exp: float = 1.0) -> np.ndarray:
     """Inverse-distance-weighted variogram score of each day's ensemble.
 
     samples is (days, m, n) with m >= 2, obs (days, n); returns the per-day
@@ -269,7 +219,7 @@ def variogram_scores(samples, obs, distance: DistanceMatrix,
     the rest is mirrored: |a - b| == |b - a| exactly, so every sum is the
     same as over the full matrix.
     """
-    samples, obs = _ensemble_arrays(samples, obs)
+    samples, obs = ensemble_arrays(samples, obs)
     if p_exp <= 0.0:
         raise ValueError("p_exp must be positive")
     days, m, n = samples.shape
@@ -312,20 +262,14 @@ def variogram_scores(samples, obs, distance: DistanceMatrix,
     return out
 
 
-def variogram_score(block: EnsembleBlock, distance: DistanceMatrix,
-                    p_exp: float = 1.0) -> float:
-    """variogram_scores of one day's ensemble."""
-    return float(variogram_scores(block.samples[None], block.obs[None], distance, p_exp)[0])
-
-
-def median_bias(samples, obs):
+def rmsb_mab(samples, obs):
     """Root mean squared bias and mean absolute bias of the median forecast.
 
     The ensemble median per cell serves as the point forecast; both metrics
     pool over every (location, day) cell of (days, m, n) samples and (days, n)
     observations. Each day's sums are added to running totals in day order.
     """
-    samples, obs = _ensemble_arrays(samples, obs)
+    samples, obs = ensemble_arrays(samples, obs)
     days, m, n = samples.shape
     if samples.size == 0:
         raise ValueError("no cells to score")
@@ -337,32 +281,3 @@ def median_bias(samples, obs):
         ab[sl] = np.abs(diff).sum(axis=1)
     count = days * n
     return float(np.sqrt(np.cumsum(sq)[-1] / count)), float(np.cumsum(ab)[-1] / count)
-
-
-def rmsb_mab(blocks):
-    """median_bias over a list of EnsembleBlocks sharing one ensemble size."""
-    return median_bias(*_stack_blocks(blocks))
-
-
-def _ensemble_arrays(samples, obs):
-    """(days, m, n) samples and (days, n) observations as C-ordered float arrays.
-
-    C order fixes the summation order of every reduction, so a kernel's
-    result does not depend on the layout of the arrays it is given.
-    """
-    samples = np.ascontiguousarray(samples, dtype=float)
-    obs = np.ascontiguousarray(obs, dtype=float)
-    if samples.ndim != 3 or obs.shape != (samples.shape[0], samples.shape[2]):
-        raise ValueError("samples must be (days, m, n) aligned with (days, n) observations")
-    if samples.shape[1] < 2:
-        raise ValueError("need at least two ensemble members")
-    return samples, obs
-
-
-def _stack_blocks(blocks):
-    """The (days, m, n) samples and (days, n) observations of a list of blocks."""
-    if not blocks:
-        raise ValueError("need at least one ensemble block")
-    if any(b.m != blocks[0].m for b in blocks):
-        raise ValueError("all blocks must share one ensemble size")
-    return np.stack([b.samples for b in blocks]), np.stack([b.obs for b in blocks])

@@ -19,10 +19,11 @@ thetas are split into groups whose Cholesky factors (n x n each) fit one
 fixed element budget, the days into chunks whose (days, m, n) normals fit
 the same budget. Each chunk's normals are drawn once and reused for every
 theta of the group; the chunk is then re-correlated, censored and scored by
-one stacked energy-score kernel. Working memory is therefore bounded by a
-few budget-sized arrays whatever the number of locations or days, and the
-scores do not depend on the budget beyond floating-point rounding. A group's
-factors are released before the next group's are built.
+energy_score_unbiased, the one energy-score kernel, which `diagnose` calls
+on a whole ensemble. Working memory is therefore bounded by a few
+budget-sized arrays whatever the number of locations or days, and the scores
+do not depend on the budget beyond floating-point rounding. A group's factors
+are released before the next group's are built.
 
 The search scores one grid of thetas in one batched call on the same days.
 theta_hat is the vertex of the parabola through the grid minimum and its two
@@ -50,8 +51,8 @@ __all__ = [
     "ProfilePoint",
     "EstimateResult",
     "energy_score_unbiased",
-    "energy_scores",
     "day_chunks",
+    "ensemble_arrays",
     "estimate_theta",
     "subsample_indices",
     "write_profile",
@@ -131,52 +132,55 @@ class EstimateResult:
     wall_clock_s: float
 
 
-def energy_scores(samples: np.ndarray, obs: np.ndarray, beta: float) -> np.ndarray:
-    """Unbiased energy score of each block in a stack.
+def energy_score_unbiased(samples: np.ndarray, obs: np.ndarray,
+                          beta: float = 0.5) -> np.ndarray:
+    """Unbiased energy score of each block in a stack, walked in day_chunks.
 
     samples is (k, m, n) with m >= 2, obs (k, n); returns the k scores
     (2/m) sum_j ||x_j - y||^beta minus the mean of ||x_j - x_k||^beta over
-    the m(m-1) ordered pairs. Pair distances come from exact differences,
-    pairing each replicate with the one `shift` places later, so rows that
-    tie exactly (censored coordinates) are exactly 0 apart.
+    the m(m-1) ordered pairs, nonnegative for beta <= 1 (||.||^beta is then
+    a metric). Pair distances come from exact differences, pairing each
+    replicate with the one `shift` places later, so rows that tie exactly
+    (censored coordinates) are exactly 0 apart.
     """
+    samples, obs = ensemble_arrays(samples, obs)
     k, m, n = samples.shape
-    if m < 2:
-        raise ValueError("need m >= 2 samples")
-    to_obs = np.sqrt(((samples - obs[:, None, :]) ** 2).sum(axis=2)) ** beta
-    sq_pair = np.empty((k, m * (m - 1) // 2))
-    diff = np.empty((k, m - 1, n))
-    pos = 0
-    for shift in range(1, m):
-        d = diff[:, :m - shift]
-        np.subtract(samples[:, shift:], samples[:, :m - shift], out=d)
-        np.einsum("kjn,kjn->kj", d, d, out=sq_pair[:, pos:pos + m - shift])
-        pos += m - shift
-    pair = (np.sqrt(sq_pair) ** beta).sum(axis=1)
-    return 2.0 * to_obs.mean(axis=1) - 2.0 * pair / (m * (m - 1))
-
-
-def energy_score_unbiased(samples: np.ndarray, obs: np.ndarray, beta: float = 0.5) -> float:
-    """Unbiased sample estimate of the energy score of one (m, n) block.
-
-    (2/m) sum_j ||x_j - y||^beta minus the mean of ||x_j - x_k||^beta over
-    the m(m-1) ordered pairs. Nonnegative for beta <= 1 because ||.||^beta
-    is then itself a metric.
-    """
-    samples = np.asarray(samples, dtype=float)
-    obs = np.asarray(obs, dtype=float).reshape(-1)
-    if samples.ndim != 2:
-        raise ValueError("samples must be an (m, n) array")
-    if samples.shape[1] != obs.size:
-        raise ValueError(f"sample dimension {samples.shape[1]} does not match "
-                         f"observation {obs.size}")
-    return float(energy_scores(samples[None], obs[None], beta)[0])
+    out = np.empty(k)
+    for sl in day_chunks(k, m * n):
+        x = samples[sl]
+        to_obs = np.sqrt(((x - obs[sl, None, :]) ** 2).sum(axis=2)) ** beta
+        sq_pair = np.empty((x.shape[0], m * (m - 1) // 2))
+        diff = np.empty((x.shape[0], m - 1, n))
+        pos = 0
+        for shift in range(1, m):
+            d = diff[:, :m - shift]
+            np.subtract(x[:, shift:], x[:, :m - shift], out=d)
+            np.einsum("kjn,kjn->kj", d, d, out=sq_pair[:, pos:pos + m - shift])
+            pos += m - shift
+        pair = (np.sqrt(sq_pair) ** beta).sum(axis=1)
+        out[sl] = 2.0 * to_obs.mean(axis=1) - 2.0 * pair / (m * (m - 1))
+    return out
 
 
 def day_chunks(n_days: int, cells_per_day: int) -> list:
     """Consecutive day slices, each holding at most the element budget of cells."""
     step = max(1, _ELEMENT_BUDGET // max(cells_per_day, 1))
     return [slice(s, min(s + step, n_days)) for s in range(0, n_days, step)]
+
+
+def ensemble_arrays(samples, obs):
+    """(days, m, n) samples and (days, n) observations as C-ordered float arrays.
+
+    C order fixes the summation order of every reduction, so a kernel's
+    result does not depend on the layout of the arrays it is given.
+    """
+    samples = np.ascontiguousarray(samples, dtype=float)
+    obs = np.ascontiguousarray(obs, dtype=float)
+    if samples.ndim != 3 or obs.shape != (samples.shape[0], samples.shape[2]):
+        raise ValueError("samples must be (days, m, n) aligned with (days, n) observations")
+    if samples.shape[1] < 2:
+        raise ValueError("need at least two ensemble members")
+    return samples, obs
 
 
 def subsample_indices(seed: int, tag: int, n: int, k) -> np.ndarray:
@@ -204,7 +208,7 @@ def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
                       for day in days[sl]])
         for k, lower_t in enumerate(lowers_t):
             sims = censor(z @ lower_t, thr[sl])
-            scores[k, sl] = energy_scores(sims, obs[sl], cfg.beta)
+            scores[k, sl] = energy_score_unbiased(sims, obs[sl], cfg.beta)
     return scores
 
 

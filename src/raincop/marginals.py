@@ -10,8 +10,9 @@ every observation plus the gamma term on wet observations only.
 
 Each formula has one vectorized implementation: mixture_cdf and
 mixture_quantile for the law, predict_field for the link map, _joint_loss
-for the likelihood. The scalar helpers gm_cdf, gm_quantile and gm_sample
-wrap them for a single GammaMixture.
+for the likelihood. The law functions broadcast over their arguments, so a
+single GammaMixture's p, mu and phi go in as scalars; a draw from a law is
+mixture_quantile at uniform draws, and a dry draw is exactly 0.0.
 
 Flat panel layout convention: wherever a (n_locations, n_days) panel is
 flattened into feature/parameter rows, rows run date-major, i.e. row index
@@ -35,9 +36,6 @@ __all__ = [
     "IdentityTransform",
     "StandardizeTransform",
     "FitResult",
-    "gm_cdf",
-    "gm_quantile",
-    "gm_sample",
     "mixture_cdf",
     "mixture_quantile",
     "jglm_fit",
@@ -149,13 +147,6 @@ class MarginalField:
     def n_days(self) -> int:
         return self.p.shape[1]
 
-    def law(self, location: int, day: int) -> GammaMixture:
-        return GammaMixture(
-            p=float(self.p[location, day]),
-            mu=float(self.mu[location, day]),
-            phi=float(self.phi[location, day]),
-        )
-
     def cdf(self, values: np.ndarray) -> np.ndarray:
         """Mixture CDF evaluated cellwise on an (n_locations, n_days) panel."""
         return mixture_cdf(self.p, self.mu, self.phi, values)
@@ -201,24 +192,6 @@ def mixture_quantile(p, mu, phi, u):
         t = np.clip(t, 0.0, U_HI)
         out[wet] = _sp.gammaincinv(1.0 / phi[wet], t) * phi[wet] * mu[wet]
     return out
-
-
-def gm_cdf(law: GammaMixture, y: float) -> float:
-    """Mixture CDF at y >= 0; equals 1 - p exactly at y = 0."""
-    return float(mixture_cdf(law.p, law.mu, law.phi, y))
-
-
-def gm_quantile(law: GammaMixture, u: float) -> float:
-    """Inverse mixture CDF for u in (0, 1); returns 0 whenever u <= 1 - p."""
-    if not (0.0 < u < 1.0):
-        raise ValueError("gm_quantile requires u in (0, 1)")
-    return float(mixture_quantile(law.p, law.mu, law.phi, u))
-
-
-def gm_sample(law: GammaMixture, rng: np.random.Generator, size=None):
-    """Inverse-CDF draws; dry outcomes are exactly 0.0."""
-    draws = mixture_quantile(law.p, law.mu, law.phi, rng.random(size))
-    return float(draws) if size is None else draws
 
 
 class IdentityTransform:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from contextlib import contextmanager
 from itertools import islice
 
 import numpy as np
@@ -160,6 +161,30 @@ def file_row(path, r: int) -> int:
         return next(islice(rows, r, None))
 
 
+@contextmanager
+def _utf8_text(path, line_word: str):
+    """The open UTF-8 text of path; a byte that is not UTF-8 raises IngestError.
+
+    The error names the byte's line (as line_word) and offset in the file,
+    found by decoding the bytes again line by line, on this error path only
+    (no multi-byte character holds a newline byte).
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            offset = 0
+            for line_no, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise IngestError(f"{path}: {line_word} {line_no}: byte {offset + exc.start}"
+                                      f" is not UTF-8 ({exc.reason})") from None
+                offset += len(line)
+        raise
+
+
 def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_block=None,
              key_widths=None) -> np.ndarray:
     """Parse a CSV of n_keys text key columns followed by float cells, block by block.
@@ -177,7 +202,7 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
     blocks are checked, so it records what it finds rather than raise.
     Returns the (rows, columns - n_keys) float array of the cells.
     """
-    with open(path, encoding="utf-8") as fh:
+    with _utf8_text(path, "row") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         check_header(header)
         widths = key_widths or (_KEY_WIDTH,) * n_keys
@@ -214,7 +239,7 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
 def read_kv(path) -> dict:
     """Read flat key=value lines (# starts a comment): key -> (line number, stripped text)."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with _utf8_text(path, "line") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

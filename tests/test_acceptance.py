@@ -18,6 +18,7 @@ import raincop as rc
 from raincop.cli import main
 from raincop.copula import substream
 from raincop.estimation import energy_score_unbiased
+from raincop.marginals import mixture_cdf, mixture_quantile
 from raincop.numerics import spd_factorize
 from raincop.spatial import (LocationTable, MaternParams, build_distance_matrix,
                              matern_kernel)
@@ -67,7 +68,7 @@ def test_criterion_3_energy_score_unbiased():
     rng = substream(300, 0)
     n_rep, m = 10_000, 5
     draws = rng.standard_normal((n_rep, m, 3)) @ lower.T + mean
-    estimates = np.array([energy_score_unbiased(draws[k], obs, beta)
+    estimates = np.array([energy_score_unbiased(draws[k][None], obs[None], beta)[0]
                           for k in range(n_rep)])
     assert np.all(estimates >= 0.0), "estimator went negative at beta = 0.5"
 
@@ -87,9 +88,9 @@ def test_criterion_3_energy_score_unbiased():
 
 def test_criterion_4_crps_oracle():
     draws = substream(400, 0).standard_normal(100_000)
-    val = rc.crps_sample(draws, 0.0)
+    val = rc.crps_sample(draws.reshape(1, -1, 1), [[0.0]])[0, 0]
     assert val == pytest.approx(CRPS_GAUSS_AT_MEAN, abs=0.002)
-    point = rc.crps_sample(np.full(64, 4.25), 1.75)
+    point = rc.crps_sample(np.full((1, 64, 1), 4.25), [[1.75]])[0, 0]
     assert point == 2.5
     print(f"ACCEPTANCE 4 PASS — Gaussian CRPS {val:.4f} within 0.002 of "
           f"{CRPS_GAUSS_AT_MEAN:.4f}; point forecast reduces to |x-y| exactly")
@@ -100,11 +101,13 @@ def test_criterion_5_marginal_correctness():
             rc.GammaMixture(p=0.6, mu=3.0, phi=1.2),
             rc.GammaMixture(p=0.95, mu=0.7, phi=0.4)]
     for law in laws:
-        assert rc.gm_cdf(law, 0.0) == 1.0 - law.p  # exact
+        p, mu, phi = law.p, law.mu, law.phi
+        assert mixture_cdf(p, mu, phi, 0.0) == 1.0 - law.p  # exact
         for u in (0.701, 0.8, 0.9, 0.99, 1.0 - 1e-6):
             if u <= 1.0 - law.p:
                 continue
-            assert rc.gm_cdf(law, rc.gm_quantile(law, u)) == pytest.approx(u, abs=1e-8)
+            y = mixture_quantile(p, mu, phi, u)
+            assert mixture_cdf(p, mu, phi, y) == pytest.approx(u, abs=1e-8)
 
     from tests.test_marginals import TRUTH, synthetic_observations
     x, y = synthetic_observations(n_obs=5000, seed=4)
@@ -125,7 +128,7 @@ def test_criterion_6_copula_marginal_preservation():
     dist = build_distance_matrix(locs, a=0.9)
     cov = rc.build_covariance(dist, MaternParams(theta=8.0))
     joint = rc.joint_forecast(cov, field, [0], 100_000, 600)[0]  # substream(600, 0)
-    direct = rc.gm_sample(law, substream(600, 1), size=100_000)
+    direct = mixture_quantile(law.p, law.mu, law.phi, substream(600, 1).random(100_000))
     worst = 0.0
     for i in range(n):
         ks = stats.ks_2samp(joint[:, i], direct).statistic
@@ -175,12 +178,12 @@ def test_criterion_8_diagnostics_battery():
     passes = 0
     for run in range(100):
         rng = substream(800, run)
-        blocks = []
-        for day in range(40):
+        per_day = []
+        for _ in range(40):
             wet = rng.random((10, 10)) < 0.6
-            vals = np.where(wet, rng.gamma(1.0, 3.0, (10, 10)), 0.0)
-            blocks.append(rc.EnsembleBlock(day=day, samples=vals[:9], obs=vals[9]))
-        counts, _ = rc.rank_histogram(blocks, bins=10, rng=substream(801, run))
+            per_day.append(np.where(wet, rng.gamma(1.0, 3.0, (10, 10)), 0.0))
+        vals = np.stack(per_day)
+        counts, _ = rc.rank_histogram(vals[:, :9], vals[:, 9], bins=10, rng=substream(801, run))
         passes += stats.chisquare(counts).pvalue > 0.01
     assert passes >= 95, f"only {passes}/100 rank histograms uniform"
 
@@ -203,14 +206,10 @@ def test_criterion_8_diagnostics_battery():
     days = range(spec.n_days)
     good = rc.joint_forecast(cov, res.field, days, 40, 804, 0)  # substream(804, 0, day)
     bad = rc.joint_forecast(eye, res.field, days, 40, 804, 1)
-    wins = 0
-    for day in days:
-        obs = res.panel.values[:, day]
-        vg = rc.variogram_score(rc.EnsembleBlock(day=day, samples=good[day], obs=obs),
-                                res.distance)
-        vb = rc.variogram_score(rc.EnsembleBlock(day=day, samples=bad[day], obs=obs),
-                                res.distance)
-        wins += vg < vb
+    obs = res.panel.values.T
+    vg = rc.variogram_score(good, obs, res.distance)  # one score per day
+    vb = rc.variogram_score(bad, obs, res.distance)
+    wins = int(np.sum(vg < vb))
     assert wins >= 90, f"correct forecaster won only {wins}/100 days"
     print(f"ACCEPTANCE 8 PASS — rank histograms {passes}/100 uniform, "
           f"uninformative AUC {auc:.3f}, variogram wins {wins}/100 days")

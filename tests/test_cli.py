@@ -281,7 +281,8 @@ class TestSimulateAndDiagnose:
         locs = read_locations(fixture_dir / "locations.csv")
         obs = read_rain_csv(fixture_dir / "rainfall.csv", locs).values
         _, ens = read_ensemble(sim_a / "ensemble.csv", locs.ids)
-        per_day = [energy_score_unbiased(b, obs[:, s], 0.5) for s, b in enumerate(ens)]
+        per_day = [energy_score_unbiased(b[None], obs[None, :, s], 0.5)[0]
+                   for s, b in enumerate(ens)]
         assert summary["energy_score_mean"] == pytest.approx(np.mean(per_day), rel=1e-12)
         for name in ("roc_q0.5.csv", "roc_q5.csv", "rank_hist.csv", "ecdf.csv",
                      "crosscorr.csv"):
@@ -660,3 +661,37 @@ class TestIngestValidation:
         rc = run(["fit-marginals", "--locations", tmp_path / "none.csv",
                   "--rainfall", tmp_path / "none2.csv", "--out", tmp_path])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv,where", [
+        (["fit-marginals", "--locations", "{dir}", "--rainfall", "{dir}"], "--locations"),
+        (["synth", "--config", "{dir}"], "--config"),
+    ], ids=["locations", "config"])
+    def test_directory_input_exit_2(self, tmp_path, capsys, argv, where):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        rc = run([a.format(dir=folder) for a in argv] + ["--out", tmp_path / "out"])
+        assert rc == 2
+        assert f"{where}: {folder} is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_csv_names_file_row_and_byte(self, tmp_path, capsys):
+        # several read blocks long, so a block-relative position would be wrong
+        assert run(["synth", "--out", tmp_path, "--n-locations", "4", "--days", "2000"]) == 0
+        data = (tmp_path / "rainfall.csv").read_bytes()
+        assert len(data) > 3 * 4096 * 5
+        at = data.index(b"\n", len(data) * 3 // 4) + 1 + len("1999-01-01,")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data[:at] + b"\x80" + data[at + 1:])
+        rc = run(["fit-marginals", "--locations", tmp_path / "locations.csv",
+                  "--rainfall", bad, "--out", tmp_path / "out"])
+        assert rc == 2
+        row = data.count(b"\n", 0, at) + 1
+        assert (f"{bad}: row {row}: byte {at} is not UTF-8 (invalid start byte)"
+                in capsys.readouterr().err)
+
+    def test_non_utf8_config_names_line_and_byte(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=1\nm=\xff3\n")
+        rc = run(["synth", "--config", cfg, "--out", tmp_path / "out"])
+        assert rc == 2
+        assert f"{cfg}: line 2: byte 9 is not UTF-8" in capsys.readouterr().err

@@ -8,8 +8,7 @@ from scipy import special, stats
 
 from raincop.copula import (censor, censor_thresholds, joint_forecast,
                             obs_to_gaussian, read_ensemble, substream, write_ensemble)
-from raincop.marginals import (GammaMixture, MarginalField, gm_quantile, gm_sample,
-                               mixture_cdf, mixture_quantile)
+from raincop.marginals import GammaMixture, MarginalField, mixture_cdf, mixture_quantile
 from raincop.numerics import spd_factorize
 from raincop.spatial import DistanceMatrix, MaternParams
 from raincop.spatial import CovarianceMatrix
@@ -147,7 +146,7 @@ class TestObsToGaussian:
     def test_probability_integral_round_trip(self):
         law = GammaMixture(p=0.8, mu=3.0, phi=0.9)
         field = MarginalField.homogeneous(law, 1, 1)
-        y = gm_quantile(law, 0.975)
+        y = mixture_quantile(law.p, law.mu, law.phi, 0.975)
         x = obs_to_gaussian(np.array([[y]]), field)
         assert x[0, 0] == pytest.approx(1.9599639845, abs=1e-7)
 
@@ -208,7 +207,7 @@ class TestJointForecast:
         field = MarginalField.homogeneous(law, 2, 1)
         sigma = np.array([[1.0, 0.7], [0.7, 1.0]])
         joint = joint_forecast(cov_from_sigma(sigma), field, [0], 20_000, 4)[0]
-        direct = gm_sample(law, substream(4, 1), size=20_000)
+        direct = mixture_quantile(law.p, law.mu, law.phi, substream(4, 1).random(20_000))
         for i in range(2):
             ks = stats.ks_2samp(joint[:, i], direct).statistic
             assert ks < 0.02

@@ -8,10 +8,8 @@ from scipy import stats
 
 from raincop import estimation
 from raincop.copula import joint_forecast, substream
-from raincop.diagnostics import (EnsembleBlock, crps_sample, crps_scores, cross_correlation,
-                                 ecdf_curve, exceedance_frequencies, median_bias,
-                                 rank_counts, rank_histogram, rmsb_mab, roc_auc,
-                                 variogram_score, variogram_scores)
+from raincop.diagnostics import (crps_sample, cross_correlation, ecdf_curve, rank_histogram,
+                                 rmsb_mab, roc_auc, variogram_score)
 from raincop.marginals import GammaMixture, MarginalField
 from raincop.spatial import DistanceMatrix, LocationTable
 from raincop.synth import SynthSpec, simulate_dataset
@@ -19,25 +17,37 @@ from raincop.synth import SynthSpec, simulate_dataset
 CRPS_STD_NORMAL_AT_MEAN = 0.23369497725510907  # (sqrt(2)-1)/sqrt(pi), quadrature-checked
 
 
-def make_blocks(rng, n_days=40, m=9, n=6, p=0.6):
-    blocks = []
-    for day in range(n_days):
+def make_ensemble(rng, n_days=40, m=9, n=6, p=0.6):
+    """(n_days, m, n) samples and (n_days, n) observations, drawn day by day."""
+    days = []
+    for _ in range(n_days):
         wet = rng.random((m + 1, n)) < p
-        vals = np.where(wet, rng.gamma(1.0, 2.0, (m + 1, n)), 0.0)
-        blocks.append(EnsembleBlock(day=day, samples=vals[:m], obs=vals[m]))
-    return blocks
+        days.append(np.where(wet, rng.gamma(1.0, 2.0, (m + 1, n)), 0.0))
+    vals = np.stack(days)
+    return vals[:, :m], vals[:, m]
+
+
+def crps_cell(samples, y) -> float:
+    """crps_sample of one cell: an (m,) sample against the observation y."""
+    return float(crps_sample(np.reshape(samples, (1, -1, 1)), [[y]])[0, 0])
+
+
+def variogram_day(samples, obs, distance, p_exp=1.0) -> float:
+    """variogram_score of one day's (m, n) ensemble."""
+    return float(variogram_score(np.asarray(samples)[None], np.asarray(obs)[None],
+                                 distance, p_exp)[0])
 
 
 class TestCrps:
     def test_zero_when_equal(self):
-        assert crps_sample(np.full(7, 2.5), 2.5) == 0.0
+        assert crps_cell(np.full(7, 2.5), 2.5) == 0.0
 
     def test_point_forecast_reduces_to_abs_error(self):
-        assert crps_sample(np.full(11, 4.0), 1.5) == 2.5
+        assert crps_cell(np.full(11, 4.0), 1.5) == 2.5
 
     def test_gaussian_closed_form(self):
         draws = substream(0, 50).standard_normal(100_000)
-        assert crps_sample(draws, 0.0) == pytest.approx(CRPS_STD_NORMAL_AT_MEAN, abs=0.002)
+        assert crps_cell(draws, 0.0) == pytest.approx(CRPS_STD_NORMAL_AT_MEAN, abs=0.002)
 
     def test_sorted_pair_sum_vs_brute_force(self):
         rng = np.random.default_rng(1)
@@ -47,13 +57,13 @@ class TestCrps:
             y = rng.standard_normal()
             brute = (np.abs(x - y).mean()
                      - np.abs(x[:, None] - x[None, :]).sum() / (2.0 * m * (m - 1)))
-            assert crps_sample(x, y) == pytest.approx(brute, rel=1e-12)
+            assert crps_cell(x, y) == pytest.approx(brute, rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             m = rng.integers(2, 20)
-            assert crps_sample(rng.standard_normal(m), rng.standard_normal()) >= -1e-12
+            assert crps_cell(rng.standard_normal(m), rng.standard_normal()) >= -1e-12
 
 
 class TestVariogram:
@@ -62,20 +72,17 @@ class TestVariogram:
 
     def test_zero_for_perfect_ensemble(self):
         obs = np.array([1.0, 3.0])
-        block = EnsembleBlock(day=0, samples=np.tile(obs, (4, 1)), obs=obs)
-        assert variogram_score(block, self.two_by_two()) == 0.0
+        assert variogram_day(np.tile(obs, (4, 1)), obs, self.two_by_two()) == 0.0
 
     def test_hand_case(self):
-        block = EnsembleBlock(day=0, samples=np.array([[0.0, 0.0], [0.0, 4.0]]),
-                              obs=np.array([0.0, 2.0]))
-        assert variogram_score(block, self.two_by_two()) == 0.0
+        samples, obs = np.array([[0.0, 0.0], [0.0, 4.0]]), np.array([0.0, 2.0])
+        assert variogram_day(samples, obs, self.two_by_two()) == 0.0
 
     def test_zero_distance_weight_warning(self):
         d = DistanceMatrix(values=np.zeros((2, 2)), blend=1.0)
-        block = EnsembleBlock(day=0, samples=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                              obs=np.array([0.5, 0.5]))
+        samples, obs = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5])
         with pytest.warns(UserWarning):
-            assert variogram_score(block, d) == 0.0
+            assert variogram_day(samples, obs, d) == 0.0
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(3)
@@ -87,11 +94,9 @@ class TestVariogram:
         np.fill_diagonal(d_vals, 0.0)
         d = DistanceMatrix(values=d_vals, blend=1.0)
         perm = rng.permutation(n)
-        block = EnsembleBlock(day=0, samples=samples, obs=obs)
-        block_p = EnsembleBlock(day=0, samples=samples[:, perm], obs=obs[perm])
         d_p = DistanceMatrix(values=d_vals[np.ix_(perm, perm)], blend=1.0)
-        assert variogram_score(block_p, d_p) == pytest.approx(
-            variogram_score(block, d), rel=1e-12)
+        assert variogram_day(samples[:, perm], obs[perm], d_p) == pytest.approx(
+            variogram_day(samples, obs, d), rel=1e-12)
 
     def test_correct_beats_independent_forecaster(self):
         spec = SynthSpec(n_locations=25, n_days=100, seed=77)
@@ -109,10 +114,8 @@ class TestVariogram:
         bad = joint_forecast(eye_cov, res.field, days, m, 5, 1)
         for day in days:
             obs = res.panel.values[:, day]
-            vg = variogram_score(EnsembleBlock(day=day, samples=good[day], obs=obs),
-                                 res.distance)
-            vb = variogram_score(EnsembleBlock(day=day, samples=bad[day], obs=obs),
-                                 res.distance)
+            vg = variogram_day(good[day], obs, res.distance)
+            vb = variogram_day(bad[day], obs, res.distance)
             wins += vg < vb
         assert wins >= 0.9 * spec.n_days
 
@@ -121,23 +124,19 @@ class TestRmsbMab:
     def test_zero_bias(self):
         obs = np.array([1.0, 2.0])
         odd = np.array([[0.5, 1.5], [1.0, 2.0], [4.0, 3.0]])  # medians = obs
-        blocks = [EnsembleBlock(day=0, samples=odd, obs=obs)]
-        assert rmsb_mab(blocks) == (0.0, 0.0)
+        assert rmsb_mab(odd[None], obs[None]) == (0.0, 0.0)
 
     def test_single_cell(self):
-        blocks = [EnsembleBlock(day=0, samples=np.array([[1.0], [1.0]]),
-                                obs=np.array([3.0]))]
-        rmsb, mab = rmsb_mab(blocks)
+        rmsb, mab = rmsb_mab(np.array([[[1.0], [1.0]]]), np.array([[3.0]]))
         assert rmsb == 2.0 and mab == 2.0
 
     def test_random_panel_reference(self):
         rng = np.random.default_rng(4)
-        blocks = make_blocks(rng, n_days=12, m=7, n=5)
-        meds = np.array([np.median(b.samples, axis=0) for b in blocks])
-        obs = np.array([b.obs for b in blocks])
+        samples, obs = make_ensemble(rng, n_days=12, m=7, n=5)
+        meds = np.array([np.median(x, axis=0) for x in samples])
         rmsb_ref = float(np.sqrt(np.mean((obs - meds) ** 2)))
         mab_ref = float(np.mean(np.abs(obs - meds)))
-        rmsb, mab = rmsb_mab(blocks)
+        rmsb, mab = rmsb_mab(samples, obs)
         assert rmsb == pytest.approx(rmsb_ref, rel=1e-12)
         assert mab == pytest.approx(mab_ref, rel=1e-12)
 
@@ -207,8 +206,8 @@ class TestRocAuc:
 class TestRankHistogram:
     def test_exchangeable_uniform(self):
         rng = np.random.default_rng(9)
-        blocks = make_blocks(rng, n_days=120, m=9, n=10)
-        counts, freq = rank_histogram(blocks, bins=10, rng=substream(1, 0))
+        samples, obs = make_ensemble(rng, n_days=120, m=9, n=10)
+        counts, freq = rank_histogram(samples, obs, bins=10, rng=substream(1, 0))
         chi = stats.chisquare(counts)
         assert chi.pvalue > 0.01
         assert freq.sum() == pytest.approx(1.0)
@@ -217,16 +216,14 @@ class TestRankHistogram:
         rng = np.random.default_rng(10)
         samples = rng.gamma(1.0, 1.0, (8, 5))
         obs = samples.max(axis=0) + 1.0
-        blocks = [EnsembleBlock(day=0, samples=samples, obs=obs)]
-        counts, _ = rank_histogram(blocks, bins=9, rng=substream(1, 1))
+        counts, _ = rank_histogram(samples[None], obs[None], bins=9, rng=substream(1, 1))
         assert counts[-1] == 5 and counts[:-1].sum() == 0
 
     def test_tie_randomization_all_tied(self):
         # every value zero: the rank is pure tie-break, so it must come out
         # uniform over {0, ..., m}
-        blocks = [EnsembleBlock(day=d, samples=np.zeros((9, 4)), obs=np.zeros(4))
-                  for d in range(400)]
-        counts, _ = rank_histogram(blocks, bins=10, rng=substream(1, 2))
+        counts, _ = rank_histogram(np.zeros((400, 9, 4)), np.zeros((400, 4)), bins=10,
+                                   rng=substream(1, 2))
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_exchangeable_zero_inflated_uniform(self):
@@ -234,39 +231,32 @@ class TestRankHistogram:
         # the same p = 0.5 mixture; ranks uniform only if ties among the
         # exact zeros are randomized correctly
         rng = np.random.default_rng(11)
-        blocks = []
-        for day in range(400):
+        days = []
+        for _ in range(400):
             wet = rng.random((10, 4)) < 0.5
-            vals = np.where(wet, rng.gamma(1.0, 2.0, (10, 4)), 0.0)
-            blocks.append(EnsembleBlock(day=day, samples=vals[:9], obs=vals[9]))
-        counts, _ = rank_histogram(blocks, bins=10, rng=substream(1, 3))
+            days.append(np.where(wet, rng.gamma(1.0, 2.0, (10, 4)), 0.0))
+        vals = np.stack(days)
+        counts, _ = rank_histogram(vals[:, :9], vals[:, 9], bins=10, rng=substream(1, 3))
         assert stats.chisquare(counts).pvalue > 0.01
-
-    def test_mismatched_m_rejected(self):
-        b1 = EnsembleBlock(day=0, samples=np.zeros((3, 2)), obs=np.zeros(2))
-        b2 = EnsembleBlock(day=1, samples=np.zeros((4, 2)), obs=np.zeros(2))
-        with pytest.raises(ValueError):
-            rank_histogram([b1, b2], bins=4)
 
 
 class TestEcdf:
     def test_observed_wet_fraction(self):
         obs = np.array([0.0, 0.0, 0.0, 1.0, 2.0])
-        blocks = [EnsembleBlock(day=0, samples=np.ones((2, 5)), obs=obs)]
-        _, obs_freq = ecdf_curve(blocks, [0.0])
+        _, obs_freq = ecdf_curve(np.ones((1, 2, 5)), obs[None], [0.0])
         assert obs_freq[0] == pytest.approx(0.4)
 
     def test_beyond_maximum(self):
         rng = np.random.default_rng(12)
-        blocks = make_blocks(rng, n_days=5)
-        model_freq, obs_freq = ecdf_curve(blocks, [1e9])
+        samples, obs = make_ensemble(rng, n_days=5)
+        model_freq, obs_freq = ecdf_curve(samples, obs, [1e9])
         assert model_freq[0] == 0.0 and obs_freq[0] == 0.0
 
     def test_self_samples_agree(self):
         rng = np.random.default_rng(13)
-        blocks = make_blocks(rng, n_days=300, m=12, n=8)
+        samples, obs = make_ensemble(rng, n_days=300, m=12, n=8)
         levels = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-        model_freq, obs_freq = ecdf_curve(blocks, levels)
+        model_freq, obs_freq = ecdf_curve(samples, obs, levels)
         n_obs = 300 * 8
         for mf, of in zip(model_freq, obs_freq):
             se = np.sqrt(max(mf * (1 - mf), 1e-4) / n_obs)
@@ -320,7 +310,9 @@ class TestCrossCorrelation:
 # Array kernels against per-day and per-cell loops. The references below are
 # the loops the kernels replaced; the kernels must reproduce them bitwise
 # where the arithmetic is the same and within 1e-12 of the terms where the
-# summation order changed (the CRPS pair term, once a dot product).
+# summation order changed (the CRPS pair term, once a dot product). A day or
+# a cell scored alone, as a stack of one, gives the same bits as inside the
+# whole array.
 
 @st.composite
 def ensembles(draw):
@@ -379,12 +371,12 @@ def reference_median_bias(samples, obs):
 
 
 def all_outputs(samples, obs, distance, bins, levels):
-    return (crps_scores(samples, obs),
-            variogram_scores(samples, obs, distance),
-            variogram_scores(samples, obs, distance, 0.5),
-            rank_counts(samples, obs, bins, substream(4, 20)),
-            exceedance_frequencies(samples, obs, levels),
-            median_bias(samples, obs))
+    return (crps_sample(samples, obs),
+            variogram_score(samples, obs, distance),
+            variogram_score(samples, obs, distance, 0.5),
+            rank_histogram(samples, obs, bins, substream(4, 20)),
+            ecdf_curve(samples, obs, levels),
+            rmsb_mab(samples, obs))
 
 
 class TestArrayKernels:
@@ -393,18 +385,17 @@ class TestArrayKernels:
     def test_variogram_matches_gap_tensor_bitwise(self, case, p_exp):
         samples, obs = case
         dist = distances(obs.shape[1], samples.shape[0])
-        got = variogram_scores(samples, obs, dist, p_exp)
+        got = variogram_score(samples, obs, dist, p_exp)
         for s in range(samples.shape[0]):
             want = reference_variogram(samples[s], obs[s], dist.values, p_exp)
             assert got[s] == want
-            block = EnsembleBlock(day=s, samples=samples[s], obs=obs[s])
-            assert variogram_score(block, dist, p_exp) == want
+            assert variogram_day(samples[s], obs[s], dist, p_exp) == want
 
     @settings(max_examples=150, deadline=None)
     @given(ensembles())
     def test_crps_matches_per_cell_loop(self, case):
         samples, obs = case
-        got = crps_scores(samples, obs)
+        got = crps_sample(samples, obs)
         days, m, n = samples.shape
         for s in range(days):
             for i in range(n):
@@ -413,7 +404,7 @@ class TestArrayKernels:
                 term_pair = np.abs(x[:, None] - x[None, :]).sum() / (2.0 * m * (m - 1))
                 tol = 1e-12 * (term_obs + term_pair)
                 assert abs(got[s, i] - (term_obs - term_pair)) <= tol
-                assert got[s, i] == crps_sample(x, y)
+                assert got[s, i] == crps_cell(x, y)
 
     @settings(max_examples=150, deadline=None)
     @given(ensembles(), st.integers(1, 13), st.integers(0, 1000))
@@ -421,25 +412,20 @@ class TestArrayKernels:
         samples, obs = case
         bins = min(bins, samples.shape[1] + 1)
         want = reference_rank_counts(samples, obs, bins, substream(seed, 20))
-        counts, freq = rank_counts(samples, obs, bins, substream(seed, 20))
+        counts, freq = rank_histogram(samples, obs, bins, substream(seed, 20))
         assert np.array_equal(counts, want)
         assert np.array_equal(freq, want / want.sum())
-        blocks = [EnsembleBlock(day=s, samples=x, obs=y) for s, (x, y) in
-                  enumerate(zip(samples, obs))]
-        assert np.array_equal(rank_histogram(blocks, bins, substream(seed, 20))[0], want)
 
     @settings(max_examples=150, deadline=None)
     @given(ensembles())
     def test_bias_and_ecdf_match_per_day_loops(self, case):
         samples, obs = case
         rmsb_want, mab_want = reference_median_bias(samples, obs)
-        for got in (median_bias(samples, obs),
-                    rmsb_mab([EnsembleBlock(day=s, samples=x, obs=y)
-                              for s, (x, y) in enumerate(zip(samples, obs))])):
-            assert got[0] == pytest.approx(rmsb_want, rel=1e-12, abs=1e-300)
-            assert got[1] == pytest.approx(mab_want, rel=1e-12, abs=1e-300)
+        got = rmsb_mab(samples, obs)
+        assert got[0] == pytest.approx(rmsb_want, rel=1e-12, abs=1e-300)
+        assert got[1] == pytest.approx(mab_want, rel=1e-12, abs=1e-300)
         levels = np.array([0.0, 0.05, 1.0, 30.0])
-        model_freq, obs_freq = exceedance_frequencies(samples, obs, levels)
+        model_freq, obs_freq = ecdf_curve(samples, obs, levels)
         assert np.array_equal(model_freq,
                               (samples.reshape(1, -1) > levels[:, None]).mean(axis=1))
         assert np.array_equal(obs_freq, (obs.reshape(1, -1) > levels[:, None]).mean(axis=1))
@@ -472,11 +458,11 @@ class TestArrayKernels:
         perm = list(range(n))
         rnd.shuffle(perm)
         dist_p = DistanceMatrix(values=dist.values[np.ix_(perm, perm)], blend=1.0)
-        np.testing.assert_allclose(variogram_scores(samples[:, :, perm], obs[:, perm], dist_p),
-                                   variogram_scores(samples, obs, dist), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(variogram_score(samples[:, :, perm], obs[:, perm], dist_p),
+                                   variogram_score(samples, obs, dist), rtol=1e-12, atol=0.0)
 
     def test_needs_two_members_and_aligned_shapes(self):
         with pytest.raises(ValueError, match="two ensemble members"):
-            crps_scores(np.zeros((3, 1, 4)), np.zeros((3, 4)))
+            crps_sample(np.zeros((3, 1, 4)), np.zeros((3, 4)))
         with pytest.raises(ValueError, match="aligned"):
-            median_bias(np.zeros((3, 2, 4)), np.zeros((4, 3)))
+            rmsb_mab(np.zeros((3, 2, 4)), np.zeros((4, 3)))

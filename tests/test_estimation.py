@@ -11,22 +11,28 @@ from hypothesis import strategies as st
 from raincop import estimation
 from raincop.copula import censor, censor_thresholds, obs_to_gaussian, substream
 from raincop.estimation import (ProfilePoint, ScoreConfig, ThetaSearchSpec,
-                                energy_score_unbiased, energy_scores, estimate_theta,
+                                energy_score_unbiased, estimate_theta,
                                 subsample_indices, write_profile, write_summary, _SEL_LOCS,
                                 _grid_vertex, _objective_terms)
 from raincop.synth import SynthSpec, simulate_dataset
+
+
+def one_block(samples, obs, beta=0.5) -> float:
+    """energy_score_unbiased of one (m, n) block against its (n,) observation."""
+    return float(energy_score_unbiased(np.asarray(samples)[None], np.asarray(obs)[None],
+                                       beta)[0])
 
 
 class TestEnergyScore:
     def test_zero_when_samples_equal_obs(self):
         obs = np.array([1.0, -2.0, 0.5])
         samples = np.tile(obs, (5, 1))
-        assert energy_score_unbiased(samples, obs, 0.5) == 0.0
+        assert one_block(samples, obs, 0.5) == 0.0
 
     def test_hand_case_m2(self):
         # (2/2)(1+1) - (1/2)(2+2) = 0 at beta = 1
         samples = np.array([[0.0], [2.0]])
-        assert energy_score_unbiased(samples, np.array([1.0]), 1.0) == pytest.approx(0.0)
+        assert one_block(samples, np.array([1.0]), 1.0) == pytest.approx(0.0)
 
     def test_nonnegative_for_beta_leq_one(self):
         # exact zero is attainable at beta = 1 (triangle equality), so allow
@@ -37,8 +43,8 @@ class TestEnergyScore:
             n = rng.integers(1, 6)
             samples = rng.standard_normal((m, n)) * rng.uniform(0.1, 5.0)
             obs = rng.standard_normal(n)
-            assert energy_score_unbiased(samples, obs, 0.5) >= 0.0
-            assert energy_score_unbiased(samples, obs, 1.0) >= -1e-12
+            assert one_block(samples, obs, 0.5) >= 0.0
+            assert one_block(samples, obs, 1.0) >= -1e-12
 
     def test_unbiasedness_light(self):
         # mean over repeated small-m estimates matches a large paired-sample
@@ -47,7 +53,7 @@ class TestEnergyScore:
         obs = np.array([0.3, -0.1])
         n_rep, m = 4000, 4
         draws = rng.standard_normal((n_rep, m, 2))
-        estimates = [energy_score_unbiased(draws[k], obs, 0.5) for k in range(n_rep)]
+        estimates = [one_block(draws[k], obs, 0.5) for k in range(n_rep)]
         big = rng.standard_normal((400_000, 2))
         term_obs = 2.0 * np.mean(np.linalg.norm(big - obs, axis=1) ** 0.5)
         pair = np.linalg.norm(big[0::2] - big[1::2], axis=1) ** 0.5
@@ -59,17 +65,16 @@ class TestEnergyScore:
         obs = np.zeros(3)
         variances = []
         for m in (2, 8, 32):
-            vals = [energy_score_unbiased(substream(9, m, k).standard_normal((m, 3)),
-                                          obs, 0.5)
+            vals = [one_block(substream(9, m, k).standard_normal((m, 3)), obs, 0.5)
                     for k in range(400)]
             variances.append(np.var(vals))
         assert variances[0] > variances[1] > variances[2]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            energy_score_unbiased(np.zeros((3, 2)), np.zeros(3))
+            energy_score_unbiased(np.zeros((1, 3, 2)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            energy_score_unbiased(np.zeros((1, 2)), np.zeros(2))
+            energy_score_unbiased(np.zeros((1, 1, 2)), np.zeros((1, 2)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -275,14 +280,14 @@ class TestStackedKernel:
     @given(stacks())
     def test_matches_per_block_reference(self, case):
         samples, obs, beta = case
-        got = energy_scores(samples, obs, beta)
+        got = energy_score_unbiased(samples, obs, beta)
         for b in range(samples.shape[0]):
             term_obs, term_pair = reference_terms(samples[b], obs[b], beta)
             want = term_obs - term_pair
             # relative to the terms, since their difference may cancel to ~0
             tol = 1e-12 * (term_obs + term_pair)
             assert abs(got[b] - want) <= tol
-            assert abs(energy_score_unbiased(samples[b], obs[b], beta) - want) <= tol
+            assert abs(one_block(samples[b], obs[b], beta) - want) <= tol
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 8), st.integers(1, 6),
@@ -293,7 +298,7 @@ class TestStackedKernel:
         draws = np.random.default_rng(k * m * n).standard_normal((k, m, n)) - 10.0
         thresholds = np.full(n, level)
         sims = censor(draws, thresholds)
-        assert np.all(energy_scores(sims, np.tile(thresholds, (k, 1)), beta) == 0.0)
+        assert np.all(energy_score_unbiased(sims, np.tile(thresholds, (k, 1)), beta) == 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(stacks(), st.randoms(use_true_random=False))
@@ -301,8 +306,8 @@ class TestStackedKernel:
         samples, obs, beta = case
         perm = list(range(samples.shape[2]))
         rnd.shuffle(perm)
-        a = energy_scores(samples, obs, beta)
-        b = energy_scores(samples[:, :, perm], obs[:, perm], beta)
+        a = energy_score_unbiased(samples, obs, beta)
+        b = energy_score_unbiased(samples[:, :, perm], obs[:, perm], beta)
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
 

