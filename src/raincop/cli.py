@@ -29,7 +29,7 @@ from .diagnostics import (cross_correlation, crps_sample, ecdf_curve, rank_histo
                           rmsb_mab, roc_auc, variogram_score)
 from .estimation import (ScoreConfig, ThetaSearchSpec, day_chunks, energy_score_unbiased,
                          estimate_theta, write_profile, write_summary)
-from .marginals import flatten_panel, jglm_fit, make_transform, predict_field, write_coefficients
+from .marginals import jglm_fit, make_transform, predict_field, write_coefficients
 from .numerics import NotPositiveDefinite
 from .panel import (IngestError, read_features_csv, read_kv, read_marginals_csv,
                     read_rain_csv, write_csv, write_json, write_marginals_csv, write_rain_csv)
@@ -134,9 +134,13 @@ class Settings(dict):
         try:
             validate()
         except ValueError as exc:
-            sources = [self.source(key)[1] for key in keys]
-            where = ", ".join(s for s in sources if s != "default") or "default"
-            raise IngestError(f"{where}: {exc}") from exc
+            self.reject(exc, *keys)
+
+    def reject(self, message, *keys):
+        """Raise IngestError with message, naming where keys were set."""
+        sources = [self.source(key)[1] for key in keys]
+        where = ", ".join(s for s in sources if s != "default") or "default"
+        raise IngestError(f"{where}: {message}")
 
 
 def _out_dir(settings: Settings) -> str:
@@ -157,21 +161,21 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+# SynthSpec field -> the settings it is made of
+_SYNTH_FIELDS = {"n_days": ("days",), "blend": ("a",), "lat_range": ("lat_min", "lat_max"),
+                 "lon_range": ("lon_min", "lon_max"), "elev_range": ("elev_min", "elev_max"),
+                 **{key: (key,) for key in ("n_locations", "theta_true", "nu", "topo_scale",
+                                            "p", "mu", "phi", "seed", "start_date")}}
+
+
 def cmd_synth(settings: Settings) -> int:
-    spec = SynthSpec(
-        n_locations=settings["n_locations"],
-        n_days=settings["days"],
-        theta_true=settings["theta_true"],
-        blend=settings["a"],
-        nu=settings["nu"],
-        topo_scale=settings["topo_scale"],
-        lat_range=(settings["lat_min"], settings["lat_max"]),
-        lon_range=(settings["lon_min"], settings["lon_max"]),
-        elev_range=(settings["elev_min"], settings["elev_max"]),
-        p=settings["p"], mu=settings["mu"], phi=settings["phi"],
-        seed=settings["seed"],
-        start_date=settings["start_date"],
-    )
+    fields = {name: tuple(settings[key] for key in keys) if len(keys) > 1 else settings[keys[0]]
+              for name, keys in _SYNTH_FIELDS.items()}
+    # Each field alone, then the dates: a rejected value is named before anything is written.
+    for name, keys in _SYNTH_FIELDS.items():
+        settings.check(lambda: SynthSpec(**{name: fields[name]}), *keys)
+    spec = SynthSpec(**fields)
+    settings.check(spec.day_labels, "days", "start_date")
     out = _out_dir(settings)
     result = simulate_dataset(spec)
     write_locations(os.path.join(out, "locations.csv"), result.locations)
@@ -188,8 +192,8 @@ def cmd_fit_marginals(settings: Settings) -> int:
     if settings["features"] is not None:
         features = read_features_csv(settings.path("features"), panel)
     else:
-        features = np.empty((panel.n_locations * panel.n_days, 0))
-    fit = jglm_fit(features, flatten_panel(panel.values), settings["transform"])
+        features = np.empty((panel.values.size, 0))
+    fit = jglm_fit(features, panel.values, settings["transform"])
     if not fit.converged:
         _log(f"fit-marginals: did not converge (grad norm {fit.grad_norm:.3e})")
         if settings["strict"]:
@@ -240,7 +244,7 @@ def cmd_estimate_theta(settings: Settings) -> int:
 def cmd_simulate(settings: Settings) -> int:
     m = settings["m"]
     if m < 1:
-        raise IngestError(f"{settings.source('m')[1]}: need at least one draw, got {m}")
+        settings.reject(f"need at least one draw, got {m}", "m")
     theta = settings["theta"]
     if theta is not None:
         settings.check(lambda: MaternParams(theta=theta), "theta")
@@ -281,6 +285,14 @@ def cmd_simulate(settings: Settings) -> int:
 
 
 def cmd_diagnose(settings: Settings) -> int:
+    beta, bins = settings["beta"], settings["rank_bins"]
+    settings.check(lambda: ScoreConfig(beta=beta), "beta")
+    for key, low in (("tau_grid", 2), ("rank_bins", 1)):
+        if settings[key] < low:
+            settings.reject(f"{key} must be at least {low}, got {settings[key]}", key)
+    for key in ("q_levels", "ecdf_levels"):
+        if not all(level >= 0.0 for level in settings[key]):
+            settings.reject(f"{key} must be nonnegative, got {settings[key]}", key)
     a, topo_scale = _blend_settings(settings)
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
@@ -291,22 +303,21 @@ def cmd_diagnose(settings: Settings) -> int:
     days, m, n = ens.shape
     if m < 2:
         raise IngestError("ensemble needs at least two replicates per day")
-    obs = panel.values.T  # (days, n)
+    if bins > m + 1:
+        settings.reject(f"rank_bins must be at most m + 1 = {m + 1}, got {bins}", "rank_bins")
+    obs = panel.values  # (days, n)
     distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
     seed = settings["seed"]
-    beta = settings["beta"]
 
     # Compute every result before writing any file: a rejected setting writes nothing.
     tau_grid = np.linspace(0.0, 1.0, settings["tau_grid"])
-    curves = {f"{q:g}": roc_auc(field, panel.values, q, tau_grid)
+    curves = {f"{q:g}": roc_auc(field, obs, q, tau_grid)
               for q in settings["q_levels"]}
-    bins = settings["rank_bins"]
     counts, freq = rank_histogram(ens, obs, bins, substream(seed, _RANK_TAG))
     levels = np.array(settings["ecdf_levels"])
     model_freq, obs_freq = ecdf_curve(ens, obs, levels)
-    center_id, obs_corr = cross_correlation(panel.values, locs)
-    pooled = ens.transpose(2, 0, 1).reshape(n, days * m)
-    _, model_corr = cross_correlation(pooled, locs, center=center_id)
+    center_id, obs_corr = cross_correlation(obs, locs)
+    _, model_corr = cross_correlation(ens.reshape(days * m, n), locs, center=center_id)
     crps_vals = crps_sample(ens, obs)
     energy_vals = energy_score_unbiased(ens, obs, beta)
     vario_vals = variogram_score(ens, obs, distance)

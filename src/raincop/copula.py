@@ -117,7 +117,7 @@ def joint_forecast(cov: CovarianceMatrix, field: MarginalField, days, m: int, se
         raise ValueError("covariance size does not match the marginal field")
     z = np.stack([substream(seed, *path, day).standard_normal((m, cov.n)) for day in days])
     u = _sp.ndtr(z @ cov.factor.lower.T)
-    return mixture_quantile(*(a[:, days].T[:, None, :] for a in (field.p, field.mu, field.phi)), u)
+    return mixture_quantile(*(a[days, None, :] for a in (field.p, field.mu, field.phi)), u)
 
 
 def write_ensemble(path, day_labels, location_ids, blocks) -> None:

@@ -150,14 +150,15 @@ def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
                       center: str = "center-of-mass"):
     """Pearson correlation across days between a center series and every location.
 
-    center is a location id, or "center-of-mass" to use the location nearest
-    the mean (lat, lon). Zero-variance series yield NaN entries.
-    Returns (center_id, correlations).
+    panel_values is (n_days, n_locations), or a (days, m, n) ensemble as
+    (days * m, n). center is a location id, or "center-of-mass" to use the
+    location nearest the mean (lat, lon). Zero-variance series yield NaN
+    entries. Returns (center_id, correlations).
     """
     values = np.asarray(panel_values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != len(locs):
-        raise ValueError("panel must be (n_locations, n_days) aligned with locations")
-    if values.shape[1] < 3:
+    if values.ndim != 2 or values.shape[1] != len(locs):
+        raise ValueError("panel must be (n_days, n_locations) aligned with locations")
+    if values.shape[0] < 3:
         raise ValueError("need at least 3 days for a correlation")
 
     if center == "center-of-mass":
@@ -166,13 +167,13 @@ def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
     else:
         center_idx = locs.index_of(center)
 
-    c = values[center_idx]
+    c = values[:, center_idx]
     c_dev = c - c.mean()
     c_ss = float(c_dev @ c_dev)
-    dev = values - values.mean(axis=1, keepdims=True)
-    ss = (dev ** 2).sum(axis=1)
+    dev = values - values.mean(axis=0)
+    ss = (dev ** 2).sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = (dev @ c_dev) / np.sqrt(ss * c_ss)
+        corr = (c_dev @ dev) / np.sqrt(ss * c_ss)
     corr[(ss == 0.0) | (c_ss == 0.0)] = np.nan
     return locs.ids[center_idx], corr
 

@@ -219,20 +219,20 @@ def _objective_terms(thetas, obs_gauss, thresholds, distance: DistanceMatrix,
     Explicit days/locations index arrays override the seeded subsampling; both
     are sorted first, so any permutation of the same set scores the same.
     """
-    n_days_total = obs_gauss.shape[1]
+    n_days_total = obs_gauss.shape[0]
     if days is None:
         days = subsample_indices(cfg.seed, _SEL_DAYS, n_days_total, cfg.day_subsample)
     else:
         days = np.sort(np.asarray(days, dtype=int))
     if locations is None:
-        locations = subsample_indices(cfg.seed, _SEL_LOCS, obs_gauss.shape[0],
+        locations = subsample_indices(cfg.seed, _SEL_LOCS, obs_gauss.shape[1],
                                       cfg.location_subsample)
     else:
         locations = np.sort(np.asarray(locations, dtype=int))
 
     sub = distance.subset(locations)
-    obs = obs_gauss[np.ix_(locations, days)].T
-    thr = thresholds[np.ix_(locations, days)].T[:, None, :]
+    obs = obs_gauss[np.ix_(days, locations)]
+    thr = thresholds[np.ix_(days, locations)][:, None, :]
     group = max(1, _ELEMENT_BUDGET // (sub.n * sub.n))
     return np.vstack([_group_terms(thetas[g:g + group], sub, nu, cfg, days, obs, thr)
                       for g in range(0, len(thetas), group)])

@@ -14,9 +14,8 @@ for the likelihood. The law functions broadcast over their arguments, so a
 single GammaMixture's p, mu and phi go in as scalars; a draw from a law is
 mixture_quantile at uniform draws, and a dry draw is exactly 0.0.
 
-Flat panel layout convention: wherever a (n_locations, n_days) panel is
-flattened into feature/parameter rows, rows run date-major, i.e. row index
-= day * n_locations + location (all locations for day 0, then day 1, ...).
+A field is (n_days, n_locations), like the panel it describes, so its cells
+raveled in C order are the date-major feature rows predict_field evaluates.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "mixture_quantile",
     "jglm_fit",
     "predict_field",
-    "flatten_panel",
     "write_coefficients",
     "read_coefficients",
 ]
@@ -124,7 +122,7 @@ class JglmCoefficients:
 
 
 class MarginalField:
-    """Per-location, per-day mixture parameters as dense (n_locations, n_days) arrays."""
+    """Per-day, per-location mixture parameters as dense (n_days, n_locations) arrays."""
 
     def __init__(self, p: np.ndarray, mu: np.ndarray, phi: np.ndarray):
         self.p = np.asarray(p, dtype=float)
@@ -141,27 +139,20 @@ class MarginalField:
 
     @property
     def n_locations(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[1]
 
     @property
     def n_days(self) -> int:
-        return self.p.shape[1]
+        return self.p.shape[0]
 
     def cdf(self, values: np.ndarray) -> np.ndarray:
-        """Mixture CDF evaluated cellwise on an (n_locations, n_days) panel."""
+        """Mixture CDF evaluated cellwise on an (n_days, n_locations) panel."""
         return mixture_cdf(self.p, self.mu, self.phi, values)
 
     @classmethod
     def homogeneous(cls, law: GammaMixture, n_locations: int, n_days: int) -> "MarginalField":
-        shape = (n_locations, n_days)
+        shape = (n_days, n_locations)
         return cls(np.full(shape, law.p), np.full(shape, law.mu), np.full(shape, law.phi))
-
-    @classmethod
-    def from_flat(cls, p, mu, phi, n_locations: int, n_days: int) -> "MarginalField":
-        """Build from date-major flat vectors (see module docstring)."""
-        def reshape(v):
-            return np.asarray(v, dtype=float).reshape(n_days, n_locations).T
-        return cls(reshape(p), reshape(mu), reshape(phi))
 
 
 def mixture_cdf(p, mu, phi, y):
@@ -313,8 +304,8 @@ def jglm_fit(features, rain, transform=None) -> FitResult:
         Raw predictor rows, one per observation (date-major when the rows
         come from a flattened panel). d may be 0 for intercept-only fits.
     rain : ndarray
-        Observed rainfall aligned with the feature rows; any shape, raveled
-        date-major.
+        Observed rainfall aligned with the feature rows, raveled in C order:
+        a (n_days, n_locations) panel gives date-major rows.
     transform : feature transform, optional
         Fitted on the raw features before regression; identity by default.
 
@@ -373,7 +364,8 @@ def predict_field(coeffs: JglmCoefficients, transform, features,
                   n_locations: int, n_days: int) -> MarginalField:
     """Evaluate the links on every feature row and shape into a field.
 
-    Feature rows must be date-major (row = day * n_locations + location).
+    Feature rows must be date-major (row = day * n_locations + location), so
+    row r is cell r of the (n_days, n_locations) field raveled in C order.
     """
     z = transform.apply(np.asarray(features, dtype=float))
     if z.shape != (n_locations * n_days, coeffs.feature_dim):
@@ -383,14 +375,8 @@ def predict_field(coeffs: JglmCoefficients, transform, features,
     tg = coeffs.gamma0 + z @ coeffs.gamma
     if not (np.all(np.isfinite(ta)) and np.all(np.isfinite(tb)) and np.all(np.isfinite(tg))):
         raise ValueError("non-finite linear predictor")
-    return MarginalField.from_flat(
-        _sp.expit(ta), np.exp(tb), np.exp(tg), n_locations, n_days
-    )
-
-
-def flatten_panel(values: np.ndarray) -> np.ndarray:
-    """Ravel an (n_locations, n_days) panel date-major (day blocks, locations inside)."""
-    return np.asarray(values, dtype=float).T.ravel()
+    return MarginalField(*(v.reshape(n_days, n_locations)
+                           for v in (_sp.expit(ta), np.exp(tb), np.exp(tg))))
 
 
 def write_coefficients(path, coeffs: JglmCoefficients, transform) -> None:

@@ -3,12 +3,13 @@
 Rainfall lives in a wide CSV: first column `date` (ISO-8601), remaining
 headers are location ids in the locations-file order, one row per day.
 Feature and marginal-cache CSVs are long format, one row per (date,
-location) cell, date-major (all locations for the first date, then the
-next). Every CSV is read by read_csv, which rejects a wrong field count, a
-non-numeric or non-finite (NaN, inf, -inf) cell and, where asked, a negative
-one, naming the file, row and column; each reader adds only the checks of its
-own format, on each block's keys as arrays. Flat key=value files go through
-read_kv.
+location) cell, date-major: the cells of an (n_days, n_locations) array in C
+order. That is the one layout of every panel-shaped array in memory
+(RainPanel.values, MarginalField's p, mu and phi). Every CSV is read by
+read_csv, which rejects a wrong field count, a non-numeric or non-finite
+(NaN, inf, -inf) cell and, where asked, a negative one, naming the file, row
+and column; each reader adds only the checks of its own format, on each
+block's keys as arrays. Flat key=value files go through read_kv.
 
 read_csv takes the file in blocks of about _CHARS_PER_COLUMN characters per
 column and parses each with one np.loadtxt call into text keys and float64
@@ -61,15 +62,15 @@ class IngestError(ValueError):
 
 
 class RainPanel:
-    """Nonnegative (n_locations, n_days) rainfall with day labels and location ids."""
+    """Nonnegative (n_days, n_locations) rainfall with day labels and location ids."""
 
     def __init__(self, values: np.ndarray, location_ids, day_labels):
         self.values = np.asarray(values, dtype=float)
         self.location_ids = tuple(str(i) for i in location_ids)
         self.day_labels = tuple(str(d) for d in day_labels)
         if self.values.ndim != 2:
-            raise ValueError("panel values must be 2-d (n_locations, n_days)")
-        n, t = self.values.shape
+            raise ValueError("panel values must be 2-d (n_days, n_locations)")
+        t, n = self.values.shape
         if len(self.location_ids) != n or len(self.day_labels) != t:
             raise ValueError("panel labels do not match the value matrix shape")
         if len(set(self.day_labels)) != t:
@@ -83,11 +84,11 @@ class RainPanel:
 
     @property
     def n_locations(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[1]
 
     @property
     def n_days(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[0]
 
 
 def _parse_lines(path, header, n_keys: int, lines, row_no: int):
@@ -277,8 +278,8 @@ def _cell_keys(panel: RainPanel):
 
 def write_rain_csv(path, panel: RainPanel) -> None:
     write_csv(path, ["date", *panel.location_ids],
-              ([label, *map(format_rain, panel.values[:, s].tolist())]
-               for s, label in enumerate(panel.day_labels)))
+              ([label, *map(format_rain, row.tolist())]
+               for label, row in zip(panel.day_labels, panel.values)))
 
 
 def read_rain_csv(path, locs) -> RainPanel:
@@ -313,7 +314,7 @@ def read_rain_csv(path, locs) -> RainPanel:
         r = repeated[0]
         raise IngestError(f"{path}: row {file_row(path, r)}: date {labels[r]!r} "
                           "repeats an earlier row")
-    return RainPanel(values=values.T, location_ids=locs.ids, day_labels=labels)
+    return RainPanel(values=values, location_ids=locs.ids, day_labels=labels)
 
 
 def write_features_csv(path, panel: RainPanel, features: np.ndarray) -> None:
@@ -375,7 +376,7 @@ def read_features_csv(path, panel: RainPanel) -> np.ndarray:
 
 def write_marginals_csv(path, panel: RainPanel, field) -> None:
     """Marginal cache CSV: date,loc,p,mu,phi; rows date-major over panel cells."""
-    cells = np.stack([field.p.T, field.mu.T, field.phi.T], axis=-1).reshape(-1, 3).tolist()
+    cells = np.stack([field.p, field.mu, field.phi], axis=-1).reshape(-1, 3).tolist()
     write_csv(path, ["date", "loc", "p", "mu", "phi"],
               ([*key, *map(repr, row)] for key, row in zip(_cell_keys(panel), cells)))
 
@@ -385,5 +386,5 @@ def read_marginals_csv(path, panel: RainPanel):
     from .marginals import MarginalField
 
     values = _read_long_csv(path, panel, value_names=["p", "mu", "phi"])
-    return MarginalField.from_flat(values[:, 0], values[:, 1], values[:, 2],
-                                   panel.n_locations, panel.n_days)
+    return MarginalField(*(values[:, k].reshape(panel.n_days, panel.n_locations)
+                           for k in range(3)))

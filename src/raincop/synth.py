@@ -27,8 +27,8 @@ from .estimation import day_chunks
 from .marginals import (GammaMixture, IdentityTransform, JglmCoefficients, MarginalField,
                         predict_field)
 from .panel import RainPanel, write_json
-from .spatial import (DistanceMatrix, LocationTable, MaternParams,
-                      build_covariance, build_distance_matrix)
+from .spatial import (DistanceMatrix, LocationTable, MaternParams, build_covariance,
+                      build_distance_matrix, check_blend)
 
 __all__ = ["SynthSpec", "SynthResult", "generate_locations", "simulate_dataset",
            "write_truth"]
@@ -64,13 +64,25 @@ class SynthSpec:
     start_date: str = "1999-01-01"
 
     def __post_init__(self):
-        if self.theta_true <= 0.0:
-            raise ValueError("theta_true must be positive")
+        MaternParams(theta=self.theta_true, nu=self.nu)
+        check_blend(self.blend, self.topo_scale)
         if self.n_locations < 2:
             raise ValueError("need at least two locations")
         if self.n_days < 1:
             raise ValueError("need at least one day")
         GammaMixture(p=self.p, mu=self.mu, phi=self.phi)  # validates the fixture law
+        for low, high in (self.lat_range, self.lon_range, self.elev_range):
+            if not 0.0 <= high - low < np.inf:
+                raise ValueError(f"a coordinate range needs low <= high, got ({low}, {high})")
+        # the box's corners must be valid sites: finite, on the globe
+        LocationTable(("low", "high"), self.lat_range, self.lon_range, self.elev_range)
+
+    def day_labels(self) -> tuple:
+        """ISO dates of the n_days days from start_date; a run past the last date is rejected."""
+        start = datetime.date.fromisoformat(self.start_date)
+        if self.n_days - 1 > (datetime.date.max - start).days:
+            raise ValueError(f"{self.n_days} days from {start} run past {datetime.date.max}")
+        return tuple((start + datetime.timedelta(days=s)).isoformat() for s in range(self.n_days))
 
 
 @dataclass
@@ -94,12 +106,6 @@ def generate_locations(spec: SynthSpec) -> LocationTable:
     )
 
 
-def _day_labels(spec: SynthSpec):
-    start = datetime.date.fromisoformat(spec.start_date)
-    return tuple((start + datetime.timedelta(days=s)).isoformat()
-                 for s in range(spec.n_days))
-
-
 def _marginal_field(spec: SynthSpec):
     if spec.coeffs is None:
         field = MarginalField.homogeneous(
@@ -116,6 +122,7 @@ def _marginal_field(spec: SynthSpec):
 
 def simulate_dataset(spec: SynthSpec) -> SynthResult:
     """Simulate the full panel under the true covariance; days independent."""
+    day_labels = spec.day_labels()
     locs = generate_locations(spec)
     distance = build_distance_matrix(locs, a=spec.blend, topo_scale=spec.topo_scale)
     cov = build_covariance(distance, MaternParams(theta=spec.theta_true, nu=spec.nu))
@@ -123,8 +130,8 @@ def simulate_dataset(spec: SynthSpec) -> SynthResult:
 
     draws = [joint_forecast(cov, field, range(spec.n_days)[sl], 1, spec.seed, _DAY_TAG)
              for sl in day_chunks(spec.n_days, spec.n_locations)]
-    values = np.ascontiguousarray(np.concatenate(draws)[:, 0].T)
-    panel = RainPanel(values=values, location_ids=locs.ids, day_labels=_day_labels(spec))
+    panel = RainPanel(values=np.concatenate(draws)[:, 0], location_ids=locs.ids,
+                      day_labels=day_labels)
     return SynthResult(panel=panel, field=field, distance=distance,
                        locations=locs, features=features)
 

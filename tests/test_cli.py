@@ -227,10 +227,27 @@ class TestSettingSources:
         ("estimate-theta", "m", "abc", "invalid value 'abc' for m"),
         ("fit-marginals", "transform", "bogus", "invalid value 'bogus' for transform"),
         ("simulate", "threads", "x", "invalid value 'x' for threads"),
+        ("diagnose", "beta", "-1", "beta must lie in (0, 2)"),
+        ("diagnose", "beta", "nan", "beta must lie in (0, 2)"),
+        ("diagnose", "beta", "5", "beta must lie in (0, 2)"),
+        ("diagnose", "beta", "0", "beta must lie in (0, 2)"),
+        ("diagnose", "tau_grid", "0", "tau_grid must be at least 2, got 0"),
+        ("diagnose", "tau_grid", "1", "tau_grid must be at least 2, got 1"),
+        ("diagnose", "tau_grid", "-3", "tau_grid must be at least 2, got -3"),
+        ("diagnose", "rank_bins", "0", "rank_bins must be at least 1, got 0"),
+        ("diagnose", "q_levels", "-1", "q_levels must be nonnegative, got [-1.0]"),
+        ("diagnose", "ecdf_levels", "-2", "ecdf_levels must be nonnegative, got [-2.0]"),
+        ("synth", "n_locations", "1", "need at least two locations"),
+        ("synth", "lat_min", "60", "a coordinate range needs low <= high, got (60.0, 58.7)"),
+        ("synth", "start_date", "9999-12-30", "500 days from 9999-12-30 run past 9999-12-31"),
     ], ids=["m", "beta", "grid", "theta-min", "nu", "day-subsample", "simulate-theta",
             "a", "topo-scale", "simulate-a", "simulate-topo-scale", "simulate-nu",
             "diagnose-a", "diagnose-topo-scale", "m-malformed", "transform-malformed",
-            "threads-malformed"])
+            "threads-malformed", "diagnose-beta-negative", "diagnose-beta-nan",
+            "diagnose-beta-large", "diagnose-beta-zero", "diagnose-tau-grid-zero",
+            "diagnose-tau-grid-one", "diagnose-tau-grid-negative", "diagnose-rank-bins-zero",
+            "diagnose-q-levels", "diagnose-ecdf-levels", "synth-n-locations", "synth-lat-min",
+            "synth-date-overflow"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
                                            message, source):
@@ -240,12 +257,28 @@ class TestSettingSources:
         extra = [flag, value] if source == "flag" else ["--config", cfg]
         # input files that do not exist: the setting is checked before any is read
         missing = tmp_path / "missing.csv"
-        rc = run([command, "--locations", missing, "--rainfall", missing, *extra,
-                  "--out", tmp_path / "out"])
+        inputs = [] if command == "synth" else ["--locations", missing, "--rainfall", missing]
+        rc = run([command, *inputs, *extra, "--out", tmp_path / "out"])
         assert rc == 2
         where = flag if source == "flag" else f"{cfg}: line 2"
         assert f"error: {where}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_rank_bins_above_members_names_source(self, fixture_dir, ensemble_path, tmp_path,
+                                                  capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=2\nrank_bins=6\n")
+        extra = ["--rank-bins", "6"] if source == "flag" else ["--config", cfg]
+        rc = run(["diagnose", "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv",
+                  "--ensemble", ensemble_path, *extra, "--out", tmp_path / "diag"])
+        assert rc == 2
+        where = "--rank-bins" if source == "flag" else f"{cfg}: line 2"
+        message = "rank_bins must be at most m + 1 = 5, got 6"  # m = 4
+        assert f"error: {where}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()
 
 
 class TestSimulateAndDiagnose:
@@ -281,7 +314,7 @@ class TestSimulateAndDiagnose:
         locs = read_locations(fixture_dir / "locations.csv")
         obs = read_rain_csv(fixture_dir / "rainfall.csv", locs).values
         _, ens = read_ensemble(sim_a / "ensemble.csv", locs.ids)
-        per_day = [energy_score_unbiased(b[None], obs[None, :, s], 0.5)[0]
+        per_day = [energy_score_unbiased(b[None], obs[None, s], 0.5)[0]
                    for s, b in enumerate(ens)]
         assert summary["energy_score_mean"] == pytest.approx(np.mean(per_day), rel=1e-12)
         for name in ("roc_q0.5.csv", "roc_q5.csv", "rank_hist.csv", "ecdf.csv",

@@ -94,8 +94,8 @@ def test_chunked_draws_equal_per_day_draws(k, m, n, seed, data):
     sigma /= np.sqrt(np.outer(np.diag(sigma), np.diag(sigma)))
     cov = cov_from_sigma(sigma)
     t = k + data.draw(st.integers(0, 3))
-    field = MarginalField(p=rng.choice([0.0, 0.3, 0.7, 1.0], size=(n, t)),
-                          mu=rng.uniform(0.5, 5.0, (n, t)), phi=rng.uniform(0.2, 2.0, (n, t)))
+    field = MarginalField(p=rng.choice([0.0, 0.3, 0.7, 1.0], size=(n, t)).T,
+                          mu=rng.uniform(0.5, 5.0, (n, t)).T, phi=rng.uniform(0.2, 2.0, (n, t)).T)
     first = data.draw(st.integers(0, t - k))
     days = range(first, first + k)
     chunk = joint_forecast(cov, field, days, m, seed, 21)
@@ -105,7 +105,7 @@ def test_chunked_draws_equal_per_day_draws(k, m, n, seed, data):
         # the per-day formula: one day's normals, one matmul, Phi, the day's quantile
         z = substream(seed, 21, day).standard_normal((m, n))
         u = special.ndtr(z @ cov.factor.lower.T)
-        ref = mixture_quantile(field.p[:, day], field.mu[:, day], field.phi[:, day], u)
+        ref = mixture_quantile(field.p[day], field.mu[day], field.phi[day], u)
         assert np.array_equal(chunk[j], ref)
 
 
@@ -189,8 +189,8 @@ class TestJointForecast:
 
     def test_always_dry_coordinate(self):
         field = MarginalField(
-            p=np.array([[0.0], [0.7]]),
-            mu=np.full((2, 1), 2.0), phi=np.full((2, 1), 1.0))
+            p=np.array([[0.0, 0.7]]),
+            mu=np.full((1, 2), 2.0), phi=np.full((1, 2), 1.0))
         cov = cov_from_sigma(np.eye(2))
         draws = joint_forecast(cov, field, [0], 5000, 2)[0]
         assert np.all(draws[:, 0] == 0.0)

@@ -113,7 +113,7 @@ class TestVariogram:
         good = joint_forecast(cov, res.field, days, m, 5, 0)  # day d from substream(5, 0, d)
         bad = joint_forecast(eye_cov, res.field, days, m, 5, 1)
         for day in days:
-            obs = res.panel.values[:, day]
+            obs = res.panel.values[day]
             vg = variogram_day(good[day], obs, res.distance)
             vb = variogram_day(bad[day], obs, res.distance)
             wins += vg < vb
@@ -199,7 +199,7 @@ class TestRocAuc:
 
     def test_degenerate_panel(self):
         field = MarginalField.homogeneous(GammaMixture(p=0.5, mu=3.0, phi=1.0), 3, 4)
-        curve = roc_auc(field, np.zeros((3, 4)), 1.0)  # no events
+        curve = roc_auc(field, np.zeros((4, 3)), 1.0)  # no events
         assert np.isnan(curve.auc)
 
 
@@ -273,7 +273,7 @@ class TestCrossCorrelation:
 
     def test_center_with_itself(self):
         locs = self.locations(6)
-        panel = np.random.default_rng(1).gamma(1.0, 2.0, (6, 50))
+        panel = np.random.default_rng(1).gamma(1.0, 2.0, (6, 50)).T
         center_id, corr = cross_correlation(panel, locs)
         idx = locs.ids.index(center_id)
         assert corr[idx] == pytest.approx(1.0, abs=1e-12)
@@ -281,7 +281,7 @@ class TestCrossCorrelation:
     def test_white_noise_uncorrelated(self):
         locs = self.locations(8)
         t = 2000
-        panel = np.random.default_rng(2).standard_normal((8, t))
+        panel = np.random.default_rng(2).standard_normal((8, t)).T
         _, corr = cross_correlation(panel, locs)
         others = np.delete(corr, np.argmax(corr))
         assert np.all(np.abs(others) < 3.0 / np.sqrt(t))
@@ -300,8 +300,8 @@ class TestCrossCorrelation:
 
     def test_explicit_center_and_zero_variance(self):
         locs = self.locations(4)
-        panel = np.random.default_rng(3).gamma(1.0, 1.0, (4, 30))
-        panel[2] = 5.0  # constant series
+        panel = np.random.default_rng(3).gamma(1.0, 1.0, (4, 30)).T
+        panel[:, 2] = 5.0  # constant series
         center_id, corr = cross_correlation(panel, locs, center="s0")
         assert center_id == "s0"
         assert np.isnan(corr[2])

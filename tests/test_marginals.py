@@ -17,7 +17,7 @@ from scipy.special import digamma, expit, logit
 from raincop import marginals
 from raincop.marginals import (GammaMixture, IdentityTransform, JglmCoefficients,
                                MarginalField, StandardizeTransform, _joint_loss,
-                               flatten_panel, jglm_fit, mixture_cdf, mixture_quantile,
+                               jglm_fit, mixture_cdf, mixture_quantile,
                                predict_field, read_coefficients, write_coefficients)
 from raincop.panel import IngestError
 
@@ -316,19 +316,7 @@ class TestFieldAndSerialization:
         law = GammaMixture(p=0.6, mu=3.0, phi=1.2)
         field = MarginalField.homogeneous(law, 4, 7)
         assert field.n_locations == 4 and field.n_days == 7
-        assert (field.p[2, 5], field.mu[2, 5], field.phi[2, 5]) == (0.6, 3.0, 1.2)
-
-    def test_from_flat_is_date_major(self):
-        n, t = 3, 2
-        flat = np.arange(1.0, 1.0 + n * t)  # day 0: locs 0..2, then day 1
-        field = MarginalField.from_flat(np.full(n * t, 0.5), flat, np.ones(n * t), n, t)
-        assert field.mu[0, 0] == 1.0 and field.mu[2, 0] == 3.0
-        assert field.mu[0, 1] == 4.0 and field.mu[2, 1] == 6.0
-
-    def test_flatten_panel_matches(self):
-        values = np.arange(6.0).reshape(3, 2)  # (n, t)
-        flat = flatten_panel(values)
-        assert list(flat) == [0.0, 2.0, 4.0, 1.0, 3.0, 5.0]
+        assert (field.p[5, 2], field.mu[5, 2], field.phi[5, 2]) == (0.6, 3.0, 1.2)
 
     def test_field_validation(self):
         with pytest.raises(ValueError):

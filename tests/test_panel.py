@@ -27,7 +27,7 @@ def panel(locs):
     rng = np.random.default_rng(0)
     values = np.where(rng.random((3, 5)) < 0.5, 0.0, rng.gamma(1.0, 2.5, (3, 5)))
     labels = [f"2001-01-0{d + 1}" for d in range(5)]
-    return RainPanel(values=values, location_ids=locs.ids, day_labels=labels)
+    return RainPanel(values=values.T, location_ids=locs.ids, day_labels=labels)
 
 
 class TestRainPanel:
@@ -138,3 +138,56 @@ class TestReaderMemory:
         peak, (_, ens) = traced_peak(lambda: read_ensemble(fx / "ensemble.csv", locs.ids))
         assert ens.shape == (400, 50, 20)
         assert peak <= 1.9 * ens.nbytes
+
+
+
+class TestDayMajorLayout:
+    """Every panel-shaped array is (n_days, n_locations), whichever function made it."""
+
+    N_LOCATIONS, N_DAYS = 5, 40
+
+    @pytest.fixture
+    def synth(self, tmp_path):
+        from raincop.marginals import JglmCoefficients
+        from raincop.spatial import write_locations
+        from raincop.synth import SynthSpec, simulate_dataset
+        coeffs = JglmCoefficients(0.4, [0.6, -0.4], 1.1, [0.3, -0.2], 0.2, [0.2, 0.1])
+        res = simulate_dataset(SynthSpec(n_locations=self.N_LOCATIONS, n_days=self.N_DAYS,
+                                         coeffs=coeffs, seed=3))
+        write_locations(tmp_path / "locations.csv", res.locations)
+        write_rain_csv(tmp_path / "rainfall.csv", res.panel)
+        write_marginals_csv(tmp_path / "marginals.csv", res.panel, res.field)
+        return res, coeffs
+
+    def test_panels_are_c_ordered_days_by_locations(self, synth, tmp_path):
+        res, _ = synth
+        back = read_rain_csv(tmp_path / "rainfall.csv", read_locations(tmp_path / "locations.csv"))
+        for values in (res.panel.values, back.values):
+            assert values.shape == (self.N_DAYS, self.N_LOCATIONS)
+            assert values.flags.c_contiguous
+
+    def test_fields_are_days_by_locations(self, synth, tmp_path):
+        from raincop.marginals import IdentityTransform, predict_field
+        res, coeffs = synth
+        fields = [read_marginals_csv(tmp_path / "marginals.csv", res.panel),
+                  predict_field(coeffs, IdentityTransform(), res.features,
+                                self.N_LOCATIONS, self.N_DAYS),
+                  MarginalField.homogeneous(GammaMixture(p=0.6, mu=3.0, phi=1.2),
+                                            self.N_LOCATIONS, self.N_DAYS)]
+        for field in fields:
+            for array in (field.p, field.mu, field.phi):
+                assert array.shape == (self.N_DAYS, self.N_LOCATIONS)
+        # row s * n + i of the date-major features is day s at location i
+        s, i = 7, 3
+        row = res.features[s * self.N_LOCATIONS + i]
+        assert fields[1].mu[s, i] == pytest.approx(np.exp(coeffs.beta0 + row @ coeffs.beta),
+                                                   rel=1e-12)
+
+    def test_read_panel_gives_cross_correlation_the_same_bits(self, synth, tmp_path):
+        from raincop.diagnostics import cross_correlation
+        res, _ = synth
+        back = read_rain_csv(tmp_path / "rainfall.csv", res.locations)
+        written = cross_correlation(res.panel.values, res.locations)
+        read = cross_correlation(back.values, res.locations)
+        assert written[0] == read[0]
+        assert written[1].tobytes() == read[1].tobytes()

@@ -38,7 +38,7 @@ def draw_grid(data, elements, rows, cols):
 
 
 def panel_of(values):
-    n, t = values.shape
+    t, n = values.shape
     return RainPanel(values, [f"s{i}" for i in range(n)], [f"d{s}" for s in range(t)])
 
 
@@ -83,23 +83,23 @@ def test_write_csv_streams_the_joined_text(width, n_rows, data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 5), st.data())
 def test_rain_round_trip(n, t, data):
-    values = draw_grid(data, RAIN, n, t)
+    values = draw_grid(data, RAIN, n, t).T
     panel = panel_of(values)
     back, text = write_then_read(lambda p: write_rain_csv(p, panel),
                                  lambda p: read_rain_csv(p, locations(panel.location_ids)))
     assert np.array_equal(back.values, values)
     assert back.day_labels == panel.day_labels
     cells = value_cells(text, 1)
-    assert [c == "0" for c in cells] == (values.T.ravel() == 0.0).tolist()
+    assert [c == "0" for c in cells] == (values.ravel() == 0.0).tolist()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 5), st.data())
 def test_marginals_round_trip(n, t, data):
-    arrays = [draw_grid(data, elements, n, t)
+    arrays = [draw_grid(data, elements, n, t).T
               for elements in (st.floats(0.0, 1.0), POSITIVE, POSITIVE)]
     field = MarginalField(*arrays)
-    panel = panel_of(np.zeros((n, t)))
+    panel = panel_of(np.zeros((t, n)))
     back, _ = write_then_read(lambda p: write_marginals_csv(p, panel, field),
                               lambda p: read_marginals_csv(p, panel))
     for got, want in zip((back.p, back.mu, back.phi), arrays):
@@ -110,7 +110,7 @@ def test_marginals_round_trip(n, t, data):
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 3), st.data())
 def test_features_round_trip(n, t, d, data):
     features = draw_grid(data, FINITE, n * t, d)
-    panel = panel_of(np.zeros((n, t)))
+    panel = panel_of(np.zeros((t, n)))
     back, _ = write_then_read(lambda p: write_features_csv(p, panel, features),
                               lambda p: read_features_csv(p, panel))
     assert back.shape == features.shape
@@ -232,7 +232,7 @@ def line_read_rain(path, locs):
     for r, label in enumerate(labels):
         if label in labels[:r]:
             raise IngestError(f"{path}: row {row_nos[r]}: date {label!r} repeats an earlier row")
-    panel = RainPanel(values.T, locs.ids, labels)
+    panel = RainPanel(values, locs.ids, labels)
     return list(panel.day_labels), panel.values
 
 
@@ -351,7 +351,7 @@ def compare_readers(data, text, read, reference):
 def test_long_csv_bulk_parse_matches_line_parser(n, t, kind, data):
     ids = data.draw(st.lists(KEY, min_size=n, max_size=n, unique=True))
     labels = data.draw(st.lists(KEY, min_size=t, max_size=t, unique=True))
-    panel = RainPanel(np.zeros((n, t)), ids, labels)
+    panel = RainPanel(np.zeros((t, n)), ids, labels)
     columns = MARGINAL if kind == "marginals" else [SIGNED] * data.draw(st.integers(0, 3))
     header = ["date", "loc", *(["p", "mu", "phi"] if kind == "marginals"
                                else (f"x{k}" for k in range(len(columns))))]
@@ -371,7 +371,7 @@ def test_long_csv_bulk_parse_matches_line_parser(n, t, kind, data):
         values = line_read_long(path, panel)
         if kind == "features":
             return values
-        field = MarginalField.from_flat(*values.T, n, t)
+        field = MarginalField(*(column.reshape(t, n) for column in values.T))
         return [field.p, field.mu, field.phi]
 
     compare_readers(data, text, got, want)

@@ -44,7 +44,7 @@ class TestSimulateDataset:
         res = simulate_dataset(spec)
         sigma = np.sqrt(0.6 * 0.4 / 5000)
         for i in range(4):
-            wet = np.mean(res.panel.values[i] > 0.0)
+            wet = np.mean(res.panel.values[:, i] > 0.0)
             assert wet == pytest.approx(0.6, abs=3 * sigma)
 
     def test_wet_marginal_ks(self):
@@ -52,7 +52,7 @@ class TestSimulateDataset:
         res = simulate_dataset(spec)
         shape, scale = 1.0 / spec.phi, spec.phi * spec.mu
         for i in range(3):
-            wet_vals = res.panel.values[i][res.panel.values[i] > 0.0]
+            wet_vals = res.panel.values[:, i][res.panel.values[:, i] > 0.0]
             ks = stats.kstest(wet_vals, "gamma", args=(shape, 0.0, scale))
             assert ks.pvalue > 0.01
 
@@ -64,7 +64,7 @@ class TestSimulateDataset:
         kern = matern_kernel(res.distance.values.ravel(),
                              MaternParams(theta=spec.theta_true)).reshape(12, 12)
         pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
-        emp = [stats.spearmanr(res.panel.values[i], res.panel.values[j]).statistic
+        emp = [stats.spearmanr(res.panel.values[:, i], res.panel.values[:, j]).statistic
                for i, j in pairs]
         k_vals = [kern[i, j] for i, j in pairs]
         rho = stats.spearmanr(emp, k_vals).statistic
