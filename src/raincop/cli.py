@@ -44,7 +44,6 @@ DEFAULTS = {
     "a": 0.9, "topo_scale": 70.0, "nu": 3.5,
     "beta": 0.5, "m": 30, "seed": 0,
     "theta_min": 200.0, "theta_max": 800.0, "grid": 13,
-    "day_subsample": "all", "location_subsample": "all",
     "tau_grid": 1001, "q_levels": "0.5,5.0",
     "ecdf_levels": "0,0.5,1,2,4,8,16,32", "rank_bins": 10,
     "transform": "identity",
@@ -64,8 +63,6 @@ CONVERT = {
     **dict.fromkeys(("a", "topo_scale", "nu", "beta", "theta_min", "theta_max", "theta",
                      "theta_true", "p", "mu", "phi", "lat_min", "lat_max", "lon_min",
                      "lon_max", "elev_min", "elev_max"), float),
-    **dict.fromkeys(("day_subsample", "location_subsample"),
-                    lambda v: "all" if str(v).strip().lower() == "all" else int(v)),
     **dict.fromkeys(("q_levels", "ecdf_levels"),
                     lambda v: [float(tok) for tok in str(v).split(",") if tok.strip()]),
     "transform": make_transform,
@@ -209,20 +206,16 @@ def cmd_fit_marginals(settings: Settings) -> int:
 
 def cmd_estimate_theta(settings: Settings) -> int:
     beta, m, nu = settings["beta"], settings["m"], settings["nu"]
-    days, locations = settings["day_subsample"], settings["location_subsample"]
     lower, upper = settings["theta_min"], settings["theta_max"]
     grid = settings["grid"]
     # Each setting is checked, naming its flag or config line, before any file is read.
     settings.check(lambda: ScoreConfig(beta=beta), "beta")
     settings.check(lambda: ScoreConfig(m=m), "m")
-    settings.check(lambda: ScoreConfig(day_subsample=days), "day_subsample")
-    settings.check(lambda: ScoreConfig(location_subsample=locations), "location_subsample")
     settings.check(lambda: ThetaSearchSpec(lower, upper), "theta_min", "theta_max")
     settings.check(lambda: ThetaSearchSpec(lower, upper, grid), "grid")
     settings.check(lambda: MaternParams(theta=lower, nu=nu), "nu")
     a, topo_scale = _blend_settings(settings)
-    cfg = ScoreConfig(beta=beta, m=m, day_subsample=days, location_subsample=locations,
-                      seed=settings["seed"])
+    cfg = ScoreConfig(beta=beta, m=m, seed=settings["seed"])
     search = ThetaSearchSpec(lower=lower, upper=upper, grid_size=grid)
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
@@ -371,7 +364,7 @@ COMMANDS = {
     "estimate-theta": ("minimum energy-score lengthscale search",
                        ("locations", "rainfall", "marginals"),
                        ("a", "topo_scale", "nu", "beta", "theta_min", "theta_max", "grid", "m",
-                        "day_subsample", "location_subsample", "refine_day_subsample")),
+                        "refine_day_subsample")),
     "simulate": ("sample joint rainfall forecasts", ("locations", "rainfall", "marginals"),
                  ("theta", "summary", "a", "topo_scale", "nu", "m")),
     "diagnose": ("verification diagnostics of an ensemble",
@@ -413,7 +406,10 @@ def main(argv=None) -> int:
         run = {"synth": cmd_synth, "fit-marginals": cmd_fit_marginals,
                "estimate-theta": cmd_estimate_theta, "simulate": cmd_simulate,
                "diagnose": cmd_diagnose}[args.command]
-        return run(Settings(args))
+        settings = Settings(args)
+        if settings["seed"] < 0:  # every command takes --seed
+            settings.reject(f"seed must be nonnegative, got {settings['seed']}", "seed")
+        return run(settings)
     except (IngestError, FileNotFoundError) as exc:
         _log(f"error: {exc}")
         return 2

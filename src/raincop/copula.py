@@ -8,14 +8,15 @@ zero). Degenerate marginals are encoded with infinite sentinels: p = 0
 (never censored) to d = -inf.
 
 Randomness is organized as counter-based substreams: `substream(seed, *path)`
-derives an independent generator from a master seed and an integer path
-(e.g. one per day), so outputs are independent of evaluation order and
-thread count. Forecast sampling pushes the latent Gaussian's uniform
-directly through the mixture quantile, preserving the copula coupling
-exactly and emitting bit-exact 0.0 for dry outcomes.
+derives an independent generator from a master seed and an integer path, so
+outputs are independent of evaluation order and thread count. Forecast
+sampling pushes the latent Gaussian's uniform directly through the mixture
+quantile, preserving the copula coupling exactly and emitting bit-exact 0.0
+for dry outcomes.
 
-joint_forecast samples a run of days as one array, each day's normals from
-that day's own substream: callers walk the days in budget-sized chunks
+day_normals draws the per-day common random numbers, day d's (m, n) normals
+from substream(seed, *path, d), for joint_forecast and the theta objective
+alike: callers walk a run of days in budget-sized chunks
 (estimation.day_chunks), and no draw depends on the chunking.
 """
 
@@ -33,6 +34,7 @@ from .spatial import CovarianceMatrix
 
 __all__ = [
     "substream",
+    "day_normals",
     "censor_thresholds",
     "censor",
     "obs_to_gaussian",
@@ -48,6 +50,11 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent counter-based generator for a (seed, path) pair."""
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def day_normals(days, m: int, n: int, seed: int, *path: int) -> np.ndarray:
+    """(len(days), m, n) standard normals, day d's from substream(seed, *path, d)."""
+    return np.stack([substream(seed, *path, day).standard_normal((m, n)) for day in days])
 
 
 def censor_thresholds(field: MarginalField) -> np.ndarray:
@@ -102,11 +109,11 @@ def joint_forecast(cov: CovarianceMatrix, field: MarginalField, days, m: int, se
                    *path: int) -> np.ndarray:
     """Sample joint rainfall for a run of days: a (len(days), m, n) array.
 
-    Day d's (m, n) normals come from substream(seed, *path, d), whatever other
-    days the call holds. Each latent draw x* = L z goes through u = Phi(x*) and
-    its day's mixture quantile: u <= 1 - p gives bit-exact 0.0 rainfall, larger
-    u the gamma quantile at (u - (1 - p)) / p. Marginals are exactly the cellwise
-    mixture laws; dependence is inherited from the covariance.
+    Day d's (m, n) normals come from day_normals, so from substream(seed, *path, d),
+    whatever other days the call holds. Each latent draw x* = L z goes through
+    u = Phi(x*) and its day's mixture quantile: u <= 1 - p gives bit-exact 0.0
+    rainfall, larger u the gamma quantile at (u - (1 - p)) / p. Marginals are
+    exactly the cellwise mixture laws; dependence is inherited from the covariance.
     """
     days = np.asarray(days, dtype=int)
     if m < 1:
@@ -115,8 +122,7 @@ def joint_forecast(cov: CovarianceMatrix, field: MarginalField, days, m: int, se
         raise ValueError(f"need a non-empty run of days in [0, {field.n_days})")
     if cov.n != field.n_locations:
         raise ValueError("covariance size does not match the marginal field")
-    z = np.stack([substream(seed, *path, day).standard_normal((m, cov.n)) for day in days])
-    u = _sp.ndtr(z @ cov.factor.lower.T)
+    u = _sp.ndtr(day_normals(days, m, cov.n, seed, *path) @ cov.factor.lower.T)
     return mixture_quantile(*(a[days, None, :] for a in (field.p, field.mu, field.phi)), u)
 
 

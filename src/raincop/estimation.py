@@ -8,11 +8,13 @@ which needs nothing beyond the ability to sample the censored model.
 
 The objective simulates m censored latent draws per day from the candidate
 covariance, compares them with the Gaussian-scale transform of the observed
-panel through the unbiased energy-score estimator, and sums over days.
-Common random numbers make the objective a deterministic function of theta
-for a fixed seed: the per-day standard normals depend only on (seed, day),
-and are re-correlated through each candidate's Cholesky factor, so profiles
-are smooth and grid evaluations directly comparable.
+panel through the unbiased energy-score estimator, and sums over every day
+and location it is given: to score a subset of days or locations, slice the
+panel, the field and the distance matrix before the call. Common random
+numbers make the objective a deterministic function of theta for a fixed
+seed: the per-day standard normals (copula.day_normals) depend only on
+(seed, day), and are re-correlated through each candidate's Cholesky factor,
+so profiles are smooth and grid evaluations directly comparable.
 
 Evaluation is batched. A list of candidate thetas is scored together: the
 thetas are split into groups whose Cholesky factors (n x n each) fit one
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import censor, censor_thresholds, obs_to_gaussian, substream
+from .copula import censor, censor_thresholds, day_normals, obs_to_gaussian
 from .marginals import MarginalField
 from .panel import write_csv, write_json
 from .spatial import DistanceMatrix, MaternParams, build_covariance
@@ -54,15 +56,12 @@ __all__ = [
     "day_chunks",
     "ensemble_arrays",
     "estimate_theta",
-    "subsample_indices",
     "write_profile",
     "write_summary",
 ]
 
-# Substream path tags, keeping draw streams disjoint from subsampling streams.
+# Substream path tag of the per-day draws.
 _DAY_DRAW = 0
-_SEL_DAYS = 1
-_SEL_LOCS = 2
 
 # Float64 elements allowed in one working array (512 KiB): bounds a day
 # chunk's (days, m, n) normals and a theta group's n x n factors alike. Small
@@ -75,15 +74,13 @@ _ELEMENT_BUDGET = 1 << 16
 class ScoreConfig:
     """Settings for one objective evaluation.
 
-    day_subsample / location_subsample are either "all" or a count drawn
-    uniformly without replacement (selection depends only on the seed, so
-    every candidate theta sees the same subset).
+    beta is the energy score's exponent, m the number of draws per day and
+    seed that of the per-day draws. The objective scores every day and
+    location of the arrays it is given; a subset is chosen by slicing them.
     """
 
     beta: float = 0.5
     m: int = 30
-    day_subsample: object = "all"
-    location_subsample: object = "all"
     seed: int = 0
 
     def __post_init__(self):
@@ -91,10 +88,6 @@ class ScoreConfig:
             raise ValueError("beta must lie in (0, 2)")
         if self.m < 2:
             raise ValueError("the unbiased pairwise term needs m >= 2")
-        for name in ("day_subsample", "location_subsample"):
-            v = getattr(self, name)
-            if v != "all" and (not isinstance(v, (int, np.integer)) or v < 1):
-                raise ValueError(f"{name} must be 'all' or a positive count")
 
 
 @dataclass(frozen=True)
@@ -183,16 +176,8 @@ def ensemble_arrays(samples, obs):
     return samples, obs
 
 
-def subsample_indices(seed: int, tag: int, n: int, k) -> np.ndarray:
-    """Sorted uniform subset of size k out of n (or everything for "all")."""
-    if k == "all" or k >= n:
-        return np.arange(n)
-    rng = substream(seed, tag)
-    return np.sort(rng.choice(n, size=int(k), replace=False))
-
-
 def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
-                 days: np.ndarray, obs: np.ndarray, thr: np.ndarray) -> np.ndarray:
+                 obs: np.ndarray, thr: np.ndarray) -> np.ndarray:
     """Per-day scores of thetas whose factors fit the budget together.
 
     obs is (days, n), thr (days, 1, n). Each day chunk's normals are drawn
@@ -202,10 +187,9 @@ def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
     m, n = cfg.m, distance.n
     lowers_t = [build_covariance(distance, MaternParams(theta=theta, nu=nu)).factor.lower.T
                 for theta in thetas]
-    scores = np.empty((len(thetas), days.size))
-    for sl in day_chunks(days.size, m * n):
-        z = np.stack([substream(cfg.seed, _DAY_DRAW, int(day)).standard_normal((m, n))
-                      for day in days[sl]])
+    scores = np.empty((len(thetas), len(obs)))
+    for sl in day_chunks(len(obs), m * n):
+        z = day_normals(range(len(obs))[sl], m, n, cfg.seed, _DAY_DRAW)
         for k, lower_t in enumerate(lowers_t):
             sims = censor(z @ lower_t, thr[sl])
             scores[k, sl] = energy_score_unbiased(sims, obs[sl], cfg.beta)
@@ -213,28 +197,11 @@ def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
 
 
 def _objective_terms(thetas, obs_gauss, thresholds, distance: DistanceMatrix,
-                     cfg: ScoreConfig, nu: float, days, locations) -> np.ndarray:
-    """Per-day unbiased scores, (len(thetas), days), under common random numbers.
-
-    Explicit days/locations index arrays override the seeded subsampling; both
-    are sorted first, so any permutation of the same set scores the same.
-    """
-    n_days_total = obs_gauss.shape[0]
-    if days is None:
-        days = subsample_indices(cfg.seed, _SEL_DAYS, n_days_total, cfg.day_subsample)
-    else:
-        days = np.sort(np.asarray(days, dtype=int))
-    if locations is None:
-        locations = subsample_indices(cfg.seed, _SEL_LOCS, obs_gauss.shape[1],
-                                      cfg.location_subsample)
-    else:
-        locations = np.sort(np.asarray(locations, dtype=int))
-
-    sub = distance.subset(locations)
-    obs = obs_gauss[np.ix_(days, locations)]
-    thr = thresholds[np.ix_(days, locations)][:, None, :]
-    group = max(1, _ELEMENT_BUDGET // (sub.n * sub.n))
-    return np.vstack([_group_terms(thetas[g:g + group], sub, nu, cfg, days, obs, thr)
+                     cfg: ScoreConfig, nu: float) -> np.ndarray:
+    """Per-day unbiased scores, (len(thetas), days), under common random numbers."""
+    thr = thresholds[:, None, :]
+    group = max(1, _ELEMENT_BUDGET // (distance.n * distance.n))
+    return np.vstack([_group_terms(thetas[g:g + group], distance, nu, cfg, obs_gauss, thr)
                       for g in range(0, len(thetas), group)])
 
 
@@ -273,8 +240,7 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
     thresholds = censor_thresholds(field)
     grid = np.linspace(search.lower, search.upper, search.grid_size)
 
-    all_terms = _objective_terms(grid, obs_gauss, thresholds, distance, cfg, nu,
-                                 None, None)
+    all_terms = _objective_terms(grid, obs_gauss, thresholds, distance, cfg, nu)
 
     profile = []
     for theta, scores in zip(grid, all_terms):
@@ -323,8 +289,6 @@ def write_summary(path, result: EstimateResult, cfg: ScoreConfig,
         "grid_size": search.grid_size,
         "beta": cfg.beta,
         "m": cfg.m,
-        "day_subsample": cfg.day_subsample,
-        "location_subsample": cfg.location_subsample,
         "seed": cfg.seed,
         "boundary_minimizer": result.boundary,
         "grid_argmin": result.grid_argmin,

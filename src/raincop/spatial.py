@@ -90,10 +90,9 @@ class LocationTable:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Blended n x n distance matrix with its blend coefficient."""
+    """Blended n x n distance matrix."""
 
     values: np.ndarray
-    blend: float
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -113,7 +112,7 @@ class DistanceMatrix:
 
     def subset(self, indices) -> "DistanceMatrix":
         idx = np.asarray(indices, dtype=int)
-        return DistanceMatrix(values=self.values[np.ix_(idx, idx)], blend=self.blend)
+        return DistanceMatrix(values=self.values[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ def build_distance_matrix(locs: LocationTable, a: float = DEFAULT_BLEND,
             "covariance validity will rest on the jitter policy",
             UserWarning,
         )
-    return DistanceMatrix(values=values, blend=a)
+    return DistanceMatrix(values=values)
 
 
 def _matern_half_integer(x: np.ndarray, n: int) -> np.ndarray:

@@ -30,7 +30,7 @@ CRPS_GAUSS_AT_MEAN = 0.23369497725510907
 def _recovery_run(p, data_seed, cfg_seed):
     spec = rc.SynthSpec(seed=data_seed, p=p)  # defaults pin the desk-scale replica
     res = rc.simulate_dataset(spec)
-    cfg = rc.ScoreConfig(seed=cfg_seed, m=30, day_subsample="all")
+    cfg = rc.ScoreConfig(seed=cfg_seed, m=30)
     search = rc.ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=13)
     est = rc.estimate_theta(res.panel.values, res.field, res.distance, cfg, search)
     return est.theta_hat

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from raincop import marginals
+from raincop import cli, marginals
 from raincop.cli import main
 
 
@@ -142,6 +142,19 @@ class TestEstimateTheta:
                     "--grid", "5", "--m", "8",
                     "--seed", "3", "--out", out, *extra])
 
+    def test_removed_subsample_flag_exit_2(self, fixture_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self.estimate(fixture_dir, tmp_path / "out", ("--day-subsample", "40"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_subsample_config_key_exit_2(self, fixture_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=2\nlocation_subsample=all\n")
+        assert self.estimate(fixture_dir, tmp_path / "out", ("--config", cfg)) == 2
+        assert f"{cfg}: line 2: unknown key 'location_subsample'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_outputs_and_determinism(self, fixture_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.estimate(fixture_dir, a) == 0
@@ -213,8 +226,6 @@ class TestSettingSources:
         ("estimate-theta", "grid", "2", "grid needs at least 3 points"),
         ("estimate-theta", "theta_min", "900", "need 0 < lower < upper"),
         ("estimate-theta", "nu", "0", "nu must be positive, got 0.0"),
-        ("estimate-theta", "day_subsample", "0",
-         "day_subsample must be 'all' or a positive count"),
         ("simulate", "theta", "nan", "theta must be positive, got nan"),
         ("estimate-theta", "a", "2", "blend coefficient a must lie in [0, 1], got 2.0"),
         ("estimate-theta", "topo_scale", "0", "topo_scale must be positive, got 0.0"),
@@ -240,19 +251,21 @@ class TestSettingSources:
         ("synth", "n_locations", "1", "need at least two locations"),
         ("synth", "lat_min", "60", "a coordinate range needs low <= high, got (60.0, 58.7)"),
         ("synth", "start_date", "9999-12-30", "500 days from 9999-12-30 run past 9999-12-31"),
-    ], ids=["m", "beta", "grid", "theta-min", "nu", "day-subsample", "simulate-theta",
+        ("synth", "seed", "-1", "seed must be nonnegative, got -1"),
+        ("estimate-theta", "seed", "-2", "seed must be nonnegative, got -2"),
+    ], ids=["m", "beta", "grid", "theta-min", "nu", "simulate-theta",
             "a", "topo-scale", "simulate-a", "simulate-topo-scale", "simulate-nu",
             "diagnose-a", "diagnose-topo-scale", "m-malformed", "transform-malformed",
             "threads-malformed", "diagnose-beta-negative", "diagnose-beta-nan",
             "diagnose-beta-large", "diagnose-beta-zero", "diagnose-tau-grid-zero",
             "diagnose-tau-grid-one", "diagnose-tau-grid-negative", "diagnose-rank-bins-zero",
             "diagnose-q-levels", "diagnose-ecdf-levels", "synth-n-locations", "synth-lat-min",
-            "synth-date-overflow"])
+            "synth-date-overflow", "synth-seed", "estimate-theta-seed"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
                                            message, source):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"seed=2\n{key}={value}\n")
+        cfg.write_text(f"seed=2\n{key}={value}\n")  # a later line wins, also for seed
         flag = "--" + key.replace("_", "-")
         extra = [flag, value] if source == "flag" else ["--config", cfg]
         # input files that do not exist: the setting is checked before any is read
@@ -263,6 +276,14 @@ class TestSettingSources:
         where = flag if source == "flag" else f"{cfg}: line 2"
         assert f"error: {where}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_every_table_key_is_a_flag(self):
+        # a setting deleted from COMMANDS may not linger in another table
+        flags = set(cli._COMMON)
+        for _, input_files, keys in cli.COMMANDS.values():
+            flags.update(input_files, keys)
+        for table in (cli.DEFAULTS, cli.CONVERT, cli._HELP):
+            assert set(table) <= flags, set(table) - flags
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_rank_bins_above_members_names_source(self, fixture_dir, ensemble_path, tmp_path,
@@ -470,15 +491,13 @@ class TestFeaturesPath:
 class TestSimulateFromSummary:
     @pytest.mark.filterwarnings("ignore:grid minimizer")
     def test_theta_taken_from_summary(self, fixture_dir, tmp_path):
-        # a heavily subsampled search may legitimately end on the boundary;
+        # a coarse search may legitimately end on the boundary;
         # this test only cares that simulate picks theta_hat up from the file
         est = tmp_path / "est"
         rc = run(["estimate-theta", "--locations", fixture_dir / "locations.csv",
                   "--rainfall", fixture_dir / "rainfall.csv",
                   "--marginals", fixture_dir / "marginals.csv",
-                  "--grid", "4", "--m", "6",
-                  "--day-subsample", "40", "--location-subsample", "8",
-                  "--seed", "13", "--out", est])
+                  "--grid", "4", "--m", "6", "--seed", "13", "--out", est])
         assert rc == 0
         rc = run(["simulate", "--locations", fixture_dir / "locations.csv",
                   "--rainfall", fixture_dir / "rainfall.csv",

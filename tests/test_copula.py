@@ -16,7 +16,7 @@ from raincop.spatial import CovarianceMatrix
 
 def cov_from_sigma(sigma):
     sigma = np.asarray(sigma, dtype=float)
-    dummy = DistanceMatrix(values=np.zeros_like(sigma), blend=0.9)
+    dummy = DistanceMatrix(values=np.zeros_like(sigma))
     return CovarianceMatrix(sigma=sigma, params=MaternParams(theta=1.0),
                             distance=dummy, factor=spd_factorize(sigma))
 

@@ -68,7 +68,7 @@ class TestCrps:
 
 class TestVariogram:
     def two_by_two(self):
-        return DistanceMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]), blend=1.0)
+        return DistanceMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_zero_for_perfect_ensemble(self):
         obs = np.array([1.0, 3.0])
@@ -79,7 +79,7 @@ class TestVariogram:
         assert variogram_day(samples, obs, self.two_by_two()) == 0.0
 
     def test_zero_distance_weight_warning(self):
-        d = DistanceMatrix(values=np.zeros((2, 2)), blend=1.0)
+        d = DistanceMatrix(values=np.zeros((2, 2)))
         samples, obs = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5])
         with pytest.warns(UserWarning):
             assert variogram_day(samples, obs, d) == 0.0
@@ -92,9 +92,9 @@ class TestVariogram:
         vals = rng.uniform(1.0, 4.0, (n, n))
         d_vals = 0.5 * (vals + vals.T)
         np.fill_diagonal(d_vals, 0.0)
-        d = DistanceMatrix(values=d_vals, blend=1.0)
+        d = DistanceMatrix(values=d_vals)
         perm = rng.permutation(n)
-        d_p = DistanceMatrix(values=d_vals[np.ix_(perm, perm)], blend=1.0)
+        d_p = DistanceMatrix(values=d_vals[np.ix_(perm, perm)])
         assert variogram_day(samples[:, perm], obs[perm], d_p) == pytest.approx(
             variogram_day(samples, obs, d), rel=1e-12)
 
@@ -338,7 +338,7 @@ def ensembles(draw):
 def distances(n, seed):
     pts = np.random.default_rng(seed).uniform(0.0, 10.0, (n, 2))
     d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
-    return DistanceMatrix(values=d, blend=1.0)
+    return DistanceMatrix(values=d)
 
 
 def reference_variogram(samples, obs, d, p_exp):
@@ -457,7 +457,7 @@ class TestArrayKernels:
         dist = distances(n, n)
         perm = list(range(n))
         rnd.shuffle(perm)
-        dist_p = DistanceMatrix(values=dist.values[np.ix_(perm, perm)], blend=1.0)
+        dist_p = DistanceMatrix(values=dist.values[np.ix_(perm, perm)])
         np.testing.assert_allclose(variogram_score(samples[:, :, perm], obs[:, perm], dist_p),
                                    variogram_score(samples, obs, dist), rtol=1e-12, atol=0.0)
 

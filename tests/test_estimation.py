@@ -1,6 +1,5 @@
 """Energy-score estimator and lengthscale-search tests."""
 
-import itertools
 import json
 
 import numpy as np
@@ -11,9 +10,8 @@ from hypothesis import strategies as st
 from raincop import estimation
 from raincop.copula import censor, censor_thresholds, obs_to_gaussian, substream
 from raincop.estimation import (ProfilePoint, ScoreConfig, ThetaSearchSpec,
-                                energy_score_unbiased, estimate_theta,
-                                subsample_indices, write_profile, write_summary, _SEL_LOCS,
-                                _grid_vertex, _objective_terms)
+                                energy_score_unbiased, estimate_theta, write_profile,
+                                write_summary, _grid_vertex, _objective_terms)
 from raincop.synth import SynthSpec, simulate_dataset
 
 
@@ -81,8 +79,6 @@ class TestEnergyScore:
             ScoreConfig(beta=2.0)
         with pytest.raises(ValueError):
             ScoreConfig(m=1)
-        with pytest.raises(ValueError):
-            ScoreConfig(day_subsample=0)
 
 
 def small_case(seed=5, n=10, days=80):
@@ -91,11 +87,10 @@ def small_case(seed=5, n=10, days=80):
     return res
 
 
-def objective(theta, panel_values, field, distance, cfg, days=None, locations=None):
+def objective(theta, panel_values, field, distance, cfg):
     """The summed per-day scores of one theta, as estimate_theta scores a grid point."""
     return float(_objective_terms([theta], obs_to_gaussian(panel_values, field),
-                                  censor_thresholds(field), distance, cfg, 3.5,
-                                  days, locations).sum())
+                                  censor_thresholds(field), distance, cfg, 3.5).sum())
 
 
 class TestSrObjective:
@@ -114,52 +109,18 @@ class TestSrObjective:
         b = objective(300.0, res.panel.values, res.field, res.distance, cfg)
         assert a == b
 
-    def test_location_permutation_invariance(self):
-        res = small_case()
-        cfg = ScoreConfig(seed=4, m=10)
-        subset = [7, 2, 5, 0]
-        a = objective(400.0, res.panel.values, res.field, res.distance, cfg,
-                      locations=subset)
-        b = objective(400.0, res.panel.values, res.field, res.distance, cfg,
-                      locations=sorted(subset))
-        assert a == b
-
-    def test_additivity_over_days(self):
+    def test_first_days_score_as_the_cut_panel(self):
+        # day d's draws depend only on (seed, d): the terms of a panel's first
+        # k days are those of the panel cut to k days, bit for bit
         res = small_case(days=12)
         cfg = ScoreConfig(seed=8, m=8)
-        args = (res.panel.values, res.field, res.distance, cfg)
-        total = objective(350.0, *args)
-        singles = [objective(350.0, *args, days=[s]) for s in range(12)]
-        assert np.sum(singles) == pytest.approx(total, rel=1e-12)
-
-    def test_subsampled_day_selection_is_seeded(self):
-        res = small_case(days=30)
-        cfg = ScoreConfig(seed=12, m=6, day_subsample=7)
-        a = objective(500.0, res.panel.values, res.field, res.distance, cfg)
-        b = objective(500.0, res.panel.values, res.field, res.distance, cfg)
-        assert a == b
-
-    def test_location_subsample_matches_exhaustive_average(self):
-        # expectation over the seeded uniform subset draws equals the
-        # exhaustive average over all size-3 subsets of 6 locations
-        res = small_case(n=6, days=1)
-        cfg = ScoreConfig(seed=31, m=12)
-        args = (res.panel.values, res.field, res.distance, cfg)
-
-        cache = {}
-        def score_for(subset):
-            key = tuple(sorted(int(i) for i in subset))
-            if key not in cache:
-                cache[key] = objective(450.0, *args, days=[0], locations=list(key))
-            return cache[key]
-
-        exhaustive = [score_for(c) for c in itertools.combinations(range(6), 3)]
-        target = np.mean(exhaustive)
-        n_draws = 1500
-        drawn = [score_for(subsample_indices(1000 + k, _SEL_LOCS, 6, 3))
-                 for k in range(n_draws)]
-        se = np.std(exhaustive) / np.sqrt(n_draws)
-        assert np.mean(drawn) == pytest.approx(target, abs=3 * se)
+        obs = obs_to_gaussian(res.panel.values, res.field)
+        thr = censor_thresholds(res.field)
+        thetas = [350.0, 600.0]
+        full = _objective_terms(thetas, obs, thr, res.distance, cfg, 3.5)
+        for k in (1, 5, 11):
+            cut = _objective_terms(thetas, obs[:k], thr[:k], res.distance, cfg, 3.5)
+            assert np.array_equal(cut, full[:, :k])
 
 
 class TestEstimateTheta:
@@ -324,7 +285,7 @@ class TestBatchedObjective:
     def test_grid_call_equals_one_theta_calls(self, batched_case, thetas, seed):
         res, obs_gauss, thresholds = batched_case
         cfg = ScoreConfig(seed=seed, m=5)
-        args = (obs_gauss, thresholds, res.distance, cfg, 3.5, None, None)
+        args = (obs_gauss, thresholds, res.distance, cfg, 3.5)
         grid = _objective_terms(thetas, *args)
         singles = np.vstack([_objective_terms([t], *args) for t in thetas])
         assert np.array_equal(grid, singles)

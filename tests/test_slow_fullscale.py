@@ -15,7 +15,7 @@ import raincop as rc
 def test_fullscale_censored_recovery():
     spec = rc.SynthSpec(n_locations=400, n_days=5000, seed=1)
     res = rc.simulate_dataset(spec)
-    cfg = rc.ScoreConfig(seed=2, m=30, day_subsample="all")
+    cfg = rc.ScoreConfig(seed=2, m=30)
     search = rc.ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=13)
     est = rc.estimate_theta(res.panel.values, res.field, res.distance, cfg, search)
     assert abs(est.theta_hat - 450.0) <= 0.15 * 450.0

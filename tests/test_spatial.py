@@ -136,7 +136,7 @@ class TestMaternKernel:
 
 class TestBuildCovariance:
     def test_single_location(self):
-        d = DistanceMatrix(values=np.zeros((1, 1)), blend=0.9)
+        d = DistanceMatrix(values=np.zeros((1, 1)))
         cov = build_covariance(d, MaternParams(theta=450.0))
         assert np.array_equal(cov.sigma, np.ones((1, 1)))
 
