@@ -238,7 +238,7 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
 
 
 def read_kv(path) -> dict:
-    """Read flat key=value lines (# starts a comment): key -> (line number, stripped text)."""
+    """Read key=value lines (# starts a comment), each key once: key -> (line number, text)."""
     out = {}
     with _utf8_text(path, "line") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -247,8 +247,10 @@ def read_kv(path) -> dict:
                 continue
             if "=" not in line:
                 raise IngestError(f"{path}: line {line_no}: expected key=value")
-            key, _, val = line.partition("=")
-            out[key.strip()] = (line_no, val.strip())
+            key, _, val = map(str.strip, line.partition("="))
+            if key in out:
+                raise IngestError(f"{path}: line {line_no}: {key} repeats line {out[key][0]}")
+            out[key] = (line_no, val)
     return out
 
 

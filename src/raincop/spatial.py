@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .numerics import SpdFactor, bessel_k, spd_factorize
+from .numerics import SpdFactor, bessel_k, is_symmetric, spd_factorize
 from .panel import IngestError, read_csv
 
 __all__ = [
@@ -99,7 +99,7 @@ class DistanceMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("distance matrix must be square")
-        if not np.allclose(v, v.T, rtol=1e-12, atol=1e-12):
+        if not is_symmetric(v):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diag(v) != 0.0):
             raise ValueError("distance matrix must have a zero diagonal")
@@ -159,20 +159,24 @@ def build_distance_matrix(locs: LocationTable, a: float = DEFAULT_BLEND,
     elevation differences divided by topo_scale. Duplicate coordinates are
     allowed but produce zero off-diagonal distances, flagged as a warning
     since positive definiteness then rests on the jitter policy.
+    The blend is built in place in two n x n arrays: a peak of about 2 n^2 doubles.
     """
     check_blend(a, topo_scale)
     if len(locs) < 2:
         raise ValueError("need at least two locations")
 
-    xy = np.column_stack([locs.lat, locs.lon])
-    diff = xy[:, None, :] - xy[None, :, :]
-    d_geo = np.sqrt((diff ** 2).sum(axis=2))
-    d_topo = np.abs(locs.elev[:, None] - locs.elev[None, :])
-    values = a * d_geo + (1.0 - a) * d_topo / topo_scale
+    values = np.square(np.subtract.outer(locs.lat, locs.lat))
+    term = np.subtract.outer(locs.lon, locs.lon)
+    values += np.square(term, out=term)
+    np.sqrt(values, out=values)
+    values *= a
+    np.abs(np.subtract.outer(locs.elev, locs.elev, out=term), out=term)
+    term *= 1.0 - a
+    values += np.divide(term, topo_scale, out=term)
+    del term  # the checks below need only values
     np.fill_diagonal(values, 0.0)
 
-    off = values[~np.eye(len(locs), dtype=bool)]
-    if np.any(off == 0.0):
+    if np.count_nonzero(values == 0.0) > len(locs):
         warnings.warn(
             "duplicate locations produce zero off-diagonal distances; "
             "covariance validity will rest on the jitter policy",

@@ -66,6 +66,13 @@ class TestSynthCommand:
         assert f"{cfg}: line 3: unknown key 'bogus_key'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=2\ndays=6\nseed=-1\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"{cfg}: line 3: seed repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_keys_of_other_commands_accepted(self, tmp_path):
         # one config shared by every stage: estimate-theta and diagnose keys
         # are defaults, so synth accepts them
@@ -265,7 +272,7 @@ class TestSettingSources:
     def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
                                            message, source):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"seed=2\n{key}={value}\n")  # a later line wins, also for seed
+        cfg.write_text(f"# a comment, so the setting sits on line 2\n{key}={value}\n")
         flag = "--" + key.replace("_", "-")
         extra = [flag, value] if source == "flag" else ["--config", cfg]
         # input files that do not exist: the setting is checked before any is read

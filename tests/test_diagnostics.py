@@ -13,6 +13,7 @@ from raincop.diagnostics import (crps_sample, cross_correlation, ecdf_curve, ran
 from raincop.marginals import GammaMixture, MarginalField
 from raincop.spatial import DistanceMatrix, LocationTable
 from raincop.synth import SynthSpec, simulate_dataset
+from test_panel import traced_peak
 
 CRPS_STD_NORMAL_AT_MEAN = 0.23369497725510907  # (sqrt(2)-1)/sqrt(pi), quadrature-checked
 
@@ -97,6 +98,20 @@ class TestVariogram:
         d_p = DistanceMatrix(values=d_vals[np.ix_(perm, perm)])
         assert variogram_day(samples[:, perm], obs[perm], d_p) == pytest.approx(
             variogram_day(samples, obs, d), rel=1e-12)
+
+    def test_allocates_weights_terms_and_one_row_block(self):
+        # the n x n weights, the (1, n, n) terms of a one-day chunk and one row
+        # block of at most 65536 cells (0.73 n^2 at n = 300), plus ufunc buffers
+        rng = np.random.default_rng(6)
+        n = 300
+        samples, obs = make_ensemble(rng, n_days=40, m=20, n=n)
+        samples = np.ascontiguousarray(samples)  # as diagnose reads it: no copy is made
+        d = rng.uniform(1.0, 4.0, (n, n))
+        d += d.T
+        np.fill_diagonal(d, 0.0)
+        distance = DistanceMatrix(values=d)
+        peak, _ = traced_peak(lambda: variogram_score(samples, obs, distance))
+        assert peak <= 3.25 * n * n * 8
 
     def test_correct_beats_independent_forecaster(self):
         spec = SynthSpec(n_locations=25, n_days=100, seed=77)
@@ -297,6 +312,33 @@ class TestCrossCorrelation:
         mask = np.arange(30) != idx
         rho = stats.spearmanr(corr[mask], kern[mask]).statistic
         assert rho > 0.8
+
+    def test_allocates_one_copy_of_its_input(self):
+        # a (days * m, n) ensemble: the deviations, squared in place once the
+        # cross products are taken, plus n-vectors and ufunc buffers
+        locs = self.locations(300)
+        values = np.random.default_rng(4).gamma(0.5, 2.0, (40 * 20, 300))
+        peak, _ = traced_peak(lambda: cross_correlation(values, locs))
+        assert peak <= 1.25 * values.nbytes
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 60), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_matches_two_array_formula_bitwise(self, rows, n, seed):
+        # the deviations and their squares as two arrays, as before they shared one
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.random((rows, n)) < 0.4, 0.0, rng.gamma(0.7, 2.0, (rows, n)))
+        values[:, rng.integers(n)] = 1.5  # a constant series
+        locs = self.locations(n, seed=seed % 7)
+        center_id, corr = cross_correlation(values, locs)
+        c = values[:, locs.index_of(center_id)]
+        c_dev = c - c.mean()
+        c_ss = float(c_dev @ c_dev)
+        dev = values - values.mean(axis=0)
+        ss = (dev ** 2).sum(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = (c_dev @ dev) / np.sqrt(ss * c_ss)
+        want[(ss == 0.0) | (c_ss == 0.0)] = np.nan
+        assert np.array_equal(corr, want, equal_nan=True)
 
     def test_explicit_center_and_zero_variance(self):
         locs = self.locations(4)

@@ -364,3 +364,14 @@ class TestFieldAndSerialization:
         message = f"coefficients.txt: line {line_no}: invalid value '{bad}' for {key}"
         with pytest.raises(IngestError, match=re.escape(message)):
             read_coefficients(path)
+
+    def test_repeated_key_names_file_and_both_lines(self, tmp_path):
+        # a pasted or merged file may not silently change the model
+        path = tmp_path / "coefficients.txt"
+        write_coefficients(path, TRUTH, IdentityTransform())
+        lines = path.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines, 1) if line.startswith("alpha0="))
+        path.write_text("\n".join(lines) + "\nalpha0=5.0\n")
+        message = f"coefficients.txt: line {len(lines) + 1}: alpha0 repeats line {first}"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            read_coefficients(path)

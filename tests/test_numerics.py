@@ -7,9 +7,11 @@ share code with the implementation under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raincop.marginals import GammaMixture, mixture_cdf
-from raincop.numerics import NotPositiveDefinite, bessel_k, spd_factorize
+from raincop.numerics import NotPositiveDefinite, bessel_k, is_symmetric, spd_factorize
 
 # mpmath oracles (40-digit evaluation, rounded to double)
 P_2_5_AT_3_7 = 0.80744956692060424     # quadrature of t^{s-1} e^{-t} / Gamma(s)
@@ -148,3 +150,22 @@ class TestSpdFactorize:
             b = rng.standard_normal((8, 8))
             a = b @ b.T + 1e-6 * np.eye(8)
             assert spd_factorize(a).jitter_applied == 0.0
+
+
+class TestIsSymmetric:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 5, 81, 82, 150]), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-13, 1e-12, 2e-12, 1e-6]),
+           st.sampled_from([None, np.nan, np.inf, -np.inf]), st.booleans())
+    def test_same_answer_as_allclose(self, n, seed, noise, special, mirrored):
+        # n = 82 and 150 span several row blocks; the noise straddles the tolerance
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-3.0, 3.0, (n, n))
+        a += a.T
+        i, j = rng.integers(0, n, 2)
+        a[i, j] += noise * rng.choice([-1.0, 1.0]) * rng.choice([1.0, abs(a[i, j])])
+        if special is not None:
+            a[i, j] = special
+            if mirrored:
+                a[j, i] = special
+        assert is_symmetric(a) == np.allclose(a, a.T, rtol=1e-12, atol=1e-12)

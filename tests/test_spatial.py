@@ -1,15 +1,19 @@
 """Distance blending and Matérn covariance tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raincop.numerics import NotPositiveDefinite, bessel_k, spd_factorize
 from raincop.spatial import (DistanceMatrix, LocationTable,
                              MaternParams, build_covariance, build_distance_matrix,
                              matern_kernel, read_locations, repaired_correlation,
                              write_locations)
+from test_panel import traced_peak
 
 MATERN_3_5_AT_450_450 = 0.54494244711287479  # mpmath evaluation of the kernel formula
 
@@ -73,6 +77,35 @@ class TestDistanceMatrix:
         assert d[1, 2] == pytest.approx(0.9 * np.sqrt(8.0) + 0.1 * 210.0 / 70.0, rel=1e-12)
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
+
+    def test_allocates_two_matrices(self):
+        # the blend is built in two n x n arrays; the checks take blocks of rows
+        n = 300
+        locs = uk_locations(n, 2, 0.0, 1500.0)
+        peak, _ = traced_peak(lambda: build_distance_matrix(locs))
+        assert peak <= 2.5 * n * n * 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+           st.sampled_from([1.0, 70.0, 333.3]), st.booleans())
+    def test_matches_broadcast_formula_bitwise(self, n, seed, a, topo_scale, duplicate):
+        # the blend as whole-matrix expressions, as before it was built in place
+        locs = uk_locations(n, seed, 0.0, 2000.0)
+        if duplicate:
+            locs = LocationTable(ids=locs.ids, lat=np.append(locs.lat[:-1], locs.lat[0]),
+                                 lon=np.append(locs.lon[:-1], locs.lon[0]),
+                                 elev=np.append(locs.elev[:-1], locs.elev[0]))
+        xy = np.column_stack([locs.lat, locs.lon])
+        diff = xy[:, None, :] - xy[None, :, :]
+        d_geo = np.sqrt((diff ** 2).sum(axis=2))
+        d_topo = np.abs(locs.elev[:, None] - locs.elev[None, :])
+        want = a * d_geo + (1.0 - a) * d_topo / topo_scale
+        np.fill_diagonal(want, 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = build_distance_matrix(locs, a=a, topo_scale=topo_scale).values
+        assert np.array_equal(got, want)
+        assert len(caught) == int(duplicate)  # the zero off-diagonal count, not the diagonal
 
     def test_elevation_only_blend(self):
         # a = 0: perturbing lat/lon leaves the covariance unchanged
