@@ -6,9 +6,11 @@ built from one table, COMMANDS, and takes every flag as text: Settings
 converts each value the same way whether it came from a flag or a config
 line, and names that flag or line when it does not convert, before any input
 file is read. Every subcommand is deterministic for a fixed seed and inputs:
-reruns produce byte-identical output files. --threads must be an integer and
-(like estimate-theta's --refine-day-subsample) changes neither the outputs
-nor the work done: no subcommand starts threads of its own.
+reruns under one OpenBLAS thread count (OPENBLAS_NUM_THREADS, by default the
+core count; it splits the sums of matrix products) produce byte-identical
+files. --threads must be an integer and (like estimate-theta's
+--refine-day-subsample) changes neither the outputs nor the work done: no
+subcommand starts threads of its own, nor sets OpenBLAS's.
 
 Exit codes: 0 success, 2 ingestion error, 3 numerical/convergence error
 (including --strict escalations), 4 internal invariant violation.
@@ -310,11 +312,12 @@ def cmd_diagnose(settings: Settings) -> int:
     levels = np.array(settings["ecdf_levels"])
     model_freq, obs_freq = ecdf_curve(ens, obs, levels)
     center_id, obs_corr = cross_correlation(obs, locs)
-    _, model_corr = cross_correlation(ens.reshape(days * m, n), locs, center=center_id)
     crps_vals = crps_sample(ens, obs)
     energy_vals = energy_score_unbiased(ens, obs, beta)
     vario_vals = variogram_score(ens, obs, distance)
     rmsb, mab = rmsb_mab(ens, obs)
+    _, model_corr = cross_correlation(ens.reshape(days * m, n), locs, center=center_id,
+                                      overwrite_values=True)  # last: ens becomes deviations
     summary = {
         "crps_mean": float(np.mean(crps_vals)),
         "energy_score_mean": float(np.mean(energy_vals)),

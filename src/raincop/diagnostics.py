@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import day_chunks, ensemble_arrays
-from .marginals import MarginalField
+from .marginals import MarginalField, mixture_cdf
 from .spatial import DistanceMatrix, LocationTable
 
 __all__ = [
@@ -63,6 +63,7 @@ def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float,
     forecast exceedance probability 1 - F(q) is above the threshold tau
     (all cells signal at tau = 0, so the curve closes at (1, 1)). The
     curve sweeps tau from 1 down to 0 and AUC integrates it by trapezoid.
+    The probabilities fill one field-sized array, a day chunk at a time.
     """
     if q < 0.0:
         raise ValueError("exceedance level q must be nonnegative")
@@ -70,7 +71,9 @@ def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float,
         tau_grid = np.linspace(0.0, 1.0, 1001)
     taus = np.sort(np.asarray(tau_grid, dtype=float))[::-1]
 
-    prob = 1.0 - field.cdf(np.full(field.p.shape, float(q)))
+    prob = np.empty(field.p.shape)
+    for sl in day_chunks(field.n_days, field.n_locations):
+        prob[sl] = 1.0 - mixture_cdf(field.p[sl], field.mu[sl], field.phi[sl], q)
     events = np.asarray(panel_values, dtype=float) > q
     p_event = np.sort(prob[events])
     p_quiet = np.sort(prob[~events])
@@ -147,15 +150,16 @@ def ecdf_curve(samples, obs, levels):
 
 
 def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
-                      center: str = "center-of-mass"):
+                      center: str = "center-of-mass", *, overwrite_values: bool = False):
     """Pearson correlation across days between a center series and every location.
 
     panel_values is (n_days, n_locations), or a (days, m, n) ensemble as
     (days * m, n). center is a location id, or "center-of-mass" to use the
     location nearest the mean (lat, lon). Zero-variance series yield NaN
     entries. Returns (center_id, correlations).
-    Allocates one copy of panel_values, the deviations, squared in place once
-    the cross products are taken: for the ensemble, the peak of `diagnose`.
+    The deviations, squared in place once the cross products are taken, are
+    one copy of panel_values; with overwrite_values they are panel_values
+    itself (when it is already float64), left holding the squares.
     """
     values = np.asarray(panel_values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(locs):
@@ -172,7 +176,7 @@ def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
     c = values[:, center_idx]
     c_dev = c - c.mean()
     c_ss = float(c_dev @ c_dev)
-    dev = values - values.mean(axis=0)
+    dev = np.subtract(values, values.mean(axis=0), out=values if overwrite_values else None)
     corr = c_dev @ dev
     ss = np.square(dev, out=dev).sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -12,9 +12,9 @@ and column; each reader adds only the checks of its own format, on each
 block's keys as arrays. Flat key=value files go through read_kv.
 
 read_csv takes the file in blocks of about _CHARS_PER_COLUMN characters per
-column and parses each with one np.loadtxt call into text keys and float64
-cells. Every token float() accepts is accepted with float()'s value: a block
-that loadtxt rejects (1_0, non-ASCII digits, a wrong field count, a
+column, at most _BLOCK_CHARS, and parses each with one np.loadtxt call into
+text keys and float64 cells. Any token float() accepts gets float()'s value: a
+block that loadtxt rejects (1_0, non-ASCII digits, a wrong field count, a
 non-numeric cell) or that holds a character of _BULK_UNSAFE goes through the
 line parser, which reads each line with str.split and float() and words every
 error. The line parser runs on no other block. The readers count data rows;
@@ -44,11 +44,11 @@ __all__ = ["IngestError", "RainPanel", "read_csv", "file_row", "read_kv", "write
            "read_marginals_csv", "write_marginals_csv"]
 
 
-# Text parsed by one np.loadtxt call, per column of the header: a block holds
-# about as many rows of a wide CSV as of a narrow one, so the per-block calls
-# stay small beside the parse. A narrow CSV's block (its text, lines and
-# parsed record) takes about 7 bytes a character, small beside its cells.
+# Text parsed by one np.loadtxt call, per column of the header up to 32 columns,
+# so the per-block calls stay small beside the parse. A block (its text, lines
+# and parsed record) takes about 7 bytes a character: _BLOCK_CHARS caps it.
 _CHARS_PER_COLUMN = 4096
+_BLOCK_CHARS = 1 << 17
 _KEY_WIDTH = 32  # a key this long sends its block to the line parser
 # What the bulk parse would read differently from the line parser: NUL, which
 # numpy's fixed-width text drops from the end of a key, and the separators
@@ -201,7 +201,8 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
     columns as arrays and first is the index of its first data row (file_row
     names the row of a data row index). It runs before the cells of later
     blocks are checked, so it records what it finds rather than raise.
-    Returns the (rows, columns - n_keys) float array of the cells.
+    Returns the (rows, columns - n_keys) float array of the cells; beside it
+    the reader holds one block of at most about _BLOCK_CHARS characters.
     """
     with _utf8_text(path, "row") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
@@ -211,7 +212,7 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
                           ("v", "f8", (len(header) - n_keys,))])
         cells = array("d")
         n_rows, row_no, bad = 0, 2, None  # bad: (data row, column, value) of the first bad cell
-        block_chars = _CHARS_PER_COLUMN * len(header)
+        block_chars = min(_CHARS_PER_COLUMN * len(header), _BLOCK_CHARS)
         while text := fh.read(block_chars):
             if not text.endswith("\n"):
                 text += fh.readline()
@@ -319,13 +320,25 @@ def read_rain_csv(path, locs) -> RainPanel:
     return RainPanel(values=values, location_ids=locs.ids, day_labels=labels)
 
 
+def _write_long_csv(path, panel: RainPanel, value_names, cells) -> None:
+    """Long CSV date,loc,*value_names over panel cells, one day chunk at a time.
+
+    cells(days) gives the (cells, len(value_names)) values of a day slice."""
+    from .estimation import day_chunks
+
+    chunks = day_chunks(panel.n_days, panel.n_locations * max(len(value_names), 1))
+    rows = (row for days in chunks for row in cells(days).tolist())
+    write_csv(path, ["date", "loc", *value_names],
+              ([*key, *map(repr, row)] for key, row in zip(_cell_keys(panel), rows)))
+
+
 def write_features_csv(path, panel: RainPanel, features: np.ndarray) -> None:
-    """Long feature CSV: date,loc,x0..x{d-1}; rows date-major over panel cells."""
-    x = np.asarray(features, dtype=float)
-    if x.shape[0] != panel.n_locations * panel.n_days:
+    """Long feature CSV: date,loc,x0..x{d-1}; rows date-major, a day chunk at a time."""
+    x, n = np.asarray(features, dtype=float), panel.n_locations
+    if x.shape[0] != n * panel.n_days:
         raise ValueError("feature rows do not cover the panel")
-    write_csv(path, ["date", "loc", *(f"x{k}" for k in range(x.shape[1]))],
-              ([*key, *map(repr, row)] for key, row in zip(_cell_keys(panel), x.tolist())))
+    _write_long_csv(path, panel, [f"x{k}" for k in range(x.shape[1])],
+                    lambda days: x[days.start * n:days.stop * n])
 
 
 def _key_array(keys) -> np.ndarray:
@@ -377,10 +390,10 @@ def read_features_csv(path, panel: RainPanel) -> np.ndarray:
 
 
 def write_marginals_csv(path, panel: RainPanel, field) -> None:
-    """Marginal cache CSV: date,loc,p,mu,phi; rows date-major over panel cells."""
-    cells = np.stack([field.p, field.mu, field.phi], axis=-1).reshape(-1, 3).tolist()
-    write_csv(path, ["date", "loc", "p", "mu", "phi"],
-              ([*key, *map(repr, row)] for key, row in zip(_cell_keys(panel), cells)))
+    """Marginal cache CSV: date,loc,p,mu,phi; rows date-major, a day chunk at a time."""
+    _write_long_csv(path, panel, ["p", "mu", "phi"],
+                    lambda days: np.stack([field.p[days], field.mu[days], field.phi[days]],
+                                          axis=-1).reshape(-1, 3))
 
 
 def read_marginals_csv(path, panel: RainPanel):

@@ -212,6 +212,26 @@ class TestRocAuc:
              + 0.5 * np.mean(pe[:, None] == pq[None, :]))
         assert curve.auc == pytest.approx(u, abs=2e-3)
 
+    def test_chunked_probabilities_give_the_whole_field_bits(self):
+        # a field of two day chunks; the taus are every whole-field probability
+        # and the double just below it, so a probability one ulp off either
+        # way moves a count
+        rng = np.random.default_rng(9)
+        t, n, q = 400, 300, 1.0
+        assert len(estimation.day_chunks(t, n)) > 1
+        field = MarginalField(p=rng.uniform(0.05, 0.95, (t, n)), mu=rng.gamma(2.0, 1.5, (t, n)),
+                              phi=rng.uniform(0.5, 2.0, (t, n)))
+        panel = np.where(rng.random((t, n)) < 0.4, rng.gamma(1.0, 3.0, (t, n)), 0.0)
+        prob = 1 - field.cdf(np.full((t, n), q))
+        taus = np.concatenate([prob.ravel(), np.nextafter(prob.ravel(), -np.inf), [0.0]])
+        curve = roc_auc(field, panel, q, taus)
+        events = panel > q
+        for rate, chosen in ((curve.tpr, events), (curve.fpr, ~events)):
+            p_sorted = np.sort(prob[chosen])
+            want = 1.0 - np.searchsorted(p_sorted, curve.taus, side="right") / p_sorted.size
+            want[curve.taus == 0.0] = 1.0
+            assert np.array_equal(rate, want)
+
     def test_degenerate_panel(self):
         field = MarginalField.homogeneous(GammaMixture(p=0.5, mu=3.0, phi=1.0), 3, 4)
         curve = roc_auc(field, np.zeros((4, 3)), 1.0)  # no events
@@ -339,6 +359,31 @@ class TestCrossCorrelation:
             want = (c_dev @ dev) / np.sqrt(ss * c_ss)
         want[(ss == 0.0) | (c_ss == 0.0)] = np.nan
         assert np.array_equal(corr, want, equal_nan=True)
+
+    def test_overwrite_allocates_a_quarter_of_its_input(self):
+        # the deviations are the input itself: n-vectors, the center series and
+        # ufunc buffers remain
+        locs = self.locations(300)
+        values = np.random.default_rng(4).gamma(0.5, 2.0, (40 * 20, 300))
+        peak, _ = traced_peak(lambda: cross_correlation(values, locs, overwrite_values=True))
+        assert peak <= 0.25 * values.nbytes
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 60), st.integers(1, 30), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_overwrite_gives_the_copying_bits(self, rows, n, seed, constant_center):
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.random((rows, n)) < 0.4, 0.0, rng.gamma(0.7, 2.0, (rows, n)))
+        values[:, rng.integers(n)] = 1.5  # a zero-variance series
+        locs = self.locations(n, seed=seed % 7)
+        center = locs.ids[rng.integers(n)]
+        if constant_center:
+            values[:, locs.index_of(center)] = 0.0
+        copied = cross_correlation(values, locs, center=center)
+        overwritten = cross_correlation(values.copy(), locs, center=center,
+                                        overwrite_values=True)
+        assert copied[0] == overwritten[0]
+        assert copied[1].tobytes() == overwritten[1].tobytes()
 
     def test_explicit_center_and_zero_variance(self):
         locs = self.locations(4)

@@ -115,6 +115,19 @@ def fixture_20x400(tmp_path_factory):
     return fx, locs, read_rain_csv(fx / "rainfall.csv", locs)
 
 
+@pytest.fixture(scope="module")
+def fixture_400x60(tmp_path_factory):
+    """A 400-location, 60-day synth data set with a 20-replicate ensemble."""
+    fx = tmp_path_factory.mktemp("fx400wide")
+    assert main(["synth", "--out", str(fx), "--seed", "3", "--n-locations", "400",
+                 "--days", "60"]) == 0
+    assert main(["simulate", "--locations", str(fx / "locations.csv"),
+                 "--rainfall", str(fx / "rainfall.csv"),
+                 "--marginals", str(fx / "marginals.csv"),
+                 "--theta", "450", "--m", "20", "--seed", "3", "--out", str(fx)]) == 0
+    return fx, read_locations(fx / "locations.csv")
+
+
 def traced_peak(read):
     """(tracemalloc peak while read() runs, its result)."""
     tracemalloc.start()
@@ -138,6 +151,63 @@ class TestReaderMemory:
         peak, (_, ens) = traced_peak(lambda: read_ensemble(fx / "ensemble.csv", locs.ids))
         assert ens.shape == (400, 50, 20)
         assert peak <= 1.9 * ens.nbytes
+
+    def test_wide_ensemble_peak_within_1_9_times_its_array(self, fixture_400x60):
+        # 402 columns: the block is capped, not 4096 characters a column
+        fx, locs = fixture_400x60
+        peak, (_, ens) = traced_peak(lambda: read_ensemble(fx / "ensemble.csv", locs.ids))
+        assert ens.shape == (60, 20, 400)
+        assert peak <= 1.9 * ens.nbytes
+
+
+class TestLongWriters:
+    """The long-CSV writers format one day chunk at a time, with the bytes of the whole."""
+
+    @staticmethod
+    def day_panel(n_locations, n_days):
+        return RainPanel(np.zeros((n_days, n_locations)),
+                         tuple(f"s{i}" for i in range(n_locations)),
+                         tuple(f"d{t}" for t in range(n_days)))
+
+    @staticmethod
+    def random_field(rng, n_locations, n_days):
+        shape = (n_days, n_locations)
+        return MarginalField(rng.uniform(0.1, 0.9, shape), rng.gamma(2.0, 1.5, shape),
+                             rng.uniform(0.5, 2.0, shape))
+
+    @staticmethod
+    def whole_text(panel, header, cells):
+        """The file from the whole (cells, k) array turned into lists at once."""
+        keys = ((label, loc) for label in panel.day_labels for loc in panel.location_ids)
+        rows = (",".join([*key, *map(repr, row)]) + "\n"
+                for key, row in zip(keys, cells.tolist()))
+        return (",".join(header) + "\n" + "".join(rows)).encode()
+
+    def test_marginals_bytes_equal_whole_field_text(self, tmp_path):
+        from raincop.estimation import day_chunks
+        panel = self.day_panel(50, 600)
+        assert len(day_chunks(600, 50 * 3)) > 1
+        field = self.random_field(np.random.default_rng(11), 50, 600)
+        write_marginals_csv(tmp_path / "m.csv", panel, field)
+        cells = np.stack([field.p, field.mu, field.phi], axis=-1).reshape(-1, 3)
+        want = self.whole_text(panel, ["date", "loc", "p", "mu", "phi"], cells)
+        assert (tmp_path / "m.csv").read_bytes() == want
+
+    def test_features_bytes_equal_whole_matrix_text(self, tmp_path):
+        from raincop.estimation import day_chunks
+        panel = self.day_panel(50, 400)
+        assert len(day_chunks(400, 50 * 4)) > 1
+        x = np.random.default_rng(12).standard_normal((50 * 400, 4))
+        write_features_csv(tmp_path / "f.csv", panel, x)
+        want = self.whole_text(panel, ["date", "loc", "x0", "x1", "x2", "x3"], x)
+        assert (tmp_path / "f.csv").read_bytes() == want
+
+    def test_marginals_peak_at_most_8_mb(self, tmp_path):
+        # 400 x 1000 cells: 9.6 MB of field, an 11.6 MB file
+        panel = self.day_panel(400, 1000)
+        field = self.random_field(np.random.default_rng(13), 400, 1000)
+        peak, _ = traced_peak(lambda: write_marginals_csv(tmp_path / "m.csv", panel, field))
+        assert peak <= 8e6
 
 
 
