@@ -265,8 +265,8 @@ def cmd_simulate(settings: Settings) -> int:
             MaternParams(theta=theta, nu=nu)
         except ValueError as exc:
             raise IngestError(f"{summary_path}: theta_hat: {exc}") from exc
-    distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
-    cov = build_covariance(distance, MaternParams(theta=theta, nu=nu))
+    cov = build_covariance(build_distance_matrix(locs, a=a, topo_scale=topo_scale),
+                           MaternParams(theta=theta, nu=nu))
     seed = settings["seed"]
     # Settings are all checked: open the output, then draw and write chunk by chunk.
     blocks = (block for sl in day_chunks(panel.n_days, m * panel.n_locations)

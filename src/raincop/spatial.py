@@ -8,6 +8,8 @@ distances go through a Matérn kernel elementwise to produce a unit-diagonal
 correlation matrix. The blend is not Euclidean, so that matrix can be
 indefinite; it is always projected back to the nearest valid correlation
 matrix by flooring its spectrum, then factorized under the jitter policy.
+Kernel and repair work in one n x n array, which becomes the covariance; the
+covariance keeps no reference to the distance matrix.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class MaternParams:
-    """Kernel parameters: lengthscale theta > 0 and smoothness nu (default 3.5)."""
+    """Kernel parameters: lengthscale theta > 0 and smoothness nu in (0, 10] (default 3.5)."""
 
     theta: float
     nu: float = DEFAULT_NU
@@ -127,15 +129,16 @@ class MaternParams:
             raise ValueError(f"theta must be positive, got {self.theta}")
         if not (self.nu > 0.0 and np.isfinite(self.nu)):
             raise ValueError(f"nu must be positive, got {self.nu}")
+        if self.nu > 10.0:  # the largest order numerics.bessel_k supports
+            raise ValueError(f"nu must be at most 10, got {self.nu}")
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Unit-diagonal Matérn correlation matrix with its cached Cholesky factor."""
+    """Unit-diagonal Matérn correlation matrix with its cached Cholesky factor (no distances)."""
 
     sigma: np.ndarray
     params: MaternParams
-    distance: DistanceMatrix
     factor: SpdFactor = field(repr=False)
 
     @property
@@ -185,15 +188,20 @@ def build_distance_matrix(locs: LocationTable, a: float = DEFAULT_BLEND,
     return DistanceMatrix(values=values)
 
 
-def _matern_half_integer(x: np.ndarray, n: int) -> np.ndarray:
+def _matern_half_integer(x: np.ndarray, n: int) -> None:
     # exp(-x) * n!/(2n)! * sum_k (n+k)!/(k!(n-k)!) (2x)^(n-k); exact for nu = n + 1/2
-    # and finite at x = 0 where it evaluates to 1.
+    # and finite at x = 0 where it evaluates to 1. Turns x into the result in place.
     lead = math.factorial(n) / math.factorial(2 * n)
     acc = np.zeros_like(x)
+    term = np.empty_like(x)
     for k in range(n + 1):
         coef = math.factorial(n + k) / (math.factorial(k) * math.factorial(n - k))
-        acc += coef * (2.0 * x) ** (n - k)
-    return np.exp(-x) * lead * acc
+        np.multiply(x, 2.0, out=term)
+        term **= n - k  # in place, through the same scalar-power fast paths as t ** p
+        acc += np.multiply(term, coef, out=term)
+    np.exp(np.negative(x, out=x), out=x)
+    x *= lead
+    x *= acc
 
 
 def matern_kernel(d, params: MaternParams):
@@ -202,7 +210,9 @@ def matern_kernel(d, params: MaternParams):
     Half-integer smoothness uses the closed polynomial-times-exponential
     form; other orders evaluate 2^(1-nu)/Gamma(nu) * x^nu * K_nu(x) with
     x = sqrt(2 nu) d / theta, returning the analytic limit 1 at d = 0 where
-    that product is indeterminate.
+    that product is indeterminate. x is capped at 1e3, where both forms are 0
+    in double precision, so an x that overflows gives 0, not NaN. The result
+    is built in x's array; the closed form holds two more of d's size.
     """
     d_a = np.asarray(d, dtype=float)
     scalar = d_a.ndim == 0
@@ -210,22 +220,22 @@ def matern_kernel(d, params: MaternParams):
     if np.any(d_a < 0.0) or not np.all(np.isfinite(d_a)):
         raise ValueError("distances must be finite and nonnegative")
     nu = params.nu
-    x = np.sqrt(2.0 * nu) * d_a / params.theta
+    x = np.minimum(np.sqrt(2.0 * nu) * d_a / params.theta, 1e3)
 
     n_half = round(nu - 0.5)
     if n_half >= 0 and abs(nu - (n_half + 0.5)) < 1e-12:
-        out = _matern_half_integer(x, n_half)
+        _matern_half_integer(x, n_half)
     else:
-        out = np.ones_like(x)
         # Below this the kernel is 1 to double precision for nu >= 1; evaluating
         # the x^nu * K_nu(x) product there would hit overflow in the K factor.
         pos = x > 1e-8 if nu >= 1.0 else x > 0.0
-        if np.any(pos):
-            log_pref = (1.0 - nu) * np.log(2.0) - _sp.gammaln(nu)
-            with np.errstate(under="ignore"):
-                out[pos] = np.exp(log_pref + nu * np.log(x[pos])) * bessel_k(nu, x[pos])
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+        log_pref = (1.0 - nu) * np.log(2.0) - _sp.gammaln(nu)
+        with np.errstate(under="ignore"):
+            val = np.exp(log_pref + nu * np.log(x[pos])) * bessel_k(nu, x[pos])
+        x.fill(1.0)
+        x[pos] = val
+    np.clip(x, 0.0, 1.0, out=x)
+    return float(x[0]) if scalar else x
 
 
 def repaired_correlation(sigma: np.ndarray, floor: float = 1e-10) -> np.ndarray:
@@ -236,17 +246,20 @@ def repaired_correlation(sigma: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     negative eigenvalues whenever both blend ingredients vary at resolved
     scales, far beyond what the jitter ladder absorbs. This floors the
     spectrum at `floor`, reconstitutes, and renormalizes back to a unit
-    diagonal. Matrices already positive definite are returned unchanged.
+    diagonal. A positive-definite sigma is returned unchanged; otherwise the
+    repaired matrix is written over sigma, which is returned.
     """
     w, v = np.linalg.eigh(sigma)
     if w[0] >= floor:
         return sigma
-    m = (v * np.maximum(w, floor)) @ v.T
-    d = np.sqrt(np.diag(m))
-    m = m / np.outer(d, d)
-    m = 0.5 * (m + m.T)
-    np.fill_diagonal(m, 1.0)
-    return m
+    np.matmul(v * np.maximum(w, floor), v.T, out=sigma)
+    del v  # before np.outer's n x n temporary
+    d = np.sqrt(np.diag(sigma))
+    sigma /= np.outer(d, d)
+    sigma += sigma.T  # numpy buffers the overlapping transpose
+    sigma *= 0.5
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
 
 
 def build_covariance(distance: DistanceMatrix, params: MaternParams) -> CovarianceMatrix:
@@ -256,13 +269,15 @@ def build_covariance(distance: DistanceMatrix, params: MaternParams) -> Covarian
     correlation matrix (see repaired_correlation); a positive-definite one
     passes through unchanged. The Cholesky factor (possibly jittered per the
     escalation policy) is cached on the result for reuse by the sampler; the
-    stored matrix itself keeps its exact unit diagonal.
+    stored matrix itself keeps its exact unit diagonal. Kernel and repair share
+    one n x n array, and a distance matrix passed straight in from
+    build_distance_matrix is freed before the repair's eigendecomposition.
     """
     sigma = matern_kernel(distance.values.ravel(), params).reshape(distance.values.shape)
+    del distance
     np.fill_diagonal(sigma, 1.0)
     sigma = repaired_correlation(sigma)
-    factor = spd_factorize(sigma)
-    return CovarianceMatrix(sigma=sigma, params=params, distance=distance, factor=factor)
+    return CovarianceMatrix(sigma=sigma, params=params, factor=spd_factorize(sigma))
 
 
 def read_locations(path) -> LocationTable:

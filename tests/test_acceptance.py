@@ -201,7 +201,7 @@ def test_criterion_8_diagnostics_battery():
     res = rc.simulate_dataset(spec)
     cov = rc.build_covariance(res.distance, MaternParams(theta=spec.theta_true))
     from raincop.spatial import CovarianceMatrix
-    eye = CovarianceMatrix(sigma=np.eye(25), params=cov.params, distance=res.distance,
+    eye = CovarianceMatrix(sigma=np.eye(25), params=cov.params,
                            factor=spd_factorize(np.eye(25)))
     days = range(spec.n_days)
     good = rc.joint_forecast(cov, res.field, days, 40, 804, 0)  # substream(804, 0, day)
@@ -312,7 +312,7 @@ def test_criterion_11_held_out_locations():
         covs = {"copula": rc.build_covariance(distance, MaternParams(theta=est.theta_hat)),
                 "true": rc.build_covariance(distance, MaternParams(theta=spec.theta_true)),
                 "independent": CovarianceMatrix(sigma=eye, params=MaternParams(theta=1.0),
-                                                distance=distance, factor=spd_factorize(eye))}
+                                                factor=spd_factorize(eye))}
         es, vs = {}, {}
         for name, cov in covs.items():
             ens = rc.joint_forecast(cov, field_test, range(t), m, seed, 110)

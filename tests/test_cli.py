@@ -260,6 +260,9 @@ class TestSettingSources:
         ("synth", "start_date", "9999-12-30", "500 days from 9999-12-30 run past 9999-12-31"),
         ("synth", "seed", "-1", "seed must be nonnegative, got -1"),
         ("estimate-theta", "seed", "-2", "seed must be nonnegative, got -2"),
+        ("estimate-theta", "nu", "12.3", "nu must be at most 10, got 12.3"),
+        ("simulate", "nu", "12.3", "nu must be at most 10, got 12.3"),
+        ("synth", "nu", "10.5", "nu must be at most 10, got 10.5"),
     ], ids=["m", "beta", "grid", "theta-min", "nu", "simulate-theta",
             "a", "topo-scale", "simulate-a", "simulate-topo-scale", "simulate-nu",
             "diagnose-a", "diagnose-topo-scale", "m-malformed", "transform-malformed",
@@ -267,7 +270,8 @@ class TestSettingSources:
             "diagnose-beta-large", "diagnose-beta-zero", "diagnose-tau-grid-zero",
             "diagnose-tau-grid-one", "diagnose-tau-grid-negative", "diagnose-rank-bins-zero",
             "diagnose-q-levels", "diagnose-ecdf-levels", "synth-n-locations", "synth-lat-min",
-            "synth-date-overflow", "synth-seed", "estimate-theta-seed"])
+            "synth-date-overflow", "synth-seed", "estimate-theta-seed", "nu-above-10",
+            "simulate-nu-above-10", "synth-nu-half-integer-above-10"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
                                            message, source):
@@ -556,6 +560,13 @@ class TestSimulateStreaming:
         assert self.simulate(fixture_dir, tmp_path / "sim", extra) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("nu", ["3.5", "2.2"])
+    def test_tiny_theta_exit_0(self, fixture_dir, tmp_path, nu):
+        # sqrt(2 nu) d / theta overflows: the kernel is 0 off the diagonal, not NaN
+        assert self.simulate(fixture_dir, tmp_path, ["--m", "4", "--theta", "1e-200",
+                                                     "--nu", nu]) == 0
+        assert (tmp_path / "ensemble.csv").exists()
 
     @pytest.mark.parametrize("days_per_chunk", [1, 7], ids=["one-day", "ragged"])
     def test_chunking_changes_no_byte(self, fixture_dir, ensemble_path, tmp_path,

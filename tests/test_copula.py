@@ -10,15 +10,13 @@ from raincop.copula import (censor, censor_thresholds, joint_forecast,
                             obs_to_gaussian, read_ensemble, substream, write_ensemble)
 from raincop.marginals import GammaMixture, MarginalField, mixture_cdf, mixture_quantile
 from raincop.numerics import spd_factorize
-from raincop.spatial import DistanceMatrix, MaternParams
-from raincop.spatial import CovarianceMatrix
+from raincop.spatial import CovarianceMatrix, MaternParams
 
 
 def cov_from_sigma(sigma):
     sigma = np.asarray(sigma, dtype=float)
-    dummy = DistanceMatrix(values=np.zeros_like(sigma))
     return CovarianceMatrix(sigma=sigma, params=MaternParams(theta=1.0),
-                            distance=dummy, factor=spd_factorize(sigma))
+                            factor=spd_factorize(sigma))
 
 
 class TestThresholds:

@@ -13,7 +13,6 @@ from raincop.diagnostics import (crps_sample, cross_correlation, ecdf_curve, ran
 from raincop.marginals import GammaMixture, MarginalField
 from raincop.spatial import DistanceMatrix, LocationTable
 from raincop.synth import SynthSpec, simulate_dataset
-from test_panel import traced_peak
 
 CRPS_STD_NORMAL_AT_MEAN = 0.23369497725510907  # (sqrt(2)-1)/sqrt(pi), quadrature-checked
 
@@ -99,7 +98,7 @@ class TestVariogram:
         assert variogram_day(samples[:, perm], obs[perm], d_p) == pytest.approx(
             variogram_day(samples, obs, d), rel=1e-12)
 
-    def test_allocates_weights_terms_and_one_row_block(self):
+    def test_allocates_weights_terms_and_one_row_block(self, traced_peak):
         # the n x n weights, the (1, n, n) terms of a one-day chunk and one row
         # block of at most 65536 cells (0.73 n^2 at n = 300), plus ufunc buffers
         rng = np.random.default_rng(6)
@@ -120,7 +119,6 @@ class TestVariogram:
         from raincop.spatial import MaternParams, build_covariance
         cov = build_covariance(res.distance, MaternParams(theta=spec.theta_true))
         eye_cov = type(cov)(sigma=np.eye(25), params=cov.params,
-                            distance=res.distance,
                             factor=spd_factorize(np.eye(25)))
         wins = 0
         m = 40
@@ -333,7 +331,7 @@ class TestCrossCorrelation:
         rho = stats.spearmanr(corr[mask], kern[mask]).statistic
         assert rho > 0.8
 
-    def test_allocates_one_copy_of_its_input(self):
+    def test_allocates_one_copy_of_its_input(self, traced_peak):
         # a (days * m, n) ensemble: the deviations, squared in place once the
         # cross products are taken, plus n-vectors and ufunc buffers
         locs = self.locations(300)
@@ -360,7 +358,7 @@ class TestCrossCorrelation:
         want[(ss == 0.0) | (c_ss == 0.0)] = np.nan
         assert np.array_equal(corr, want, equal_nan=True)
 
-    def test_overwrite_allocates_a_quarter_of_its_input(self):
+    def test_overwrite_allocates_a_quarter_of_its_input(self, traced_peak):
         # the deviations are the input itself: n-vectors, the center series and
         # ufunc buffers remain
         locs = self.locations(300)

@@ -1,7 +1,6 @@
 """Panel construction, file round-trip and reader memory tests."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,31 +127,22 @@ def fixture_400x60(tmp_path_factory):
     return fx, read_locations(fx / "locations.csv")
 
 
-def traced_peak(read):
-    """(tracemalloc peak while read() runs, its result)."""
-    tracemalloc.start()
-    try:
-        result = read()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 class TestReaderMemory:
     """Beyond the cells it returns, a reader holds one bounded block of the file."""
 
-    def test_marginals_peak_below_twice_the_file(self, fixture_20x400):
+    def test_marginals_peak_below_twice_the_file(self, fixture_20x400, traced_peak):
         fx, _, panel = fixture_20x400
         peak, _ = traced_peak(lambda: read_marginals_csv(fx / "marginals.csv", panel))
         assert peak < 2 * (fx / "marginals.csv").stat().st_size  # about 232 KB
 
-    def test_ensemble_peak_within_1_9_times_its_array(self, fixture_20x400):
+    def test_ensemble_peak_within_1_9_times_its_array(self, fixture_20x400, traced_peak):
         fx, locs, _ = fixture_20x400
         peak, (_, ens) = traced_peak(lambda: read_ensemble(fx / "ensemble.csv", locs.ids))
         assert ens.shape == (400, 50, 20)
         assert peak <= 1.9 * ens.nbytes
 
-    def test_wide_ensemble_peak_within_1_9_times_its_array(self, fixture_400x60):
+    def test_wide_ensemble_peak_within_1_9_times_its_array(self, fixture_400x60,
+                                                           traced_peak):
         # 402 columns: the block is capped, not 4096 characters a column
         fx, locs = fixture_400x60
         peak, (_, ens) = traced_peak(lambda: read_ensemble(fx / "ensemble.csv", locs.ids))
@@ -202,7 +192,7 @@ class TestLongWriters:
         want = self.whole_text(panel, ["date", "loc", "x0", "x1", "x2", "x3"], x)
         assert (tmp_path / "f.csv").read_bytes() == want
 
-    def test_marginals_peak_at_most_8_mb(self, tmp_path):
+    def test_marginals_peak_at_most_8_mb(self, tmp_path, traced_peak):
         # 400 x 1000 cells: 9.6 MB of field, an 11.6 MB file
         panel = self.day_panel(400, 1000)
         field = self.random_field(np.random.default_rng(13), 400, 1000)

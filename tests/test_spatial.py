@@ -1,19 +1,20 @@
 """Distance blending and Matérn covariance tests."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from raincop.numerics import NotPositiveDefinite, bessel_k, spd_factorize
 from raincop.spatial import (DistanceMatrix, LocationTable,
                              MaternParams, build_covariance, build_distance_matrix,
                              matern_kernel, read_locations, repaired_correlation,
                              write_locations)
-from test_panel import traced_peak
 
 MATERN_3_5_AT_450_450 = 0.54494244711287479  # mpmath evaluation of the kernel formula
 
@@ -78,7 +79,7 @@ class TestDistanceMatrix:
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
 
-    def test_allocates_two_matrices(self):
+    def test_allocates_two_matrices(self, traced_peak):
         # the blend is built in two n x n arrays; the checks take blocks of rows
         n = 300
         locs = uk_locations(n, 2, 0.0, 1500.0)
@@ -156,6 +157,19 @@ class TestMaternKernel:
                 continue
             assert matern_kernel(d1, params) > matern_kernel(d2, params)
 
+    @pytest.mark.parametrize("nu", [0.5, 2.2, 3.5])
+    def test_overflowing_argument_gives_zero(self, nu):
+        # sqrt(2 nu) d / theta overflows (or its power does): 0, not NaN
+        got = matern_kernel(np.array([0.0, 1.0, 100.0]), MaternParams(theta=1e-300, nu=nu))
+        assert np.array_equal(got, [1.0, 0.0, 0.0])
+
+    def test_nu_above_ten_rejected(self):
+        # bessel_k's orders end at 10; one rule for both kernel forms
+        MaternParams(theta=1.0, nu=10.0)
+        for nu in (10.5, 12.3, 100.5):
+            with pytest.raises(ValueError, match="nu must be at most 10"):
+                MaternParams(theta=1.0, nu=nu)
+
     def test_theta_monotonicity(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
@@ -220,3 +234,75 @@ class TestBuildCovariance:
     def test_repaired_correlation_noop_when_valid(self):
         sig = np.eye(4) * 0.2 + 0.8 * np.ones((4, 4))
         assert repaired_correlation(sig) is sig
+
+    def test_repair_overwrites_its_input(self):
+        locs = uk_locations(40, 13, 0.0, 8e5)
+        raw = matern_kernel(build_distance_matrix(locs).values, MaternParams(theta=450.0))
+        np.fill_diagonal(raw, 1.0)
+        assert np.linalg.eigvalsh(raw)[0] < 0.0
+        assert repaired_correlation(raw) is raw
+        assert np.all(np.diag(raw) == 1.0)
+
+    @pytest.mark.parametrize("elev_hi, theta", [(200.0, 1.0), (8e5, 450.0)],
+                             ids=["valid", "repaired"])
+    def test_peak_at_most_4_35_n2(self, traced_peak, elev_hi, theta):
+        # the caller's distances, then the kernel with its sum and term, or
+        # sigma with the eigenvectors and their scaled copy
+        n = 300
+        distance = build_distance_matrix(uk_locations(n, 2, 200.0, elev_hi))
+        peak, _ = traced_peak(lambda: build_covariance(distance, MaternParams(theta=theta)))
+        assert peak + distance.values.nbytes <= 4.35 * n * n * 8
+
+    def test_handed_over_call_keeps_sigma_and_factor(self):
+        n = 300
+        locs = uk_locations(n, 2, 0.0, 8e5)
+        tracemalloc.start()
+        try:
+            cov = build_covariance(build_distance_matrix(locs), MaternParams(theta=450.0))
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cov.n == n
+        assert live <= 2.25 * n * n * 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.5, 0.7, 1.0, 1.5, 2.2, 2.5, 3.5, 9.5]),
+           st.sampled_from([0.01, 5.0, 300.0, 450.0, 2000.0]), st.sampled_from([200.0, 8e5]))
+    def test_matches_whole_array_expressions_bitwise(self, n, seed, nu, theta, elev_hi):
+        # the kernel, the repair and the factor as whole-array expressions, as
+        # before they were built in place
+        distance = build_distance_matrix(uk_locations(n, seed, 0.0, elev_hi))
+        x = np.sqrt(2.0 * nu) * distance.values.ravel() / theta
+        half = round(nu - 0.5)
+        if abs(nu - (half + 0.5)) < 1e-12:
+            acc = np.zeros_like(x)
+            for k in range(half + 1):
+                coef = (math.factorial(half + k)
+                        / (math.factorial(k) * math.factorial(half - k)))
+                acc += coef * (2.0 * x) ** (half - k)
+            kern = np.exp(-x) * (math.factorial(half) / math.factorial(2 * half)) * acc
+        else:
+            kern = np.ones_like(x)
+            pos = x > 1e-8 if nu >= 1.0 else x > 0.0
+            log_pref = (1.0 - nu) * np.log(2.0) - special.gammaln(nu)
+            with np.errstate(under="ignore"):
+                kern[pos] = np.exp(log_pref + nu * np.log(x[pos])) * bessel_k(nu, x[pos])
+        kern = np.clip(kern, 0.0, 1.0)
+        sigma = kern.reshape(n, n).copy()
+        np.fill_diagonal(sigma, 1.0)
+        w, v = np.linalg.eigh(sigma)
+        if w[0] < 1e-10:
+            sigma = (v * np.maximum(w, 1e-10)) @ v.T
+            d = np.sqrt(np.diag(sigma))
+            sigma = sigma / np.outer(d, d)
+            sigma = 0.5 * (sigma + sigma.T)
+            np.fill_diagonal(sigma, 1.0)
+        factor = spd_factorize(sigma)
+
+        params = MaternParams(theta=theta, nu=nu)
+        assert np.array_equal(matern_kernel(distance.values.ravel(), params), kern)
+        cov = build_covariance(distance, params)
+        assert np.array_equal(cov.sigma, sigma)
+        assert np.array_equal(cov.factor.lower, factor.lower)
+        assert cov.factor.jitter_applied == factor.jitter_applied
