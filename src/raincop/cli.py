@@ -26,35 +26,38 @@ import sys
 import numpy as np
 
 from . import __version__
-from .copula import joint_forecast, read_ensemble, substream, write_ensemble
+from .copula import SUBSTREAM_TAGS, joint_forecast, read_ensemble, substream, write_ensemble
 from .diagnostics import (cross_correlation, crps_sample, ecdf_curve, rank_histogram,
                           rmsb_mab, roc_auc, variogram_score)
-from .estimation import (ScoreConfig, ThetaSearchSpec, day_chunks, energy_score_unbiased,
-                         estimate_theta, write_profile, write_summary)
+from .estimation import (ScoreConfig, ThetaSearchSpec, energy_score_unbiased, estimate_theta,
+                         write_profile, write_summary)
 from .marginals import jglm_fit, make_transform, predict_field, write_coefficients
-from .numerics import NotPositiveDefinite
-from .panel import (IngestError, read_features_csv, read_kv, read_marginals_csv,
+from .numerics import NotPositiveDefinite, day_chunks
+from .panel import (IngestError, float_text, read_features_csv, read_kv, read_marginals_csv,
                     read_rain_csv, write_csv, write_json, write_marginals_csv, write_rain_csv)
-from .spatial import (MaternParams, build_covariance, build_distance_matrix, check_blend,
-                      read_locations, write_locations)
+from .spatial import (DEFAULT_BLEND, DEFAULT_NU, DEFAULT_TOPO_SCALE, MaternParams,
+                      build_covariance, build_distance_matrix, check_blend, read_locations,
+                      write_locations)
 from .synth import SynthSpec, simulate_dataset, write_truth
 
-_SIM_TAG = 21
-_RANK_TAG = 20
+# SynthSpec field -> the settings it is made of
+_SYNTH_FIELDS = {"n_days": ("days",), "blend": ("a",), "lat_range": ("lat_min", "lat_max"),
+                 "lon_range": ("lon_min", "lon_max"), "elev_range": ("elev_min", "elev_max"),
+                 **{key: (key,) for key in ("n_locations", "theta_true", "nu", "topo_scale",
+                                            "p", "mu", "phi", "seed", "start_date")}}
 
+# Each default the library states is read from it: synth's from SynthSpec's fields.
 DEFAULTS = {
-    "a": 0.9, "topo_scale": 70.0, "nu": 3.5,
-    "beta": 0.5, "m": 30, "seed": 0,
-    "theta_min": 200.0, "theta_max": 800.0, "grid": 13,
+    **{key: value for name, keys in _SYNTH_FIELDS.items()
+       for key, value in zip(keys, getattr(SynthSpec, name) if len(keys) > 1
+                             else [getattr(SynthSpec, name)])},
+    "a": DEFAULT_BLEND, "topo_scale": DEFAULT_TOPO_SCALE, "nu": DEFAULT_NU,
+    "beta": ScoreConfig.beta, "m": ScoreConfig.m, "seed": ScoreConfig.seed,
+    "theta_min": 200.0, "theta_max": 800.0, "grid": ThetaSearchSpec.grid_size,
     "tau_grid": 1001, "q_levels": "0.5,5.0",
     "ecdf_levels": "0,0.5,1,2,4,8,16,32", "rank_bins": 10,
     "transform": "identity",
     "theta": None,
-    "n_locations": 50, "days": 500, "theta_true": 450.0,
-    "p": 0.6, "mu": 3.0, "phi": 1.2,
-    "lat_min": 49.9, "lat_max": 58.7, "lon_min": -8.2, "lon_max": 1.8,
-    "elev_min": 0.0, "elev_max": 800000.0,
-    "start_date": "1999-01-01",
 }
 
 
@@ -158,13 +161,6 @@ def _blend_settings(settings: Settings):
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-# SynthSpec field -> the settings it is made of
-_SYNTH_FIELDS = {"n_days": ("days",), "blend": ("a",), "lat_range": ("lat_min", "lat_max"),
-                 "lon_range": ("lon_min", "lon_max"), "elev_range": ("elev_min", "elev_max"),
-                 **{key: (key,) for key in ("n_locations", "theta_true", "nu", "topo_scale",
-                                            "p", "mu", "phi", "seed", "start_date")}}
 
 
 def cmd_synth(settings: Settings) -> int:
@@ -271,7 +267,7 @@ def cmd_simulate(settings: Settings) -> int:
     # Settings are all checked: open the output, then draw and write chunk by chunk.
     blocks = (block for sl in day_chunks(panel.n_days, m * panel.n_locations)
               for block in joint_forecast(cov, field, range(panel.n_days)[sl], m, seed,
-                                          _SIM_TAG))
+                                          SUBSTREAM_TAGS["simulate"]))
     out = _out_dir(settings)
     write_ensemble(os.path.join(out, "ensemble.csv"), panel.day_labels,
                    panel.location_ids, blocks)
@@ -292,12 +288,17 @@ def cmd_diagnose(settings: Settings) -> int:
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
     field = read_marginals_csv(settings.path("marginals"), panel)
-    day_labels, ens = read_ensemble(settings.path("ensemble"), locs.ids)  # (days, m, n)
-    if list(day_labels) != list(panel.day_labels):
-        raise IngestError("ensemble days do not match the rainfall panel")
+    ensemble_path = settings.path("ensemble")
+    day_labels, ens = read_ensemble(ensemble_path, locs.ids)  # (days, m, n)
+    if day_labels != list(panel.day_labels):
+        differ = next((f"day {k + 1} is {got!r}, the panel's {want!r}" for k, (got, want)
+                       in enumerate(zip(day_labels, panel.day_labels)) if got != want),
+                      f"{len(day_labels)} days, the panel {panel.n_days}")
+        raise IngestError(f"{ensemble_path}: ensemble days do not match the rainfall panel: "
+                          f"{differ}")
     days, m, n = ens.shape
     if m < 2:
-        raise IngestError("ensemble needs at least two replicates per day")
+        raise IngestError(f"{ensemble_path}: ensemble needs at least two replicates per day")
     if bins > m + 1:
         settings.reject(f"rank_bins must be at most m + 1 = {m + 1}, got {bins}", "rank_bins")
     obs = panel.values  # (days, n)
@@ -308,7 +309,7 @@ def cmd_diagnose(settings: Settings) -> int:
     tau_grid = np.linspace(0.0, 1.0, settings["tau_grid"])
     curves = {f"{q:g}": roc_auc(field, obs, q, tau_grid)
               for q in settings["q_levels"]}
-    counts, freq = rank_histogram(ens, obs, bins, substream(seed, _RANK_TAG))
+    counts, freq = rank_histogram(ens, obs, bins, substream(seed, SUBSTREAM_TAGS["rank_ties"]))
     levels = np.array(settings["ecdf_levels"])
     model_freq, obs_freq = ecdf_curve(ens, obs, levels)
     center_id, obs_corr = cross_correlation(obs, locs)
@@ -337,22 +338,17 @@ def cmd_diagnose(settings: Settings) -> int:
     out = _out_dir(settings)
     for q, curve in curves.items():
         write_csv(os.path.join(out, f"roc_q{q}.csv"), ["tau", "fpr", "tpr"],
-                  _float_rows(curve.taus, curve.fpr, curve.tpr))
+                  map(float_text, zip(curve.taus, curve.fpr, curve.tpr)))
     write_csv(os.path.join(out, "rank_hist.csv"), ["bin", "count", "frequency"],
-              ([str(b), str(int(c)), repr(float(f))]
+              ([str(b), str(int(c)), *float_text([f])]
                for b, (c, f) in enumerate(zip(counts, freq))))
     write_csv(os.path.join(out, "ecdf.csv"), ["level", "model_freq", "obs_freq"],
-              _float_rows(levels, model_freq, obs_freq))
+              map(float_text, zip(levels, model_freq, obs_freq)))
     write_csv(os.path.join(out, "crosscorr.csv"), ["id", "observed", "model"],
-              ([i, *row] for i, row in zip(locs.ids, _float_rows(obs_corr, model_corr))))
+              ([i, *float_text(row)] for i, row in zip(locs.ids, zip(obs_corr, model_corr))))
     write_json(os.path.join(out, "diagnostics.json"), summary)
     _log(f"diagnose: wrote diagnostics for {panel.n_days} days to {out}")
     return 0
-
-
-def _float_rows(*columns):
-    """Rows of repr-formatted cells from equally long float columns."""
-    return ([repr(float(v)) for v in row] for row in zip(*columns))
 
 
 # command -> (help, input files, setting keys): each is a flag --key-name taken as

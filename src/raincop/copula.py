@@ -17,7 +17,7 @@ for dry outcomes.
 day_normals draws the per-day common random numbers, day d's (m, n) normals
 from substream(seed, *path, d), for joint_forecast and the theta objective
 alike: callers walk a run of days in budget-sized chunks
-(estimation.day_chunks), and no draw depends on the chunking.
+(numerics.day_chunks), and no draw depends on the chunking.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ import numpy as np
 from scipy import special as _sp
 
 from .marginals import MarginalField, mixture_cdf, mixture_quantile
-from .panel import IngestError, file_row, format_rain, read_csv, write_csv
+from .panel import IngestError, file_row, float_text, read_csv, write_csv
 from .spatial import CovarianceMatrix
 
 __all__ = [
+    "SUBSTREAM_TAGS",
     "substream",
     "day_normals",
     "censor_thresholds",
@@ -44,6 +45,17 @@ __all__ = [
 ]
 
 CDF_HI = 1.0 - 1e-12
+
+# The first path element of every substream the package draws from: one tag per
+# stream, all distinct, so no two streams share a draw.
+SUBSTREAM_TAGS = {
+    "theta_objective": 0,  # estimation's per-day common random numbers
+    "synth_locations": 10,
+    "synth_days": 11,
+    "synth_features": 12,
+    "rank_ties": 20,  # diagnose's rank-histogram tie-breaks
+    "simulate": 21,
+}
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -132,7 +144,7 @@ def write_ensemble(path, day_labels, location_ids, blocks) -> None:
     blocks, (m, n) arrays aligned with day_labels, may come from a generator.
     """
     write_csv(path, ["day", "replicate", *(f"loc_{i}" for i in location_ids)],
-              ([label, str(j), *map(format_rain, row)]
+              ([label, str(j), *float_text(row, rain=True)]
                for label, block in zip(day_labels, blocks)
                for j, row in enumerate(np.asarray(block, dtype=float).tolist())))
 

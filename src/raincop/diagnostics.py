@@ -11,7 +11,7 @@ ensemble sizes) and median-forecast bias summaries.
 Each ensemble score is one array kernel over a whole forecast: (days, m, n)
 samples against (days, n) observations (`crps_sample`, `variogram_score`,
 `rank_histogram`, `ecdf_curve`, `rmsb_mab`). Each walks the days in the
-consecutive chunks `estimation.day_chunks` gives under its element budget,
+consecutive chunks `numerics.day_chunks` gives under its element budget,
 so its temporaries stay bounded whatever the number of days; one day or one
 cell is scored as a stack of one. All diagnostics are pure over their inputs
 with fixed iteration order.
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import day_chunks, ensemble_arrays
 from .marginals import MarginalField, mixture_cdf
+from .numerics import day_chunks, ensemble_arrays
 from .spatial import DistanceMatrix, LocationTable
 
 __all__ = [

@@ -17,15 +17,15 @@ seed: the per-day standard normals (copula.day_normals) depend only on
 so profiles are smooth and grid evaluations directly comparable.
 
 Evaluation is batched. A list of candidate thetas is scored together: the
-thetas are split into groups whose Cholesky factors (n x n each) fit one
-fixed element budget, the days into chunks whose (days, m, n) normals fit
-the same budget. Each chunk's normals are drawn once and reused for every
-theta of the group; the chunk is then re-correlated, censored and scored by
-energy_score_unbiased, the one energy-score kernel, which `diagnose` calls
-on a whole ensemble. Working memory is therefore bounded by a few
-budget-sized arrays whatever the number of locations or days, and the scores
-do not depend on the budget beyond floating-point rounding. A group's factors
-are released before the next group's are built.
+thetas are split into groups whose Cholesky factors (n x n each) fit the
+element budget of numerics.day_chunks, the days into chunks whose (days, m,
+n) normals fit the same budget. Each chunk's normals are drawn once and
+reused for every theta of the group; the chunk is then re-correlated,
+censored and scored by energy_score_unbiased, the one energy-score kernel,
+which `diagnose` calls on a whole ensemble. Working memory is therefore
+bounded by a few budget-sized arrays whatever the number of locations or
+days, and the scores do not depend on the budget beyond floating-point
+rounding. A group's factors are released before the next group's are built.
 
 The search scores one grid of thetas in one batched call on the same days.
 theta_hat is the vertex of the parabola through the grid minimum and its two
@@ -42,10 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import censor, censor_thresholds, day_normals, obs_to_gaussian
+from .copula import SUBSTREAM_TAGS, censor, censor_thresholds, day_normals, obs_to_gaussian
 from .marginals import MarginalField
-from .panel import write_csv, write_json
-from .spatial import DistanceMatrix, MaternParams, build_covariance
+from .numerics import day_chunks, ensemble_arrays
+from .panel import float_text, write_csv, write_json
+from .spatial import DEFAULT_NU, DistanceMatrix, MaternParams, build_covariance
 
 __all__ = [
     "ScoreConfig",
@@ -53,21 +54,10 @@ __all__ = [
     "ProfilePoint",
     "EstimateResult",
     "energy_score_unbiased",
-    "day_chunks",
-    "ensemble_arrays",
     "estimate_theta",
     "write_profile",
     "write_summary",
 ]
-
-# Substream path tag of the per-day draws.
-_DAY_DRAW = 0
-
-# Float64 elements allowed in one working array (512 KiB): bounds a day
-# chunk's (days, m, n) normals and a theta group's n x n factors alike. Small
-# enough that a chunk's pair differences stay in a core's cache, large enough
-# to amortise numpy's per-call cost over tens of days at n = 20.
-_ELEMENT_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,6 +89,8 @@ class ThetaSearchSpec:
     grid_size: int = 13
 
     def __post_init__(self):
+        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
+            raise ValueError(f"theta bounds must be finite, got [{self.lower}, {self.upper}]")
         if not (0.0 < self.lower < self.upper):
             raise ValueError("need 0 < lower < upper")
         if self.grid_size < 3:
@@ -155,27 +147,6 @@ def energy_score_unbiased(samples: np.ndarray, obs: np.ndarray,
     return out
 
 
-def day_chunks(n_days: int, cells_per_day: int) -> list:
-    """Consecutive day slices, each holding at most the element budget of cells."""
-    step = max(1, _ELEMENT_BUDGET // max(cells_per_day, 1))
-    return [slice(s, min(s + step, n_days)) for s in range(0, n_days, step)]
-
-
-def ensemble_arrays(samples, obs):
-    """(days, m, n) samples and (days, n) observations as C-ordered float arrays.
-
-    C order fixes the summation order of every reduction, so a kernel's
-    result does not depend on the layout of the arrays it is given.
-    """
-    samples = np.ascontiguousarray(samples, dtype=float)
-    obs = np.ascontiguousarray(obs, dtype=float)
-    if samples.ndim != 3 or obs.shape != (samples.shape[0], samples.shape[2]):
-        raise ValueError("samples must be (days, m, n) aligned with (days, n) observations")
-    if samples.shape[1] < 2:
-        raise ValueError("need at least two ensemble members")
-    return samples, obs
-
-
 def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
                  obs: np.ndarray, thr: np.ndarray) -> np.ndarray:
     """Per-day scores of thetas whose factors fit the budget together.
@@ -189,7 +160,7 @@ def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
                 for theta in thetas]
     scores = np.empty((len(thetas), len(obs)))
     for sl in day_chunks(len(obs), m * n):
-        z = day_normals(range(len(obs))[sl], m, n, cfg.seed, _DAY_DRAW)
+        z = day_normals(range(len(obs))[sl], m, n, cfg.seed, SUBSTREAM_TAGS["theta_objective"])
         for k, lower_t in enumerate(lowers_t):
             sims = censor(z @ lower_t, thr[sl])
             scores[k, sl] = energy_score_unbiased(sims, obs[sl], cfg.beta)
@@ -200,9 +171,8 @@ def _objective_terms(thetas, obs_gauss, thresholds, distance: DistanceMatrix,
                      cfg: ScoreConfig, nu: float) -> np.ndarray:
     """Per-day unbiased scores, (len(thetas), days), under common random numbers."""
     thr = thresholds[:, None, :]
-    group = max(1, _ELEMENT_BUDGET // (distance.n * distance.n))
-    return np.vstack([_group_terms(thetas[g:g + group], distance, nu, cfg, obs_gauss, thr)
-                      for g in range(0, len(thetas), group)])
+    return np.vstack([_group_terms(thetas[g], distance, nu, cfg, obs_gauss, thr)
+                      for g in day_chunks(len(thetas), distance.n * distance.n)])
 
 
 def _grid_vertex(grid: np.ndarray, scores: np.ndarray) -> tuple:
@@ -225,7 +195,7 @@ def _grid_vertex(grid: np.ndarray, scores: np.ndarray) -> tuple:
 
 def estimate_theta(panel_values: np.ndarray, field: MarginalField,
                    distance: DistanceMatrix, cfg: ScoreConfig,
-                   search: ThetaSearchSpec, nu: float = 3.5) -> EstimateResult:
+                   search: ThetaSearchSpec, nu: float = DEFAULT_NU) -> EstimateResult:
     """Grid scan of the lengthscale, refined by the parabolic vertex.
 
     The emitted profile holds the grid evaluations (one ProfilePoint per
@@ -271,8 +241,7 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
 def write_profile(path, profile) -> None:
     """Profile CSV: theta,score,mc_stderr."""
     write_csv(path, ["theta", "score", "mc_stderr"],
-              ([repr(float(v)) for v in (pt.theta, pt.score, pt.mc_stderr)]
-               for pt in profile))
+              (float_text((pt.theta, pt.score, pt.mc_stderr)) for pt in profile))
 
 
 def write_summary(path, result: EstimateResult, cfg: ScoreConfig,

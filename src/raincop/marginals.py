@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .panel import IngestError, read_kv
+from .panel import IngestError, float_text, read_kv
 
 __all__ = [
     "GammaMixture",
@@ -145,10 +145,6 @@ class MarginalField:
     def n_days(self) -> int:
         return self.p.shape[0]
 
-    def cdf(self, values: np.ndarray) -> np.ndarray:
-        """Mixture CDF evaluated cellwise on an (n_days, n_locations) panel."""
-        return mixture_cdf(self.p, self.mu, self.phi, values)
-
     @classmethod
     def homogeneous(cls, law: GammaMixture, n_locations: int, n_days: int) -> "MarginalField":
         shape = (n_days, n_locations)
@@ -242,6 +238,8 @@ class FitResult:
 
 
 def _joint_loss(vec, z, y, wet, feature_dim, want_grad):
+    """(loss, None), or with want_grad (loss, (grad, p, k)): p and k = 1/phi on the wet
+    rows are the iterate's values _scoring_step weights by. Non-finite gives (inf, None)."""
     c = JglmCoefficients.unpack(vec, feature_dim)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ta = c.alpha0 + z @ c.alpha
@@ -274,10 +272,10 @@ def _joint_loss(vec, z, y, wet, feature_dim, want_grad):
         ])
     if not np.all(np.isfinite(grad)):
         return np.inf, None
-    return float(loss), grad
+    return float(loss), (grad, p, k)
 
 
-def _scoring_step(vec, z, wet, grad):
+def _scoring_step(z, wet, grad, p, k):
     """Solve each diagonal block of the expected information against grad's block.
 
     The alpha (every row), beta and gamma (wet rows) blocks weight the
@@ -285,10 +283,7 @@ def _scoring_step(vec, z, wet, grad):
     lstsq takes the minimum-norm step where a constant feature column makes a
     block singular.
     """
-    c = JglmCoefficients.unpack(vec, z.shape[1])
     z1 = np.column_stack([np.ones(len(z)), z])
-    p = _sp.expit(c.alpha0 + z @ c.alpha)
-    k = np.exp(-(c.gamma0 + z[wet] @ c.gamma))
     weighted = ((z1, p * (1.0 - p)), (z1[wet], k),
                 (z1[wet], k * (k * _sp.polygamma(1, k) - 1.0)))
     return np.concatenate([np.linalg.lstsq((zz.T * w) @ zz, g, rcond=None)[0]
@@ -331,12 +326,12 @@ def jglm_fit(features, rain, transform=None) -> FitResult:
     d = z.shape[1]
 
     vec = JglmCoefficients.zeros(d).pack()
-    loss, grad = _joint_loss(vec, z, y, wet, d, want_grad=True)
+    loss, (grad, p, k) = _joint_loss(vec, z, y, wet, d, want_grad=True)
     path = [loss]
     tol = GRAD_TOL * y.size
     n_iter = 0
     while np.linalg.norm(grad) > tol and n_iter < MAX_ITER:
-        direction = _scoring_step(vec, z, wet, grad)
+        direction = _scoring_step(z, wet, grad, p, k)
         slope = float(grad @ direction)
         for s in 0.5 ** np.arange(40):
             cand = vec - s * direction
@@ -346,7 +341,7 @@ def jglm_fit(features, rain, transform=None) -> FitResult:
         else:
             break  # no descent along the scoring direction
         vec = cand
-        loss, grad = _joint_loss(vec, z, y, wet, d, want_grad=True)
+        loss, (grad, p, k) = _joint_loss(vec, z, y, wet, d, want_grad=True)
         path.append(loss)
         n_iter += 1
 
@@ -385,11 +380,11 @@ def write_coefficients(path, coeffs: JglmCoefficients, transform) -> None:
     for name, v0, vec in (("alpha", coeffs.alpha0, coeffs.alpha),
                           ("beta", coeffs.beta0, coeffs.beta),
                           ("gamma", coeffs.gamma0, coeffs.gamma)):
-        lines.append(f"{name}0={float(v0)!r}")
-        lines += [f"{name}.{k}={v!r}" for k, v in enumerate(vec.tolist())]
+        lines.append(f"{name}0={float_text([v0])[0]}")
+        lines += [f"{name}.{k}={v}" for k, v in enumerate(float_text(vec))]
     if transform.name == "standardize":
         for name, vec in (("mean", transform.mean), ("scale", transform.scale)):
-            lines += [f"{name}.{k}={v!r}" for k, v in enumerate(vec.tolist())]
+            lines += [f"{name}.{k}={v}" for k, v in enumerate(float_text(vec))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,10 +1,12 @@
-"""The Bessel function of the Matérn kernel and the jittered Cholesky factor.
+"""Bessel K for the Matérn kernel, the jittered Cholesky factor, the working-set budget.
 
 Every other special function the package needs (log-gamma, the regularized
 incomplete gamma and its inverse, the normal CDF and quantile) is called
 from ``scipy.special`` at the one place that uses it. All routines are pure
 and operate in double precision. SpdFactor instances are immutable and safe
 to share between threads.
+day_chunks is the one reader of the element budget that bounds every
+working array walked in pieces: days, theta groups and row blocks alike.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ __all__ = [
     "NotPositiveDefinite",
     "SpdFactor",
     "bessel_k",
+    "day_chunks",
+    "ensemble_arrays",
     "is_symmetric",
     "spd_factorize",
 ]
@@ -31,6 +35,12 @@ JITTER_CEILING = 1e-6
 # K_nu(x) overflows double precision for x below roughly this value at the
 # largest supported order (nu = 10); callers get an OverflowError instead of inf.
 BESSEL_UNDERFLOW_X = 1e-300
+
+# Float64 elements allowed in one working array (512 KiB): bounds a day
+# chunk's (days, m, n) normals and a theta group's n x n factors alike. Small
+# enough that a chunk's pair differences stay in a core's cache, large enough
+# to amortise numpy's per-call cost over tens of days at n = 20.
+_ELEMENT_BUDGET = 1 << 16
 
 
 class NotPositiveDefinite(Exception):
@@ -81,6 +91,27 @@ def bessel_k(nu: float, x):
             f"K_{nu}(x) overflows double precision for x <= {BESSEL_UNDERFLOW_X:g}"
         )
     return float(out[0]) if scalar else out
+
+
+def day_chunks(n_days: int, cells_per_day: int) -> list:
+    """Consecutive day slices, each holding at most the element budget of cells."""
+    step = max(1, _ELEMENT_BUDGET // max(cells_per_day, 1))
+    return [slice(s, min(s + step, n_days)) for s in range(0, n_days, step)]
+
+
+def ensemble_arrays(samples, obs):
+    """(days, m, n) samples and (days, n) observations as C-ordered float arrays.
+
+    C order fixes the summation order of every reduction, so a kernel's
+    result does not depend on the layout of the arrays it is given.
+    """
+    samples = np.ascontiguousarray(samples, dtype=float)
+    obs = np.ascontiguousarray(obs, dtype=float)
+    if samples.ndim != 3 or obs.shape != (samples.shape[0], samples.shape[2]):
+        raise ValueError("samples must be (days, m, n) aligned with (days, n) observations")
+    if samples.shape[1] < 2:
+        raise ValueError("need at least two ensemble members")
+    return samples, obs
 
 
 def is_symmetric(a: np.ndarray) -> bool:

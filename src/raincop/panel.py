@@ -21,11 +21,10 @@ error. The line parser runs on no other block. The readers count data rows;
 a message that names a file row finds it with file_row, which reads the file
 again.
 
-Every CSV the package writes goes through write_csv, whose cells the caller
-has already formatted: repr of a Python float (the shortest text that reads
-back to the same double), or format_rain for rainfall, which writes a dry
-cell as the bare token 0. The one exception is locations.csv, written by
-csv.writer with its CRLF line ends. Every JSON file goes through write_json.
+Every CSV the package writes goes through write_csv, and every float cell
+in it through float_text: the repr of a Python float (the shortest text that
+reads back to the same double), and for rainfall the bare token 0 for a dry
+cell. Every JSON file goes through write_json.
 """
 
 from __future__ import annotations
@@ -37,8 +36,10 @@ from itertools import islice
 
 import numpy as np
 
+from .numerics import day_chunks
+
 __all__ = ["IngestError", "RainPanel", "read_csv", "file_row", "read_kv", "write_csv",
-           "write_json", "format_rain",
+           "write_json", "float_text",
            "read_rain_csv", "write_rain_csv",
            "read_features_csv", "write_features_csv",
            "read_marginals_csv", "write_marginals_csv"]
@@ -92,17 +93,15 @@ class RainPanel:
 
 
 def _parse_lines(path, header, n_keys: int, lines, row_no: int):
-    """The line parser: (keys, values, row_nos) of lines, the first at file row row_no.
+    """The line parser: (keys, values) of lines, the first at file row row_no.
 
     Blank lines are skipped. A wrong field count or a token float() rejects
     raises IngestError naming the row and column. keys holds one text list per
-    key column, values the (rows, columns - n_keys) cells and row_nos the file
-    row of each data row.
+    key column (n_keys >= 1) and values the (rows, columns - n_keys) cells.
     """
     width = len(header)
     keys = [[] for _ in range(n_keys)]
     cells = array("d")  # 8 bytes a cell, where a list of Python floats takes 32
-    row_nos = []
     for row_no, line in enumerate(lines, start=row_no):
         if not line:
             continue
@@ -122,9 +121,7 @@ def _parse_lines(path, header, n_keys: int, lines, row_no: int):
                                       ) from None
         for column, token in zip(keys, parts):
             column.append(token)
-        row_nos.append(row_no)
-    values = np.frombuffer(cells, dtype=float).reshape(len(row_nos), width - n_keys)
-    return keys, values, row_nos
+    return keys, np.frombuffer(cells, dtype=float).reshape(len(keys[0]), width - n_keys)
 
 
 def _parse_block(path, header, n_keys: int, dtype: np.dtype, text: str, row_no: int):
@@ -147,7 +144,7 @@ def _parse_block(path, header, n_keys: int, dtype: np.dtype, text: str, row_no: 
     if rec is not None and all(np.char.str_len(rec[f"k{i}"]).max(initial=0)
                                < dtype[f"k{i}"].itemsize // 4 for i in range(n_keys)):
         return [rec[f"k{i}"] for i in range(n_keys)], np.ascontiguousarray(rec["v"])
-    keys, values, _ = _parse_lines(path, header, n_keys, lines, row_no)
+    keys, values = _parse_lines(path, header, n_keys, lines, row_no)
     return [np.array(column, dtype=object) for column in keys], values
 
 
@@ -269,9 +266,11 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def format_rain(v: float) -> str:
-    """Rainfall cell text: 0 for a dry cell, the round-trip repr otherwise."""
-    return "0" if v == 0.0 else repr(float(v))
+def float_text(cells, rain: bool = False) -> list:
+    """Text of a row of float cells: the repr of each as a Python float; with rain, 0 if dry."""
+    if rain:
+        return ["0" if v == 0.0 else repr(float(v)) for v in cells]
+    return [repr(float(v)) for v in cells]
 
 
 def _cell_keys(panel: RainPanel):
@@ -281,7 +280,7 @@ def _cell_keys(panel: RainPanel):
 
 def write_rain_csv(path, panel: RainPanel) -> None:
     write_csv(path, ["date", *panel.location_ids],
-              ([label, *map(format_rain, row.tolist())]
+              ([label, *float_text(row.tolist(), rain=True)]
                for label, row in zip(panel.day_labels, panel.values)))
 
 
@@ -324,12 +323,10 @@ def _write_long_csv(path, panel: RainPanel, value_names, cells) -> None:
     """Long CSV date,loc,*value_names over panel cells, one day chunk at a time.
 
     cells(days) gives the (cells, len(value_names)) values of a day slice."""
-    from .estimation import day_chunks
-
     chunks = day_chunks(panel.n_days, panel.n_locations * max(len(value_names), 1))
     rows = (row for days in chunks for row in cells(days).tolist())
     write_csv(path, ["date", "loc", *value_names],
-              ([*key, *map(repr, row)] for key, row in zip(_cell_keys(panel), rows)))
+              ([*key, *float_text(row)] for key, row in zip(_cell_keys(panel), rows)))
 
 
 def write_features_csv(path, panel: RainPanel, features: np.ndarray) -> None:

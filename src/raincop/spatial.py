@@ -14,7 +14,6 @@ covariance keeps no reference to the distance matrix.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .numerics import SpdFactor, bessel_k, is_symmetric, spd_factorize
-from .panel import IngestError, read_csv
+from .panel import IngestError, float_text, read_csv, write_csv
 
 __all__ = [
     "LocationTable",
@@ -295,9 +294,7 @@ def read_locations(path) -> LocationTable:
 
 
 def write_locations(path, locs: LocationTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lat", "lon", "elev"])
-        for i, loc_id in enumerate(locs.ids):
-            writer.writerow([loc_id, repr(float(locs.lat[i])), repr(float(locs.lon[i])),
-                             repr(float(locs.elev[i]))])
+    """Locations CSV: id,lat,lon,elev, one row per site."""
+    write_csv(path, ["id", "lat", "lon", "elev"],
+              ([loc_id, *float_text(row)]
+               for loc_id, row in zip(locs.ids, zip(locs.lat, locs.lon, locs.elev))))

@@ -22,21 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import joint_forecast, substream
-from .estimation import day_chunks
+from .copula import SUBSTREAM_TAGS, joint_forecast, substream
 from .marginals import (GammaMixture, IdentityTransform, JglmCoefficients, MarginalField,
                         predict_field)
+from .numerics import day_chunks
 from .panel import RainPanel, write_json
-from .spatial import (DistanceMatrix, LocationTable, MaternParams, build_covariance,
-                      build_distance_matrix, check_blend)
+from .spatial import (DEFAULT_BLEND, DEFAULT_NU, DEFAULT_TOPO_SCALE, DistanceMatrix,
+                      LocationTable, MaternParams, build_covariance, build_distance_matrix,
+                      check_blend)
 
 __all__ = ["SynthSpec", "SynthResult", "generate_locations", "simulate_dataset",
            "write_truth"]
-
-# Substream tags (disjoint from the estimation module's draw streams).
-_LOC_TAG = 10
-_DAY_TAG = 11
-_FEAT_TAG = 12
 
 UK_LAT_RANGE = (49.9, 58.7)
 UK_LON_RANGE = (-8.2, 1.8)
@@ -50,9 +46,9 @@ class SynthSpec:
     n_locations: int = 50
     n_days: int = 500
     theta_true: float = 450.0
-    blend: float = 0.9
-    nu: float = 3.5
-    topo_scale: float = 70.0
+    blend: float = DEFAULT_BLEND
+    nu: float = DEFAULT_NU
+    topo_scale: float = DEFAULT_TOPO_SCALE
     lat_range: tuple = UK_LAT_RANGE
     lon_range: tuple = UK_LON_RANGE
     elev_range: tuple = DEFAULT_ELEV_RANGE
@@ -96,7 +92,7 @@ class SynthResult:
 
 def generate_locations(spec: SynthSpec) -> LocationTable:
     """Uniform sites in the configured box; deterministic per seed."""
-    rng = substream(spec.seed, _LOC_TAG)
+    rng = substream(spec.seed, SUBSTREAM_TAGS["synth_locations"])
     n = spec.n_locations
     return LocationTable(
         ids=tuple(f"s{i:04d}" for i in range(n)),
@@ -114,7 +110,7 @@ def _marginal_field(spec: SynthSpec):
         )
         return field, None
     n, t = spec.n_locations, spec.n_days
-    rng = substream(spec.seed, _FEAT_TAG)
+    rng = substream(spec.seed, SUBSTREAM_TAGS["synth_features"])
     features = rng.standard_normal((n * t, spec.coeffs.feature_dim))
     field = predict_field(spec.coeffs, IdentityTransform(), features, n, t)
     return field, features
@@ -128,7 +124,8 @@ def simulate_dataset(spec: SynthSpec) -> SynthResult:
     cov = build_covariance(distance, MaternParams(theta=spec.theta_true, nu=spec.nu))
     field, features = _marginal_field(spec)
 
-    draws = [joint_forecast(cov, field, range(spec.n_days)[sl], 1, spec.seed, _DAY_TAG)
+    draws = [joint_forecast(cov, field, range(spec.n_days)[sl], 1, spec.seed,
+                            SUBSTREAM_TAGS["synth_days"])
              for sl in day_chunks(spec.n_days, spec.n_locations)]
     panel = RainPanel(values=np.concatenate(draws)[:, 0], location_ids=locs.ids,
                       day_labels=day_labels)

@@ -263,6 +263,7 @@ class TestSettingSources:
         ("estimate-theta", "nu", "12.3", "nu must be at most 10, got 12.3"),
         ("simulate", "nu", "12.3", "nu must be at most 10, got 12.3"),
         ("synth", "nu", "10.5", "nu must be at most 10, got 10.5"),
+        ("estimate-theta", "theta_max", "inf", "theta bounds must be finite, got [200.0, inf]"),
     ], ids=["m", "beta", "grid", "theta-min", "nu", "simulate-theta",
             "a", "topo-scale", "simulate-a", "simulate-topo-scale", "simulate-nu",
             "diagnose-a", "diagnose-topo-scale", "m-malformed", "transform-malformed",
@@ -271,7 +272,7 @@ class TestSettingSources:
             "diagnose-tau-grid-one", "diagnose-tau-grid-negative", "diagnose-rank-bins-zero",
             "diagnose-q-levels", "diagnose-ecdf-levels", "synth-n-locations", "synth-lat-min",
             "synth-date-overflow", "synth-seed", "estimate-theta-seed", "nu-above-10",
-            "simulate-nu-above-10", "synth-nu-half-integer-above-10"])
+            "simulate-nu-above-10", "synth-nu-half-integer-above-10", "theta-max-infinite"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
                                            message, source):
@@ -399,7 +400,7 @@ class TestSimulateAndDiagnose:
         assert rc == 2
         assert "different numbers of replicates" in capsys.readouterr().err
 
-    def test_single_replicate_rejected(self, fixture_dir, tmp_path):
+    def test_single_replicate_rejected(self, fixture_dir, tmp_path, capsys):
         common = ["--locations", fixture_dir / "locations.csv",
                   "--rainfall", fixture_dir / "rainfall.csv",
                   "--marginals", fixture_dir / "marginals.csv"]
@@ -408,6 +409,26 @@ class TestSimulateAndDiagnose:
         rc = run(["diagnose", *common, "--ensemble", tmp_path / "ensemble.csv",
                   "--out", tmp_path / "diag"])
         assert rc == 2
+        assert (f"error: {tmp_path / 'ensemble.csv'}: ensemble needs at least two replicates "
+                "per day") in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda lines: lines[:-4], "149 days, the panel 150"),  # the last day's 4 rows gone
+        (lambda lines: [line.replace("1999-01-03,", "1999-01-33,") for line in lines],
+         "day 3 is '1999-01-33', the panel's '1999-01-03'"),
+    ], ids=["fewer-days", "renamed-day"])
+    def test_day_mismatch_names_ensemble_and_day(self, fixture_dir, ensemble_path, tmp_path,
+                                                 capsys, edit, detail):
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(edit(ensemble_path.read_text().splitlines())) + "\n")
+        rc = run(["diagnose", "--locations", fixture_dir / "locations.csv",
+                  "--rainfall", fixture_dir / "rainfall.csv",
+                  "--marginals", fixture_dir / "marginals.csv",
+                  "--ensemble", path, "--out", tmp_path / "diag"])
+        assert rc == 2
+        assert (f"error: {path}: ensemble days do not match the rainfall panel: {detail}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "diag").exists()
 
     @pytest.mark.parametrize("flag, value", [
@@ -571,11 +592,11 @@ class TestSimulateStreaming:
     @pytest.mark.parametrize("days_per_chunk", [1, 7], ids=["one-day", "ragged"])
     def test_chunking_changes_no_byte(self, fixture_dir, ensemble_path, tmp_path,
                                       monkeypatch, days_per_chunk):
-        from raincop import estimation
+        from raincop import numerics
 
         m, n = 4, 10  # ensemble_path: --m 4 over the fixture's 10 locations, 150 days
-        monkeypatch.setattr(estimation, "_ELEMENT_BUDGET", days_per_chunk * m * n)
-        assert len(estimation.day_chunks(150, m * n)) == -(-150 // days_per_chunk)
+        monkeypatch.setattr(numerics, "_ELEMENT_BUDGET", days_per_chunk * m * n)
+        assert len(numerics.day_chunks(150, m * n)) == -(-150 // days_per_chunk)
         assert self.simulate(fixture_dir, tmp_path, ["--m", str(m)]) == 0
         assert (tmp_path / "ensemble.csv").read_bytes() == ensemble_path.read_bytes()
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from raincop import estimation
+from raincop import numerics
 from raincop.copula import joint_forecast, substream
 from raincop.diagnostics import (crps_sample, cross_correlation, ecdf_curve, rank_histogram,
                                  rmsb_mab, roc_auc, variogram_score)
-from raincop.marginals import GammaMixture, MarginalField
+from raincop.marginals import GammaMixture, MarginalField, mixture_cdf
 from raincop.spatial import DistanceMatrix, LocationTable
 from raincop.synth import SynthSpec, simulate_dataset
 
@@ -185,7 +185,7 @@ class TestRocAuc:
         q = 0.8
         taus = np.linspace(0.0, 1.0, 21)
         curve = roc_auc(field, panel, q, taus)
-        prob = 1.0 - field.cdf(np.full((4, 4), q))
+        prob = 1.0 - mixture_cdf(field.p, field.mu, field.phi, np.full((4, 4), q))
         events = panel > q
         for tau, fpr, tpr in zip(curve.taus, curve.fpr, curve.tpr):
             signal = (prob > tau) if tau > 0.0 else np.ones_like(events)
@@ -203,7 +203,7 @@ class TestRocAuc:
         panel = np.where(rng.random((10, 50)) < p, 4.0, 0.0)  # informative
         q = 1.0
         curve = roc_auc(field, panel, q)
-        prob = 1.0 - field.cdf(np.full((10, 50), q))
+        prob = 1.0 - mixture_cdf(field.p, field.mu, field.phi, np.full((10, 50), q))
         events = panel > q
         pe, pq = prob[events], prob[~events]
         u = (np.mean(pe[:, None] > pq[None, :])
@@ -216,11 +216,11 @@ class TestRocAuc:
         # way moves a count
         rng = np.random.default_rng(9)
         t, n, q = 400, 300, 1.0
-        assert len(estimation.day_chunks(t, n)) > 1
+        assert len(numerics.day_chunks(t, n)) > 1
         field = MarginalField(p=rng.uniform(0.05, 0.95, (t, n)), mu=rng.gamma(2.0, 1.5, (t, n)),
                               phi=rng.uniform(0.5, 2.0, (t, n)))
         panel = np.where(rng.random((t, n)) < 0.4, rng.gamma(1.0, 3.0, (t, n)), 0.0)
-        prob = 1 - field.cdf(np.full((t, n), q))
+        prob = 1 - mixture_cdf(field.p, field.mu, field.phi, np.full((t, n), q))
         taus = np.concatenate([prob.ravel(), np.nextafter(prob.ravel(), -np.inf), [0.0]])
         curve = roc_auc(field, panel, q, taus)
         events = panel > q
@@ -528,7 +528,7 @@ class TestArrayKernels:
         # chunks of days_per_chunk days for the (m, n) kernels, fewer and
         # smaller row blocks for the variogram's n x n accumulators
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimation, "_ELEMENT_BUDGET", days_per_chunk * m * n)
+            mp.setattr(numerics, "_ELEMENT_BUDGET", days_per_chunk * m * n)
             chunked = all_outputs(samples, obs, dist, bins, levels)
         for a, b in zip(base, chunked):
             for x, y in zip(np.atleast_1d(a), np.atleast_1d(b)):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raincop import estimation
+from raincop import estimation, numerics
 from raincop.copula import censor, censor_thresholds, obs_to_gaussian, substream
 from raincop.estimation import (ProfilePoint, ScoreConfig, ThetaSearchSpec,
                                 energy_score_unbiased, estimate_theta, write_profile,
@@ -306,8 +306,17 @@ class TestBatchedObjective:
         budget = days_per_chunk * cfg.m * 14
         assert 41 % days_per_chunk and 25 % days_per_chunk and budget < 2 * 14 * 14
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimation, "_ELEMENT_BUDGET", budget)
+            mp.setattr(numerics, "_ELEMENT_BUDGET", budget)
+            groups, group_terms = [], estimation._group_terms
+
+            def counted(thetas, *rest):
+                groups.append(len(thetas))
+                return group_terms(thetas, *rest)
+
+            mp.setattr(estimation, "_group_terms", counted)
+            assert len(numerics.day_chunks(41, cfg.m * 14)) == -(-41 // days_per_chunk)
             chunked = estimate_theta(*args)
+        assert groups == [1] * 7
         np.testing.assert_allclose([p.score for p in chunked.profile],
                                    [p.score for p in base.profile], rtol=1e-12)
         np.testing.assert_allclose([p.mc_stderr for p in chunked.profile],

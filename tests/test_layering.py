@@ -1,0 +1,91 @@
+"""The package's layering, read from its source: one module owns each shared decision.
+
+numerics holds the working-set budget and imports no other raincop module;
+only the command line imports estimation; copula holds the substream tags, one
+per stream; panel alone turns a float cell into text.
+"""
+
+import ast
+import pathlib
+
+from raincop.copula import SUBSTREAM_TAGS
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "raincop"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def imported(tree):
+    """The raincop modules a tree imports, by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("raincop"):
+            names.add(node.module.partition(".")[2] or "raincop")
+        elif isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[2] for a in node.names
+                         if a.name.startswith("raincop."))
+    return names
+
+
+def functions(tree):
+    """(name, node) of every function defined in a tree, methods included."""
+    return [(node.name, node) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_numerics_imports_no_raincop_module():
+    assert imported(MODULES["numerics"]) == set()
+
+
+def test_only_the_command_line_imports_estimation():
+    # __init__ re-exports the estimation names of the package's public surface
+    importers = {name for name, tree in MODULES.items() if "estimation" in imported(tree)}
+    assert importers == {"cli", "__init__"}
+
+
+def test_only_day_chunks_reads_the_budget():
+    readers = {(module, name) for module, tree in MODULES.items()
+               for name, fn in functions(tree)
+               for node in ast.walk(fn)
+               if isinstance(node, (ast.Name, ast.Attribute))
+               and "_ELEMENT_BUDGET" in (getattr(node, "id", None), getattr(node, "attr", None))}
+    assert readers == {("numerics", "day_chunks")}
+
+
+def test_substream_tags_are_distinct_and_each_names_one_stream():
+    assert len(set(SUBSTREAM_TAGS.values())) == len(SUBSTREAM_TAGS)
+    # outside copula, every draw's last path element is a tag from the table,
+    # and each tag is drawn from at one place
+    used = []
+    for module, tree in MODULES.items():
+        if module == "copula":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("substream", "day_normals", "joint_forecast")):
+                last = node.args[-1]
+                assert (isinstance(last, ast.Subscript) and isinstance(last.value, ast.Name)
+                        and last.value.id == "SUBSTREAM_TAGS"), (module, ast.unparse(node))
+                used.append(ast.literal_eval(last.slice))
+    assert sorted(used) == sorted(SUBSTREAM_TAGS)
+
+
+def test_only_panel_turns_floats_into_text():
+    # repr called or passed on (say to map) anywhere but float_text
+    formatters = {(module, name) for module, tree in MODULES.items()
+                  for name, fn in functions(tree)
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Name) and node.id == "repr"}
+    assert formatters == {("panel", "float_text")}
+    assert all("csv" not in {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                             for a in n.names} for tree in MODULES.values())
+
+
+def test_one_import_inside_a_function():
+    # read_marginals_csv builds a MarginalField, and marginals imports panel
+    inner = [(module, name, ast.unparse(node)) for module, tree in MODULES.items()
+             for name, fn in functions(tree)
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inner == [("panel", "read_marginals_csv", "from .marginals import MarginalField")]

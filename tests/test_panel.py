@@ -174,7 +174,7 @@ class TestLongWriters:
         return (",".join(header) + "\n" + "".join(rows)).encode()
 
     def test_marginals_bytes_equal_whole_field_text(self, tmp_path):
-        from raincop.estimation import day_chunks
+        from raincop.numerics import day_chunks
         panel = self.day_panel(50, 600)
         assert len(day_chunks(600, 50 * 3)) > 1
         field = self.random_field(np.random.default_rng(11), 50, 600)
@@ -184,7 +184,7 @@ class TestLongWriters:
         assert (tmp_path / "m.csv").read_bytes() == want
 
     def test_features_bytes_equal_whole_matrix_text(self, tmp_path):
-        from raincop.estimation import day_chunks
+        from raincop.numerics import day_chunks
         panel = self.day_panel(50, 400)
         assert len(day_chunks(400, 50 * 4)) > 1
         x = np.random.default_rng(12).standard_normal((50 * 400, 4))

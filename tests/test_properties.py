@@ -133,15 +133,21 @@ def test_ensemble_round_trip(days, m, n, data):
     assert [c == "0" for c in cells] == (np.concatenate(blocks).ravel() == 0.0).tolist()
 
 
+# A location id: quotes and any other character but a comma or a line end, with no
+# whitespace at either end (read_locations strips it).
+LOCATION_ID = st.one_of(st.sampled_from(['"', 'a"b']), TEXT.filter(lambda s: s == s.strip()))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_locations_round_trip(n, data):
+    ids = data.draw(st.lists(LOCATION_ID, min_size=n, max_size=n, unique=True))
     columns = [data.draw(st.lists(elements, min_size=n, max_size=n))
                for elements in (st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), FINITE)]
-    locs = LocationTable(tuple(f"s{i}" for i in range(n)), *columns)
+    locs = LocationTable(tuple(ids), *columns)
     (back, raw), _ = write_then_read(lambda p: write_locations(p, locs),
                                      lambda p: (read_locations(p), open(p, "rb").read()))
-    assert raw.count(b"\r\n") == n + 1  # csv.writer line ends
+    assert raw.count(b"\n") == n + 1 and b"\r" not in raw  # write_csv's LF line ends
     assert back.ids == locs.ids
     for got, want in zip((back.lat, back.lon, back.elev), columns):
         assert got.tobytes() == np.array(want).tobytes()
@@ -173,11 +179,15 @@ def test_coefficients_round_trip(d, standardize, data):
 # bad cell, then the reader's own checks, with the same messages.
 
 def line_read(path, n_keys, nonnegative=False):
-    """(header, keys, values, row_nos) of a whole file through the line parser."""
+    """(header, keys, values, row_nos) of a whole file through the line parser.
+
+    row_nos are the file rows of the data rows as the line parser counts them:
+    from 2, every line counted, blank ones holding no data row."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
-        keys, values, row_nos = panel_module._parse_lines(path, header, n_keys,
-                                                          fh.read().split("\n"), 2)
+        lines = fh.read().split("\n")
+    keys, values = panel_module._parse_lines(path, header, n_keys, lines, 2)
+    row_nos = [row_no for row_no, line in enumerate(lines, start=2) if line]
     bad = ~np.isfinite(values)
     if nonnegative:
         bad |= values < 0.0
@@ -438,9 +448,18 @@ def test_file_row_matches_line_parser(rows, trailing_blanks, data):
             fh.write(text)
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\r\n").split(",")
-            row_nos = panel_module._parse_lines(path, header, 1, fh.read().split("\n"), 2)[2]
-        assert [panel_module.file_row(path, r) for r in range(len(row_nos))] == row_nos
-    assert len(row_nos) == len(rows)
+            lines = fh.read().split("\n")
+        data_lines = [i for i, line in enumerate(lines) if line]
+        assert len(data_lines) == len(rows)
+        # the row the line parser names when data row r has a field too many
+        for r, i in enumerate(data_lines):
+            bad = [*lines[:i], lines[i] + ",extra", *lines[i + 1:]]
+            try:
+                panel_module._parse_lines(path, header, 1, bad, 2)
+            except IngestError as exc:
+                assert f": row {panel_module.file_row(path, r)}: expected 2 fields" in str(exc)
+            else:
+                raise AssertionError("the line parser took a row with three fields")
 
 
 @settings(max_examples=300, deadline=None)

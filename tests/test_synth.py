@@ -91,12 +91,12 @@ class TestSimulateDataset:
 
     @pytest.mark.parametrize("days_per_chunk", [1, 7], ids=["one-day", "ragged"])
     def test_day_chunking_changes_no_value(self, monkeypatch, days_per_chunk):
-        from raincop import estimation
+        from raincop import numerics
 
         spec = SynthSpec(n_locations=6, n_days=60, seed=14)
         whole = simulate_dataset(spec).panel.values  # one chunk under the default budget
-        monkeypatch.setattr(estimation, "_ELEMENT_BUDGET", days_per_chunk * spec.n_locations)
-        assert len(estimation.day_chunks(spec.n_days, spec.n_locations)) > 1
+        monkeypatch.setattr(numerics, "_ELEMENT_BUDGET", days_per_chunk * spec.n_locations)
+        assert len(numerics.day_chunks(spec.n_days, spec.n_locations)) > 1
         assert np.array_equal(simulate_dataset(spec).panel.values, whole)
 
 
