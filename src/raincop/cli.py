@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .copula import SUBSTREAM_TAGS, joint_forecast, read_ensemble, substream, write_ensemble
-from .diagnostics import (cross_correlation, crps_sample, ecdf_curve, rank_histogram,
-                          rmsb_mab, roc_auc, variogram_score)
+from .diagnostics import (CoMoments, cross_correlation, crps_sample, ecdf_curve,
+                          rank_histogram, rmsb_mab, roc_auc, variogram_score)
 from .estimation import (ScoreConfig, ThetaSearchSpec, energy_score_unbiased, estimate_theta,
                          write_profile, write_summary)
 from .marginals import jglm_fit, make_transform, predict_field, write_coefficients
@@ -289,36 +289,53 @@ def cmd_diagnose(settings: Settings) -> int:
     panel = read_rain_csv(settings.path("rainfall"), locs)
     field = read_marginals_csv(settings.path("marginals"), panel)
     ensemble_path = settings.path("ensemble")
-    day_labels, ens = read_ensemble(ensemble_path, locs.ids)  # (days, m, n)
-    if day_labels != list(panel.day_labels):
-        differ = next((f"day {k + 1} is {got!r}, the panel's {want!r}" for k, (got, want)
-                       in enumerate(zip(day_labels, panel.day_labels)) if got != want),
-                      f"{len(day_labels)} days, the panel {panel.n_days}")
-        raise IngestError(f"{ensemble_path}: ensemble days do not match the rainfall panel: "
-                          f"{differ}")
-    days, m, n = ens.shape
-    if m < 2:
-        raise IngestError(f"{ensemble_path}: ensemble needs at least two replicates per day")
-    if bins > m + 1:
-        settings.reject(f"rank_bins must be at most m + 1 = {m + 1}, got {bins}", "rank_bins")
     obs = panel.values  # (days, n)
-    distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
-    seed = settings["seed"]
+    days, n = obs.shape
+    seed, levels = settings["seed"], np.array(settings["ecdf_levels"])
+    crps_vals, energy_vals, vario_vals = np.empty((days, n)), np.empty(days), np.empty(days)
+    rng = substream(seed, SUBSTREAM_TAGS["rank_ties"])
+    # the running totals of the pooled scores, added to a day chunk at a time
+    rank_counts = np.zeros(bins, dtype=int)
+    ecdf_counts = np.zeros((2, levels.size + 1), dtype=int)
+    bias_sums, moments = np.zeros(3), CoMoments()
+    scores = {}  # by name; a pooled score is over the days scored so far
 
+    def start(day_labels, m):
+        """Check the ensemble's days and m; return the scorer of its day chunks."""
+        if day_labels != list(panel.day_labels):
+            differ = next((f"day {k + 1} is {got!r}, the panel's {want!r}" for k, (got, want)
+                           in enumerate(zip(day_labels, panel.day_labels)) if got != want),
+                          f"{len(day_labels)} days, the panel {panel.n_days}")
+            raise IngestError(f"{ensemble_path}: ensemble days do not match the rainfall "
+                              f"panel: {differ}")
+        if m < 2:
+            raise IngestError(f"{ensemble_path}: ensemble needs at least two replicates per day")
+        if bins > m + 1:
+            settings.reject(f"rank_bins must be at most m + 1 = {m + 1}, got {bins}",
+                            "rank_bins")
+        scores.update(m=m, distance=build_distance_matrix(locs, a=a, topo_scale=topo_scale),
+                      obs_corr=cross_correlation(obs, locs))
+        return take
+
+    def take(sl, ens):  # the (k, m, n) samples of days sl, scored and dropped
+        y = obs[sl]
+        crps_vals[sl] = crps_sample(ens, y)
+        energy_vals[sl] = energy_score_unbiased(ens, y, beta)
+        vario_vals[sl] = variogram_score(ens, y, scores["distance"])
+        scores["rank"] = rank_histogram(ens, y, bins, rng, counts=rank_counts)
+        scores["ecdf"] = ecdf_curve(ens, y, levels, counts=ecdf_counts)
+        scores["bias"] = rmsb_mab(ens, y, sums=bias_sums)
+        scores["model_corr"] = cross_correlation(ens.reshape(-1, n), locs,
+                                                 scores["obs_corr"][0], moments)[1]
+
+    read_ensemble(ensemble_path, locs.ids, start)
     # Compute every result before writing any file: a rejected setting writes nothing.
     tau_grid = np.linspace(0.0, 1.0, settings["tau_grid"])
     curves = {f"{q:g}": roc_auc(field, obs, q, tau_grid)
               for q in settings["q_levels"]}
-    counts, freq = rank_histogram(ens, obs, bins, substream(seed, SUBSTREAM_TAGS["rank_ties"]))
-    levels = np.array(settings["ecdf_levels"])
-    model_freq, obs_freq = ecdf_curve(ens, obs, levels)
-    center_id, obs_corr = cross_correlation(obs, locs)
-    crps_vals = crps_sample(ens, obs)
-    energy_vals = energy_score_unbiased(ens, obs, beta)
-    vario_vals = variogram_score(ens, obs, distance)
-    rmsb, mab = rmsb_mab(ens, obs)
-    _, model_corr = cross_correlation(ens.reshape(days * m, n), locs, center=center_id,
-                                      overwrite_values=True)  # last: ens becomes deviations
+    (counts, freq), (model_freq, obs_freq) = scores["rank"], scores["ecdf"]
+    (rmsb, mab), (center_id, obs_corr) = scores["bias"], scores["obs_corr"]
+    m, model_corr = scores["m"], scores["model_corr"]
     summary = {
         "crps_mean": float(np.mean(crps_vals)),
         "energy_score_mean": float(np.mean(energy_vals)),

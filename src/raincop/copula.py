@@ -17,7 +17,14 @@ for dry outcomes.
 day_normals draws the per-day common random numbers, day d's (m, n) normals
 from substream(seed, *path, d), for joint_forecast and the theta objective
 alike: callers walk a run of days in budget-sized chunks
-(numerics.day_chunks), and no draw depends on the chunking.
+(numerics.day_chunks), and no draw depends on the chunking. The draws fill
+one array in place.
+
+The ensemble file goes out and comes back in the same day chunks:
+write_ensemble takes the blocks as they are drawn, and read_ensemble either
+returns the whole (days, m, n) array or, given a start hook, hands each day
+chunk over as soon as its rows are parsed, so a reader of a long forecast
+holds one chunk of it.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .marginals import MarginalField, mixture_cdf, mixture_quantile
+from .numerics import day_chunks
 from .panel import IngestError, file_row, float_text, read_csv, write_csv
 from .spatial import CovarianceMatrix
 
@@ -65,8 +73,13 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def day_normals(days, m: int, n: int, seed: int, *path: int) -> np.ndarray:
-    """(len(days), m, n) standard normals, day d's from substream(seed, *path, d)."""
-    return np.stack([substream(seed, *path, day).standard_normal((m, n)) for day in days])
+    """(len(days), m, n) standard normals, day d's from substream(seed, *path, d).
+
+    Each day's draws are written straight into its slot of the one array."""
+    out = np.empty((len(days), m, n))
+    for slot, day in zip(out, days):
+        substream(seed, *path, day).standard_normal(out=slot)
+    return out
 
 
 def censor_thresholds(field: MarginalField) -> np.ndarray:
@@ -149,56 +162,117 @@ def write_ensemble(path, day_labels, location_ids, blocks) -> None:
                for j, row in enumerate(np.asarray(block, dtype=float).tolist())))
 
 
-def read_ensemble(path, location_ids):
-    """Read an ensemble CSV back into (day_labels, (days, m, n) samples).
+def read_ensemble(path, location_ids, start=None):
+    """Read an ensemble CSV back into (day_labels, (days, m, n) samples), or hand it over.
 
     Every day must hold the same number m of rows, carrying replicate
-    0, 1, ..., m - 1 in that order. A ragged day raises IngestError, and so
-    do a replicate out of place and a non-numeric, non-finite or negative
-    cell, naming the file, row and column.
+    0, 1, ..., m - 1 in that order; a day's rows need not be contiguous. A
+    ragged day raises IngestError, and so do a replicate out of place and a
+    non-numeric, non-finite or negative cell, naming the file, row and
+    column; a bad cell comes first. A first pass reads only the key columns,
+    placing every row; the second parses the cells into their places.
+
+    With start, the days are handed over as they are parsed instead of
+    returned: start(day_labels, m) returns take, and take(days, samples) gets
+    each numerics.day_chunks chunk, a slice of days and its (k, m, n) samples,
+    in day order. A ValueError (IngestError too) that start raises is raised
+    once the cells are checked.
+    Beside the chunk the reader then holds one block of the file, and more
+    chunks only while a day's rows are spread through the file.
     """
+    n = len(location_ids)
     expected = ["day", "replicate"] + [f"loc_{i}" for i in location_ids]
 
     def check_header(header):
         if header != expected:
             raise IngestError(f"{path}: ensemble header does not match the locations file")
 
-    days_seen: dict = {}  # day label -> [its index, its data rows so far], in file order
-    day = array("i")  # the day index of each data row, in file order
-    misplaced = []  # (day, place, data row, token) of the first replicate out of place
+    try:
+        labels, runs, m, error = _scan_keys(path, check_header)
+    except UnicodeDecodeError:  # the cell pass names the byte, or an earlier error
+        labels, runs, m, error = [], None, 0, IngestError(f"{path}: not UTF-8")
+    take = None
+    if start is not None and error is None:
+        try:
+            take = start(labels, m)
+        except ValueError as exc:  # IngestError too: raised after the cells are checked
+            error = exc
+    out = np.empty((len(labels) * m, n)) if start is None and error is None else None
+    chunks = day_chunks(len(labels), m * n)
+    rows_per_chunk = chunks[0].stop * m if chunks else 1
+    pending = {}  # chunk number -> [its (rows, n) cells, rows still to come]
+    handed = 0  # chunks handed to take
 
-    def check_block(keys, first):
-        labels, replicates = keys
-        if not len(labels):
+    def place_rows(keys, values, first):
+        nonlocal handed
+        if out is None and take is None:
             return
-        # runs of rows with one label: each day is one run in a contiguous file
-        starts = np.flatnonzero(np.append(True, labels[1:] != labels[:-1]))
-        sizes = np.diff(starts, append=len(labels))
-        run_day, run_place = [], []
-        for label, size in zip(labels[starts].tolist(), sizes.tolist()):
-            seen = days_seen.setdefault(label, [len(days_seen), 0])
-            run_day.append(seen[0])
-            run_place.append(seen[1])
-            seen[1] += size
-        d = np.repeat(run_day, sizes)
-        j = np.repeat(np.subtract(run_place, starts), sizes) + np.arange(len(labels))
-        day.frombytes(d.astype(np.intc).tobytes())
-        bad = np.flatnonzero(replicates != np.arange(j.max() + 1).astype(str)[j])
-        if bad.size:
-            r = bad[np.lexsort((j[bad], d[bad]))[0]]  # the first day's, then its first place
-            if not misplaced or (d[r], j[r]) < misplaced[0][:2]:
-                misplaced[:] = [(d[r], j[r], first + r, str(replicates[r]))]
+        starts, run_day, run_place = runs
+        rows = np.arange(first, first + len(values))
+        run = np.searchsorted(starts, rows, side="right") - 1
+        rows += (run_day[run] * m + run_place[run]) - starts[run]  # each row's place in out
+        if out is not None:
+            out[rows] = values
+            return
+        chunk = rows // rows_per_chunk
+        for c in np.unique(chunk).tolist():  # each chunk handed over before the next is made
+            if c not in pending:
+                k = chunks[c].stop - chunks[c].start
+                pending[c] = [np.empty((k * m, n)), k * m]
+            mine = chunk == c
+            pending[c][0][rows[mine] - c * rows_per_chunk] = values[mine]
+            pending[c][1] -= int(np.count_nonzero(mine))
+            while handed in pending and pending[handed][1] == 0:
+                take(chunks[handed], pending.pop(handed)[0].reshape(-1, m, n))
+                handed += 1
 
-    values = read_csv(path, 2, check_header, nonnegative=True, each_block=check_block)
-    sizes = {rows for _, rows in days_seen.values()}
-    if len(sizes) > 1:
-        raise IngestError(f"{path}: ensemble days hold different numbers of replicates")
-    m = sizes.pop() if sizes else 0
-    if misplaced:
-        _, j, r, token = misplaced[0]
-        raise IngestError(f"{path}: row {file_row(path, r)}: replicate {token!r} in column 2 "
-                          f"(replicate), expected {j}")
-    day = np.frombuffer(day, dtype=np.intc)
-    if np.any(day[1:] < day[:-1]):  # a day's rows are not contiguous in the file
-        values = values[np.argsort(day, kind="stable")]
-    return list(days_seen), values.reshape(len(days_seen), m, len(location_ids))
+    read_csv(path, 2, check_header, nonnegative=True, each_block=place_rows, collect=False)
+    if error is not None:
+        raise error
+    if out is not None:
+        return labels, out.reshape(len(labels), m, n)
+    return None
+
+
+def _scan_keys(path, check_header):
+    """The key pass of read_ensemble: (day labels, runs, m, error).
+
+    Labels are in order of their first row. runs holds, for each run of data
+    rows with one label, its first data row, its day's index and its first
+    row's place in that day: one run a day in a contiguous file. error is the
+    IngestError of a ragged day or else of the first day's first misplaced
+    replicate, or None. Blank lines hold no data row, as in read_csv.
+    """
+    days: dict = {}  # label -> [its index, its rows so far]
+    runs = array("i"), array("i"), array("i")
+    misplaced = None  # (day, place, data row, token) of the first replicate out of place
+    with open(path, encoding="utf-8") as fh:
+        check_header(fh.readline().rstrip("\r\n").split(","))
+        r, previous, seen = 0, None, None
+        for line in fh:
+            if line == "\n":
+                continue
+            label, _, rest = line.rstrip("\n").partition(",")
+            if label != previous:
+                seen = days.get(label)
+                if seen is None:
+                    seen = days[label] = [len(days), 0]
+                for column, value in zip(runs, (r, *seen)):
+                    column.append(value)
+                previous = label
+            d, j = seen
+            seen[1] = j + 1
+            token = rest.partition(",")[0]
+            if token != str(j) and (misplaced is None or (d, j) < misplaced[:2]):
+                misplaced = (d, j, r, token)
+            r += 1
+    sizes = {rows for _, rows in days.values()}
+    m = sizes.pop() if len(sizes) == 1 else 0
+    error = None
+    if sizes:
+        error = IngestError(f"{path}: ensemble days hold different numbers of replicates")
+    elif misplaced:
+        _, j, r, token = misplaced
+        error = IngestError(f"{path}: row {file_row(path, r)}: replicate {token!r} in column 2 "
+                            f"(replicate), expected {j}")
+    return list(days), [np.frombuffer(column, dtype=np.intc) for column in runs], m, error

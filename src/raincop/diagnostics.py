@@ -8,13 +8,19 @@ inverse-distance weights. Accuracy: sample CRPS (the univariate energy
 score, with the unbiased pairwise divisor so values are comparable across
 ensemble sizes) and median-forecast bias summaries.
 
-Each ensemble score is one array kernel over a whole forecast: (days, m, n)
-samples against (days, n) observations (`crps_sample`, `variogram_score`,
-`rank_histogram`, `ecdf_curve`, `rmsb_mab`). Each walks the days in the
-consecutive chunks `numerics.day_chunks` gives under its element budget,
-so its temporaries stay bounded whatever the number of days; one day or one
-cell is scored as a stack of one. All diagnostics are pure over their inputs
-with fixed iteration order.
+Each ensemble score is one array kernel over a run of a forecast's days:
+(days, m, n) samples against (days, n) observations (`crps_sample`,
+`variogram_score`, `rank_histogram`, `ecdf_curve`, `rmsb_mab`). Each walks
+the days in the consecutive chunks `numerics.day_chunks` gives under its
+element budget, so its temporaries stay bounded whatever the number of days;
+one day or one cell is scored as a stack of one. A run's per-day and
+per-cell scores are those days' scores in the whole forecast. The pooled
+scores take the running totals of earlier runs (`counts`, `sums`,
+`moments`), so a forecast scored a day chunk at a time, in day order, gives
+the bits of the whole; the pooled correlation merges centred co-moments and
+agrees with the two-pass value to rounding. All diagnostics are pure over
+their inputs, but for the running totals they add to, with fixed iteration
+order.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
     "roc_auc",
     "rank_histogram",
     "ecdf_curve",
+    "CoMoments",
     "cross_correlation",
     "crps_sample",
     "variogram_score",
@@ -103,7 +110,8 @@ def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float,
     return RocCurve(q=float(q), taus=taus, fpr=fpr, tpr=tpr, auc=auc)
 
 
-def rank_histogram(samples, obs, bins: int, rng: np.random.Generator | None = None):
+def rank_histogram(samples, obs, bins: int, rng: np.random.Generator | None = None,
+                   counts=None):
     """Histogram of observation ranks within their ensembles, (days, m, n) at once.
 
     The rank of an observation is the number of members strictly below it,
@@ -112,14 +120,15 @@ def rank_histogram(samples, obs, bins: int, rng: np.random.Generator | None = No
     folded into `bins` bins; counts are returned with normalized
     frequencies. Uniform iff the forecasts are calibrated. The tie-break
     counts are drawn day by day, location by location, so a generator gives
-    the same ranks however the days are chunked.
+    the same ranks however the days are chunked. counts, when given, holds the
+    (bins,) integer counts of earlier days and is added to in place.
     """
     samples, obs = ensemble_arrays(samples, obs)
     days, m, n = samples.shape
     if bins < 1 or bins > m + 1:
         raise ValueError("bins must lie in [1, m + 1]")
     rng = rng or np.random.Generator(np.random.Philox(0))
-    counts = np.zeros(bins, dtype=int)
+    counts = np.zeros(bins, dtype=int) if counts is None else counts
     for sl in day_chunks(days, m * n):
         x, y = samples[sl], obs[sl, None, :]
         ties = (x == y).sum(axis=1)
@@ -128,61 +137,98 @@ def rank_histogram(samples, obs, bins: int, rng: np.random.Generator | None = No
     return counts, counts / counts.sum()
 
 
-def ecdf_curve(samples, obs, levels):
+def ecdf_curve(samples, obs, levels, counts=None):
     """Pooled exceedance frequencies of the model and the observations.
 
     For each level x: the fraction of all ensemble values above x and the
     fraction of all observations above x, from (days, m, n) samples and
     (days, n) observations. A calibrated model's curve tracks the observed
-    one.
+    one. counts, when given, holds the (2, len(levels) + 1) integer tallies
+    of earlier days, the model's and then the observations' exceedances at
+    each level and then their cells, and is added to in place.
     """
     samples, obs = ensemble_arrays(samples, obs)
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0.0):
         raise ValueError("levels must be nonnegative")
     days, m, n = samples.shape
-    model = np.zeros(levels.size, dtype=int)
-    observed = np.zeros(levels.size, dtype=int)
+    counts = np.zeros((2, levels.size + 1), dtype=int) if counts is None else counts
     for sl in day_chunks(days, m * n):
-        model += (samples[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
-        observed += (obs[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
-    return model / samples.size, observed / obs.size
+        counts[0, :-1] += (samples[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
+        counts[1, :-1] += (obs[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
+    counts[:, -1] += samples.size, obs.size
+    return counts[0, :-1] / counts[0, -1], counts[1, :-1] / counts[1, -1]
+
+
+class CoMoments:
+    """Running centred co-moments of every column with one center column.
+
+    add(values, center_idx) merges a block of rows by the pairwise update of
+    Chan, Golub and LeVeque. The first block keeps its own two-pass sums, so
+    one block gives the two-pass correlation bit for bit.
+    """
+
+    def __init__(self):
+        self.rows = 0
+
+    def add(self, values: np.ndarray, center_idx: int) -> None:
+        c = values[:, center_idx]
+        c_mean = c.mean()
+        c_dev = c - c_mean
+        c_ss = float(c_dev @ c_dev)
+        mean = values.mean(axis=0)
+        dev = np.subtract(values, mean)
+        co = c_dev @ dev
+        ss = np.square(dev, out=dev).sum(axis=0)
+        if not self.rows:
+            self.rows, self.c_mean, self.c_ss = len(values), c_mean, c_ss
+            self.mean, self.co, self.ss = mean, co, ss
+            return
+        rows = self.rows + len(values)
+        share, weight = len(values) / rows, self.rows * len(values) / rows
+        delta, c_delta = mean - self.mean, c_mean - self.c_mean
+        self.mean += delta * share
+        self.c_mean += c_delta * share
+        self.ss += ss + delta ** 2 * weight
+        self.c_ss += c_ss + c_delta ** 2 * weight
+        self.co += co + c_delta * delta * weight
+        self.rows = rows
+
+    def correlation(self) -> np.ndarray:
+        """Pearson correlation of each column with the center; NaN at zero variance."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = self.co / np.sqrt(self.ss * self.c_ss)
+        corr[(self.ss == 0.0) | (self.c_ss == 0.0)] = np.nan
+        return corr
 
 
 def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
-                      center: str = "center-of-mass", *, overwrite_values: bool = False):
+                      center: str = "center-of-mass", moments: CoMoments | None = None):
     """Pearson correlation across days between a center series and every location.
 
     panel_values is (n_days, n_locations), or a (days, m, n) ensemble as
     (days * m, n). center is a location id, or "center-of-mass" to use the
     location nearest the mean (lat, lon). Zero-variance series yield NaN
-    entries. Returns (center_id, correlations).
-    The deviations, squared in place once the cross products are taken, are
-    one copy of panel_values; with overwrite_values they are panel_values
-    itself (when it is already float64), left holding the squares.
+    entries. Returns (center_id, correlations). The deviations, squared in
+    place once the cross products are taken, are one copy of panel_values.
+    moments, when given, holds earlier row blocks of the same series: the
+    rows are merged into it and the correlations are over every row so far.
     """
     values = np.asarray(panel_values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(locs):
         raise ValueError("panel must be (n_days, n_locations) aligned with locations")
-    if values.shape[0] < 3:
-        raise ValueError("need at least 3 days for a correlation")
+    if moments is None:
+        if values.shape[0] < 3:
+            raise ValueError("need at least 3 days for a correlation")
+        moments = CoMoments()
 
     if center == "center-of-mass":
         mean_lat, mean_lon = locs.lat.mean(), locs.lon.mean()
         center_idx = int(np.argmin((locs.lat - mean_lat) ** 2 + (locs.lon - mean_lon) ** 2))
     else:
         center_idx = locs.index_of(center)
-
-    c = values[:, center_idx]
-    c_dev = c - c.mean()
-    c_ss = float(c_dev @ c_dev)
-    dev = np.subtract(values, values.mean(axis=0), out=values if overwrite_values else None)
-    corr = c_dev @ dev
-    ss = np.square(dev, out=dev).sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr /= np.sqrt(ss * c_ss)
-    corr[(ss == 0.0) | (c_ss == 0.0)] = np.nan
-    return locs.ids[center_idx], corr
+    moments.add(values, center_idx)
+    return locs.ids[center_idx], moments.correlation()
 
 
 def crps_sample(samples, obs) -> np.ndarray:
@@ -278,22 +324,26 @@ def _variogram_terms(y, o, w, p_exp):
     return acc
 
 
-def rmsb_mab(samples, obs):
+def rmsb_mab(samples, obs, sums=None):
     """Root mean squared bias and mean absolute bias of the median forecast.
 
     The ensemble median per cell serves as the point forecast; both metrics
     pool over every (location, day) cell of (days, m, n) samples and (days, n)
     observations. Each day's sums are added to running totals in day order.
+    sums, when given, holds the totals of earlier days, the squared and the
+    absolute biases and then the cells, and is added to in place.
     """
     samples, obs = ensemble_arrays(samples, obs)
     days, m, n = samples.shape
     if samples.size == 0:
         raise ValueError("no cells to score")
-    sq = np.empty(days)
-    ab = np.empty(days)
+    sums = np.zeros(3) if sums is None else sums
+    running = np.empty((days + 1, 2))  # the totals so far, then each day's two sums
+    running[0] = sums[:2]
     for sl in day_chunks(days, m * n):
         diff = obs[sl] - np.median(samples[sl], axis=1)
-        sq[sl] = (diff ** 2).sum(axis=1)
-        ab[sl] = np.abs(diff).sum(axis=1)
-    count = days * n
-    return float(np.sqrt(np.cumsum(sq)[-1] / count)), float(np.cumsum(ab)[-1] / count)
+        running[1 + sl.start:1 + sl.stop, 0] = (diff ** 2).sum(axis=1)
+        running[1 + sl.start:1 + sl.stop, 1] = np.abs(diff).sum(axis=1)
+    sums[:2] = np.cumsum(running, axis=0)[-1]
+    sums[2] += days * n
+    return float(np.sqrt(sums[0] / sums[2])), float(sums[1] / sums[2])

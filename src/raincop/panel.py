@@ -184,7 +184,7 @@ def _utf8_text(path, line_word: str):
 
 
 def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_block=None,
-             key_widths=None) -> np.ndarray:
+             key_widths=None, collect: bool = True):
     """Parse a CSV of n_keys text key columns followed by float cells, block by block.
 
     check_header(header) raises IngestError for a header of the wrong format
@@ -194,12 +194,14 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
     non-numeric cell in the file, else the first non-finite or negative cell.
     Every token float() accepts is accepted, with the value float() gives.
 
-    each_block(keys, first) sees each block in file order: keys holds its key
-    columns as arrays and first is the index of its first data row (file_row
-    names the row of a data row index). It runs before the cells of later
+    each_block(keys, values, first) sees each block in file order, up to the
+    block of the first bad cell: keys holds its key columns as arrays, values
+    its (rows, columns - n_keys) cells and first the index of its first data
+    row (file_row names the row of a data row index). It runs before later
     blocks are checked, so it records what it finds rather than raise.
-    Returns the (rows, columns - n_keys) float array of the cells; beside it
-    the reader holds one block of at most about _BLOCK_CHARS characters.
+    Returns the float array of every block's cells, or with collect=False
+    nothing: the blocks are then only handed back, and beside them the reader
+    holds one block of at most about _BLOCK_CHARS characters.
     """
     with _utf8_text(path, "row") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
@@ -221,9 +223,11 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
                 if wrong.any():
                     r, k = np.unravel_index(np.argmax(wrong), wrong.shape)
                     bad = n_rows + r, k + n_keys + 1, float(values[r, k])
-            if each_block is not None:
-                each_block(keys, n_rows)
-            cells.frombytes(memoryview(values.ravel()).cast("B"))
+            if bad is None:
+                if each_block is not None:
+                    each_block(keys, values, n_rows)
+                if collect:
+                    cells.frombytes(memoryview(values.ravel()).cast("B"))
             n_rows += len(values)
             row_no += text.count("\n")
             del keys, values, text  # before the next block is read
@@ -232,7 +236,8 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
         what = f"non-finite value {v!r}" if not np.isfinite(v) else "negative rainfall"
         raise IngestError(f"{path}: row {file_row(path, r)}: {what} in column {col} "
                           f"({header[col - 1]})")
-    return np.frombuffer(cells, dtype=float).reshape(n_rows, len(header) - n_keys)
+    if collect:
+        return np.frombuffer(cells, dtype=float).reshape(n_rows, len(header) - n_keys)
 
 
 def read_kv(path) -> dict:
@@ -302,14 +307,14 @@ def read_rain_csv(path, locs) -> RainPanel:
 
     labels, seen, repeated = [], set(), []  # repeated: the data row of the first repeated date
 
-    def collect(keys, first):
+    def record_labels(keys, values, first):
         for r, label in enumerate(keys[0].tolist(), start=first):
             if label in seen and not repeated:
                 repeated.append(r)
             seen.add(label)
             labels.append(label)
 
-    values = read_csv(path, 1, check_header, nonnegative=True, each_block=collect)
+    values = read_csv(path, 1, check_header, nonnegative=True, each_block=record_labels)
     if not labels:
         raise IngestError(f"{path}: no data rows")
     if repeated:
@@ -356,7 +361,7 @@ def _read_long_csv(path, panel: RainPanel, value_names):
     dates, locs = _key_array(panel.day_labels), _key_array(panel.location_ids)
     misordered = []  # (data row, what it says) of the first row out of panel order
 
-    def check_keys(keys, first):
+    def check_keys(keys, values, first):
         if misordered:
             return
         # the panel cell of each row; rows past the last cell are only counted

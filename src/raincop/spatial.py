@@ -211,7 +211,8 @@ def matern_kernel(d, params: MaternParams):
     x = sqrt(2 nu) d / theta, returning the analytic limit 1 at d = 0 where
     that product is indeterminate. x is capped at 1e3, where both forms are 0
     in double precision, so an x that overflows gives 0, not NaN. The result
-    is built in x's array; the closed form holds two more of d's size.
+    is built in x's array; the closed form holds two more of d's size, the
+    general order the positive part of x and K_nu there.
     """
     d_a = np.asarray(d, dtype=float)
     scalar = d_a.ndim == 0
@@ -229,8 +230,14 @@ def matern_kernel(d, params: MaternParams):
         # the x^nu * K_nu(x) product there would hit overflow in the K factor.
         pos = x > 1e-8 if nu >= 1.0 else x > 0.0
         log_pref = (1.0 - nu) * np.log(2.0) - _sp.gammaln(nu)
+        val = x[pos]
         with np.errstate(under="ignore"):
-            val = np.exp(log_pref + nu * np.log(x[pos])) * bessel_k(nu, x[pos])
+            k_nu = bessel_k(nu, val)
+            np.log(val, out=val)
+            val *= nu
+            val += log_pref
+            np.exp(val, out=val)
+            val *= k_nu
         x.fill(1.0)
         x[pos] = val
     np.clip(x, 0.0, 1.0, out=x)
@@ -287,14 +294,23 @@ def read_locations(path) -> LocationTable:
 
     ids = []
     values = read_csv(path, 1, check_header,
-                      each_block=lambda keys, first: ids.extend(keys[0].tolist()))
+                      each_block=lambda keys, values, first: ids.extend(keys[0].tolist()))
     lat, lon, elev = values.T.copy()
     return LocationTable(ids=tuple(loc_id.strip() for loc_id in ids), lat=lat, lon=lon,
                          elev=elev)
 
 
 def write_locations(path, locs: LocationTable) -> None:
-    """Locations CSV: id,lat,lon,elev, one row per site."""
+    """Locations CSV: id,lat,lon,elev, one row per site.
+
+    An id that read_locations could not give back (one holding a comma or a
+    line end, or with whitespace at either end) raises ValueError, naming
+    it, before the file is opened.
+    """
+    unreadable = [i for i in locs.ids if i != i.strip() or any(c in i for c in ",\r\n")]
+    if unreadable:
+        raise ValueError(f"{path}: location ids {unreadable!r} would not read back: an id "
+                         "holds no comma or line end and no whitespace at either end")
     write_csv(path, ["id", "lat", "lon", "elev"],
               ([loc_id, *float_text(row)]
                for loc_id, row in zip(locs.ids, zip(locs.lat, locs.lon, locs.elev))))

@@ -619,6 +619,132 @@ class TestSimulateStreaming:
         assert peaks[400] - peaks[100] < 0.25 * size
 
 
+class TestDiagnoseStreamed:
+    """diagnose scores the ensemble a day chunk at a time as it is parsed."""
+
+    @staticmethod
+    def diagnose(fixture_dir, ensemble, out, extra=()):
+        return run(["diagnose", "--locations", fixture_dir / "locations.csv",
+                    "--rainfall", fixture_dir / "rainfall.csv",
+                    "--marginals", fixture_dir / "marginals.csv",
+                    "--ensemble", ensemble, "--q-levels", "0.5,5", "--rank-bins", "5",
+                    "--seed", "4", "--out", out, *extra])
+
+    @pytest.mark.parametrize("days_per_chunk", [None, 7], ids=["one-chunk", "7-day-chunks"])
+    def test_interleaved_days_give_the_same_outputs(self, fixture_dir, ensemble_path,
+                                                    tmp_path, monkeypatch, days_per_chunk):
+        from raincop import numerics
+
+        m, n = 4, 10  # ensemble_path: --m 4 over the fixture's 10 locations, 150 days
+        if days_per_chunk:
+            monkeypatch.setattr(numerics, "_ELEMENT_BUDGET", days_per_chunk * m * n)
+        # replicate-major rows: every day's first row comes before any day's second
+        header, *rows = ensemble_path.read_text().splitlines()
+        interleaved = tmp_path / "interleaved.csv"
+        interleaved.write_text("\n".join(
+            [header, *(rows[s * m + j] for j in range(m) for s in range(150))]) + "\n")
+        assert self.diagnose(fixture_dir, ensemble_path, tmp_path / "a") == 0
+        assert self.diagnose(fixture_dir, interleaved, tmp_path / "b") == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert len(names) == 6
+        assert read_all(tmp_path / "a", names) == read_all(tmp_path / "b", names)
+
+    # Each edit of the ensemble's data rows (a list of field lists, 150 days of
+    # m = 4 over 10 locations) and the error it gives; the later edits pair a key
+    # or setting error with a bad cell further down, which comes first.
+    EDITS = {
+        "ragged": (lambda rows: rows.pop(5),
+                   "ensemble days hold different numbers of replicates"),
+        "misplaced": (lambda rows: rows.insert(0, rows.pop(1)),
+                      "row 2: replicate '1' in column 2 (replicate), expected 0"),
+        "non-numeric": (lambda rows: rows[8].__setitem__(4, "abc"),
+                        "row 10: non-numeric value 'abc' in column 5 (loc_s0002)"),
+        "non-finite": (lambda rows: rows[20].__setitem__(11, "-inf"),
+                       "row 22: non-finite value -inf in column 12 (loc_s0009)"),
+        "negative": (lambda rows: rows[30].__setitem__(2, "-0.5"),
+                     "row 32: negative rainfall in column 3 (loc_s0000)"),
+        "day-mismatch": (lambda rows: [row.__setitem__(0, "1999-13-01") for row in rows[8:12]],
+                         "ensemble days do not match the rainfall panel: day 3 is "
+                         "'1999-13-01', the panel's '1999-01-03'"),
+        "ragged-then-negative": (lambda rows: (rows.pop(5), rows[400].__setitem__(3, "-1")),
+                                 "row 402: negative rainfall in column 4 (loc_s0001)"),
+        "misplaced-then-abc": (lambda rows: (rows.insert(0, rows.pop(1)),
+                                             rows[300].__setitem__(5, "x")),
+                               "row 302: non-numeric value 'x' in column 6 (loc_s0003)"),
+        "mismatch-then-nan": (lambda rows: ([row.__setitem__(0, "1999-13-01")
+                                             for row in rows[8:12]],
+                                            rows[-1].__setitem__(2, "nan")),
+                              "row 601: non-finite value nan in column 3 (loc_s0000)"),
+        "wrong-fields-before-nan": (lambda rows: (rows[100].__setitem__(2, "nan"),
+                                                  rows[200].append("1.5")),
+                                    "row 202: expected 12 fields, got 13"),
+    }
+
+    @pytest.mark.parametrize("name", list(EDITS))
+    def test_reader_errors_keep_message_and_order(self, fixture_dir, ensemble_path, tmp_path,
+                                                  capsys, name):
+        edit, message = self.EDITS[name]
+        header, *lines = ensemble_path.read_text().splitlines()
+        assert header == "day,replicate," + ",".join(f"loc_s{i:04d}" for i in range(10))
+        rows = [line.split(",") for line in lines]
+        edit(rows)
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+        assert self.diagnose(fixture_dir, path, tmp_path / "diag") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "diag").exists()
+
+    @pytest.mark.parametrize("edit", [None, "negative"], ids=["alone", "then-negative"])
+    def test_header_and_rank_bins_errors(self, fixture_dir, ensemble_path, tmp_path, capsys,
+                                         edit):
+        header, *lines = ensemble_path.read_text().splitlines()
+        if edit:
+            lines[30] = lines[30].replace(",", ",-", 2).replace(",-", ",", 1)  # a -x cell
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(["day,rep," + header.split(",", 2)[2], *lines]) + "\n")
+        assert self.diagnose(fixture_dir, path, tmp_path / "d") == 2
+        assert (capsys.readouterr().err ==
+                f"error: {path}: ensemble header does not match the locations file\n")
+        path.write_text("\n".join([header, *lines]) + "\n")
+        assert self.diagnose(fixture_dir, path, tmp_path / "d", ["--rank-bins", "6"]) == 2
+        want = ("row 32: negative rainfall in column 3 (loc_s0000)" if edit else
+                "rank_bins must be at most m + 1 = 5, got 6")
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: {want}\n" if edit else f"error: --rank-bins: {want}\n")
+        assert not (tmp_path / "d").exists()
+
+    def test_scoring_peak_flat_in_days(self, tmp_path):
+        """4x the days adds less than one day chunk to diagnose's traced peak."""
+        import tracemalloc
+
+        from raincop import numerics
+
+        k = numerics.day_chunks(10**6, 50 * 10)[0].stop  # days a chunk: 131 at m = 50, n = 10
+        fx = tmp_path / "fx"
+        assert run(["synth", "--out", fx, "--seed", "3", "--n-locations", "10",
+                    "--days", 4 * k]) == 0
+        assert run(["simulate", "--locations", fx / "locations.csv",
+                    "--rainfall", fx / "rainfall.csv", "--marginals", fx / "marginals.csv",
+                    "--theta", "450", "--m", "50", "--seed", "3", "--out", fx]) == 0
+        peaks = {}
+        for days in (k, 4 * k):
+            cut = tmp_path / f"cut{days}"
+            cut.mkdir()
+            (cut / "locations.csv").write_bytes((fx / "locations.csv").read_bytes())
+            for name, rows in (("rainfall.csv", days), ("marginals.csv", days * 10),
+                               ("ensemble.csv", days * 50)):
+                lines = (fx / name).read_text().splitlines()
+                (cut / name).write_text("\n".join(lines[:rows + 1]) + "\n")
+            tracemalloc.start()
+            try:
+                assert self.diagnose(cut, cut / "ensemble.csv", cut / "diag") == 0
+                peaks[days] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        chunk = k * 50 * 10 * 8  # 524 KB; the 3k more days' samples are 1.6 MB
+        assert peaks[4 * k] - peaks[k] < chunk
+
+
 class TestDeskScaleSmoke:
     def test_grid5_estimate_under_budget(self, tmp_path):
         import time

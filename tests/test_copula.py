@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from raincop.copula import (censor, censor_thresholds, joint_forecast,
+from raincop import numerics
+from raincop.copula import (censor, censor_thresholds, day_normals, joint_forecast,
                             obs_to_gaussian, read_ensemble, substream, write_ensemble)
 from raincop.marginals import GammaMixture, MarginalField, mixture_cdf, mixture_quantile
 from raincop.numerics import spd_factorize
@@ -252,3 +253,94 @@ class TestEnsembleCsv:
         write_ensemble(path, ["d0"], ["a", "b"], [np.zeros((2, 2))])
         with pytest.raises(ValueError):
             read_ensemble(path, ["a", "c"])
+
+
+class TestEnsembleHandedOver:
+    """read_ensemble(path, ids, start) hands the days over a day chunk at a time."""
+
+    @staticmethod
+    def write(path, days, m, n, order=None):
+        """An ensemble of distinct cells; order(rows) may reorder its data rows."""
+        cells = np.arange(days * m * n, dtype=float).reshape(days, m, n)
+        write_ensemble(path, [f"d{s}" for s in range(days)], [f"s{i}" for i in range(n)],
+                       cells)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *(order(rows) if order else rows)]) + "\n")
+        return cells
+
+    @staticmethod
+    def collect(path, n, seen=None):
+        got = []
+
+        def start(labels, m):
+            if seen is not None:
+                seen.append((labels, m))
+            return lambda days, samples: got.append((days, samples.copy()))
+
+        assert read_ensemble(path, [f"s{i}" for i in range(n)], start) is None
+        return got
+
+    @pytest.mark.parametrize("interleaved", [False, True], ids=["contiguous", "interleaved"])
+    def test_chunks_in_day_order_are_the_whole(self, tmp_path, monkeypatch, interleaved):
+        # replicate-major rows: every day's first row comes before any day's second
+        days, m, n = 23, 3, 4
+        order = ((lambda rows: [rows[s * m + j] for j in range(m) for s in range(days)])
+                 if interleaved else None)
+        cells = self.write(tmp_path / "e.csv", days, m, n, order)
+        monkeypatch.setattr(numerics, "_ELEMENT_BUDGET", 5 * m * n)  # five days a chunk
+        seen = []
+        got = self.collect(tmp_path / "e.csv", n, seen)
+        assert seen == [([f"d{s}" for s in range(days)], m)]
+        assert [sl for sl, _ in got] == numerics.day_chunks(days, m * n)
+        assert np.array_equal(np.concatenate([samples for _, samples in got]), cells)
+        labels, whole = read_ensemble(tmp_path / "e.csv", [f"s{i}" for i in range(n)])
+        assert np.array_equal(whole, cells)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:-1], "different numbers of replicates"),
+        (lambda rows: [rows[1], rows[0], *rows[2:]], "row 2: replicate '1' in column 2"),
+        (lambda rows: [*rows[:-1], rows[-1].replace(",", ",x", 1)],
+         "replicate 'x2' in column 2"),
+    ], ids=["ragged", "swapped", "renamed"])
+    def test_bad_keys_hand_nothing_over(self, tmp_path, edit, message):
+        self.write(tmp_path / "e.csv", 4, 3, 2, edit)
+        with pytest.raises(ValueError, match=message):
+            self.collect(tmp_path / "e.csv", 2, seen := [])
+        assert seen == []
+
+    def test_bad_cell_comes_before_bad_keys_and_start(self, tmp_path):
+        # a ragged last day, and a negative cell after the first day
+        def edit(rows):
+            rows[5] = rows[5].rsplit(",", 1)[0] + ",-1.5"
+            return rows[:-1]
+
+        self.write(tmp_path / "e.csv", 4, 3, 2, edit)
+        with pytest.raises(ValueError, match="row 7: negative rainfall in column 4"):
+            self.collect(tmp_path / "e.csv", 2)
+
+        def refuse(labels, m):
+            raise ValueError("refused")
+
+        self.write(tmp_path / "f.csv", 4, 3, 2, lambda rows: [*rows[:5], "d1,2,1,abc",
+                                                              *rows[6:]])
+        with pytest.raises(ValueError, match="row 7: non-numeric value 'abc'"):
+            read_ensemble(tmp_path / "f.csv", ["s0", "s1"], refuse)
+        self.write(tmp_path / "g.csv", 4, 3, 2)
+        with pytest.raises(ValueError, match="refused"):
+            read_ensemble(tmp_path / "g.csv", ["s0", "s1"], refuse)
+
+
+class TestDayNormals:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), max_size=6), st.integers(1, 5), st.integers(1, 7),
+           st.integers(0, 2**32 - 1), st.integers(0, 30))
+    def test_equals_the_per_day_draws(self, days, m, n, seed, tag):
+        got = day_normals(days, m, n, seed, tag)
+        assert got.shape == (len(days), m, n)
+        for slot, day in zip(got, days):
+            assert slot.tobytes() == substream(seed, tag, day).standard_normal((m, n)).tobytes()
+        assert day_normals(np.array(days, dtype=int), m, n, seed, tag).tobytes() == got.tobytes()
+
+    def test_holds_one_array(self, traced_peak):
+        peak, z = traced_peak(lambda: day_normals(range(40), 30, 50, 1, 0))
+        assert peak <= 1.1 * z.nbytes

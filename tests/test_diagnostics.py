@@ -8,8 +8,8 @@ from scipy import stats
 
 from raincop import numerics
 from raincop.copula import joint_forecast, substream
-from raincop.diagnostics import (crps_sample, cross_correlation, ecdf_curve, rank_histogram,
-                                 rmsb_mab, roc_auc, variogram_score)
+from raincop.diagnostics import (CoMoments, crps_sample, cross_correlation, ecdf_curve,
+                                 rank_histogram, rmsb_mab, roc_auc, variogram_score)
 from raincop.marginals import GammaMixture, MarginalField, mixture_cdf
 from raincop.spatial import DistanceMatrix, LocationTable
 from raincop.synth import SynthSpec, simulate_dataset
@@ -358,18 +358,24 @@ class TestCrossCorrelation:
         want[(ss == 0.0) | (c_ss == 0.0)] = np.nan
         assert np.array_equal(corr, want, equal_nan=True)
 
-    def test_overwrite_allocates_a_quarter_of_its_input(self, traced_peak):
-        # the deviations are the input itself: n-vectors, the center series and
-        # ufunc buffers remain
+    def test_row_blocks_allocate_one_block(self, traced_peak):
+        # merged block by block, the correlation holds one block's deviations
+        # (an eighth of the rows) beside n-vectors and ufunc buffers
         locs = self.locations(300)
         values = np.random.default_rng(4).gamma(0.5, 2.0, (40 * 20, 300))
-        peak, _ = traced_peak(lambda: cross_correlation(values, locs, overwrite_values=True))
-        assert peak <= 0.25 * values.nbytes
+        blocks = np.split(values, 8)
+
+        def merge():
+            moments = CoMoments()
+            return [cross_correlation(block, locs, moments=moments) for block in blocks][-1]
+
+        peak, _ = traced_peak(merge)
+        assert peak <= 1.5 * blocks[0].nbytes
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 60), st.integers(1, 30), st.integers(0, 2**32 - 1),
-           st.booleans())
-    def test_overwrite_gives_the_copying_bits(self, rows, n, seed, constant_center):
+           st.booleans(), st.data())
+    def test_row_blocks_merge_to_the_whole(self, rows, n, seed, constant_center, data):
         rng = np.random.default_rng(seed)
         values = np.where(rng.random((rows, n)) < 0.4, 0.0, rng.gamma(0.7, 2.0, (rows, n)))
         values[:, rng.integers(n)] = 1.5  # a zero-variance series
@@ -377,11 +383,18 @@ class TestCrossCorrelation:
         center = locs.ids[rng.integers(n)]
         if constant_center:
             values[:, locs.index_of(center)] = 0.0
-        copied = cross_correlation(values, locs, center=center)
-        overwritten = cross_correlation(values.copy(), locs, center=center,
-                                        overwrite_values=True)
-        assert copied[0] == overwritten[0]
-        assert copied[1].tobytes() == overwritten[1].tobytes()
+        whole = cross_correlation(values, locs, center=center)
+        cuts = sorted(data.draw(st.lists(st.integers(1, rows - 1), max_size=5, unique=True)))
+        moments = CoMoments()
+        for block in np.split(values, cuts):
+            merged = cross_correlation(block, locs, center=center, moments=moments)
+        assert merged[0] == whole[0] and moments.rows == rows
+        # zero-variance series stay NaN; the rest agree to rounding, and bit for bit
+        # when the rows come as one block
+        assert np.array_equal(np.isnan(merged[1]), np.isnan(whole[1]))
+        np.testing.assert_allclose(merged[1], whole[1], rtol=0.0, atol=1e-12)
+        if not cuts:
+            assert merged[1].tobytes() == whole[1].tobytes()
 
     def test_explicit_center_and_zero_variance(self):
         locs = self.locations(4)

@@ -169,3 +169,24 @@ class TestIsSymmetric:
             if mirrored:
                 a[j, i] = special
         assert is_symmetric(a) == np.allclose(a, a.T, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 40, 82, 150]), st.integers(0, 2**32 - 1),
+           st.integers(0, 3), st.booleans(), st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    def test_exact_blocks_same_answer_as_allclose(self, n, seed, edits, mirrored, special):
+        # an exactly symmetric matrix of cells that tie, differ only in the sign
+        # of zero or straddle the tolerance, with a few cells changed and perhaps
+        # one non-finite pair: each block passes on its exact test or falls back
+        # to np.isclose, and the answer is allclose's either way
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1.0, 1.0 + 5e-13, 1.0 + 3e-12, 2.0, 5e-13])
+        a = rng.choice(pool, (n, n))
+        a = np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T)
+        for _ in range(edits):
+            a[tuple(rng.integers(0, n, 2))] = rng.choice(pool)
+        if special is not None:
+            i, j = rng.integers(0, n, 2)
+            a[i, j] = special
+            if mirrored:
+                a[j, i] = special
+        assert is_symmetric(a) == np.allclose(a, a.T, 1e-12, 1e-12)

@@ -19,6 +19,7 @@ from raincop.copula import censor, read_ensemble, write_ensemble
 from raincop.marginals import (IdentityTransform, JglmCoefficients, MarginalField,
                                StandardizeTransform, mixture_cdf, mixture_quantile,
                                read_coefficients, write_coefficients)
+from raincop import numerics as numerics_module
 from raincop import panel as panel_module
 from raincop.panel import (IngestError, RainPanel, read_features_csv, read_marginals_csv,
                            read_rain_csv, write_csv, write_features_csv, write_marginals_csv,
@@ -395,22 +396,50 @@ def interleave_days(rows, m):
     return [row for pair in zip(a, b) for row in pair] + rows[2 * m:]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4), st.data())
-def test_ensemble_bulk_parse_matches_line_parser(days, m, n, data):
+def ensemble_text(data, days, m, n):
+    """(location ids, the text of an ensemble file of days x m rows, perhaps mutated)."""
     ids = data.draw(st.lists(KEY, min_size=n, max_size=n, unique=True))
     labels = data.draw(st.lists(KEY, min_size=days, max_size=days, unique=True))
     header = ["day", "replicate", *(f"loc_{i}" for i in ids)]
     rows = [[label, str(j), *(cell_token(data, NONNEGATIVE) for _ in range(n))]
             for label in labels for j in range(m)]
-    text = draw_text(data, header, rows, 2, extra={
+    return ids, draw_text(data, header, rows, 2, extra={
         "interleaved": lambda rows: interleave_days(rows, m),
         "replicate-swapped": lambda rows: rows[1::-1] + rows[2:],
         "replicate-padded": lambda rows: [[rows[0][0], " 0", *rows[0][2:]], *rows[1:]],
     })
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_ensemble_bulk_parse_matches_line_parser(days, m, n, data):
+    ids, text = ensemble_text(data, days, m, n)
     compare_readers(data, text,
                     lambda path: read_ensemble(path, ids),
                     lambda path: line_read_ensemble(path, ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_handed_over_ensemble_matches_line_parser(days, m, n, days_per_chunk, data):
+    # the days handed over a chunk of days_per_chunk days at a time, joined again
+    ids, text = ensemble_text(data, days, m, n)
+
+    def handed(path):
+        layout, chunks = [], []
+
+        def start(labels, rows_per_day):
+            layout.append((labels, rows_per_day))
+            return lambda days, samples: chunks.append((days, samples.copy()))
+
+        with mock.patch.object(numerics_module, "_ELEMENT_BUDGET", days_per_chunk * m * n):
+            assert read_ensemble(path, ids, start) is None
+            labels, rows_per_day = layout[0]
+            assert [sl for sl, _ in chunks] == numerics_module.day_chunks(
+                len(labels), rows_per_day * n)
+        return labels, np.concatenate([samples for _, samples in chunks])
+
+    compare_readers(data, text, handed, lambda path: line_read_ensemble(path, ids))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """Distance blending and Matérn covariance tests."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -52,6 +53,16 @@ class TestLocationTable:
         path.write_text("id,lat,lon\nx,1,2\n")
         with pytest.raises(ValueError):
             read_locations(path)
+
+    @pytest.mark.parametrize("bad", ["a,b", " c", "c ", "a\nb", "a\rb", "\tc", "c\x1c"])
+    def test_unreadable_id_writes_no_file(self, tmp_path, bad):
+        # read_locations would split the row, strip the id or lose its line end
+        locs = LocationTable(ids=("s0", bad), lat=[50.0, 51.0], lon=[0.0, 1.0],
+                             elev=[0.0, 10.0])
+        path = tmp_path / "locations.csv"
+        with pytest.raises(ValueError, match=f"location ids \\[{re.escape(repr(bad))}\\]"):
+            write_locations(path, locs)
+        assert not path.exists()
 
 
 class TestDistanceMatrix:
@@ -163,6 +174,22 @@ class TestMaternKernel:
         got = matern_kernel(np.array([0.0, 1.0, 100.0]), MaternParams(theta=1e-300, nu=nu))
         assert np.array_equal(got, [1.0, 0.0, 0.0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 9.9).filter(lambda nu: abs(nu - round(nu - 0.5) - 0.5) > 1e-6),
+           st.floats(1e-3, 1e4), st.integers(0, 2**32 - 1))
+    def test_general_order_matches_whole_array_expression(self, nu, theta, seed):
+        # the x^nu K_nu(x) product as one expression, as before it was built in place
+        d = np.random.default_rng(seed).uniform(0.0, 3000.0, 60)
+        d[:3] = 0.0, 1e-9 * theta, 1e9
+        x = np.minimum(np.sqrt(2.0 * nu) * d / theta, 1e3)
+        pos = x > 1e-8 if nu >= 1.0 else x > 0.0
+        log_pref = (1.0 - nu) * np.log(2.0) - special.gammaln(nu)
+        want = np.ones_like(x)
+        with np.errstate(under="ignore"):
+            want[pos] = np.exp(log_pref + nu * np.log(x[pos])) * bessel_k(nu, x[pos])
+        got = matern_kernel(d, MaternParams(theta=theta, nu=nu))
+        assert got.tobytes() == np.clip(want, 0.0, 1.0).tobytes()
+
     def test_nu_above_ten_rejected(self):
         # bessel_k's orders end at 10; one rule for both kernel forms
         MaternParams(theta=1.0, nu=10.0)
@@ -251,6 +278,14 @@ class TestBuildCovariance:
         n = 300
         distance = build_distance_matrix(uk_locations(n, 2, 200.0, elev_hi))
         peak, _ = traced_peak(lambda: build_covariance(distance, MaternParams(theta=theta)))
+        assert peak + distance.values.nbytes <= 4.35 * n * n * 8
+
+    def test_general_order_peak_at_most_4_35_n2(self, traced_peak):
+        # nu = 2.2 takes the x^nu K_nu(x) form, built in place on x's positive part
+        n = 300
+        distance = build_distance_matrix(uk_locations(n, 2, 200.0, 200.0))
+        peak, _ = traced_peak(lambda: build_covariance(distance,
+                                                       MaternParams(theta=450.0, nu=2.2)))
         assert peak + distance.values.nbytes <= 4.35 * n * n * 8
 
     def test_handed_over_call_keeps_sigma_and_factor(self):
