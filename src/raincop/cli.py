@@ -220,15 +220,15 @@ def cmd_estimate_theta(settings: Settings) -> int:
     field = read_marginals_csv(settings.path("marginals"), panel)
     distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
     result = estimate_theta(panel.values, field, distance, cfg, search, nu=nu)
-    out = _out_dir(settings)
-    write_profile(os.path.join(out, "profile.csv"), result.profile)
-    write_summary(os.path.join(out, "summary.json"), result, cfg, search)
     _log(f"estimate-theta: theta_hat {result.theta_hat:.3f} "
          f"({result.n_evaluations} evaluations, {result.wall_clock_s:.2f}s)")
     if result.boundary:
         _log("estimate-theta: minimizer on search boundary")
         if settings["strict"]:
             return 3
+    out = _out_dir(settings)
+    write_profile(os.path.join(out, "profile.csv"), result.profile)
+    write_summary(os.path.join(out, "summary.json"), result, cfg, search)
     return 0
 
 
@@ -282,8 +282,8 @@ def cmd_diagnose(settings: Settings) -> int:
         if settings[key] < low:
             settings.reject(f"{key} must be at least {low}, got {settings[key]}", key)
     for key in ("q_levels", "ecdf_levels"):
-        if not all(level >= 0.0 for level in settings[key]):
-            settings.reject(f"{key} must be nonnegative, got {settings[key]}", key)
+        if not all(0.0 <= level < np.inf for level in settings[key]):
+            settings.reject(f"{key} must be nonnegative and finite, got {settings[key]}", key)
     a, topo_scale = _blend_settings(settings)
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
@@ -325,8 +325,7 @@ def cmd_diagnose(settings: Settings) -> int:
         scores["rank"] = rank_histogram(ens, y, bins, rng, counts=rank_counts)
         scores["ecdf"] = ecdf_curve(ens, y, levels, counts=ecdf_counts)
         scores["bias"] = rmsb_mab(ens, y, sums=bias_sums)
-        scores["model_corr"] = cross_correlation(ens.reshape(-1, n), locs,
-                                                 scores["obs_corr"][0], moments)[1]
+        scores["model_corr"] = cross_correlation(ens.reshape(-1, n), locs, moments)[1]
 
     read_ensemble(ensemble_path, locs.ids, start)
     # Compute every result before writing any file: a rejected setting writes nothing.

@@ -21,10 +21,9 @@ alike: callers walk a run of days in budget-sized chunks
 one array in place.
 
 The ensemble file goes out and comes back in the same day chunks:
-write_ensemble takes the blocks as they are drawn, and read_ensemble either
-returns the whole (days, m, n) array or, given a start hook, hands each day
-chunk over as soon as its rows are parsed, so a reader of a long forecast
-holds one chunk of it.
+write_ensemble takes the blocks as they are drawn, and read_ensemble hands
+each day chunk over as soon as its rows are parsed, so a reader of a long
+forecast holds one chunk of it.
 """
 
 from __future__ import annotations
@@ -162,8 +161,8 @@ def write_ensemble(path, day_labels, location_ids, blocks) -> None:
                for j, row in enumerate(np.asarray(block, dtype=float).tolist())))
 
 
-def read_ensemble(path, location_ids, start=None):
-    """Read an ensemble CSV back into (day_labels, (days, m, n) samples), or hand it over.
+def read_ensemble(path, location_ids, start) -> None:
+    """Read an ensemble CSV, handing its days over a day chunk at a time.
 
     Every day must hold the same number m of rows, carrying replicate
     0, 1, ..., m - 1 in that order; a day's rows need not be contiguous. A
@@ -172,13 +171,12 @@ def read_ensemble(path, location_ids, start=None):
     column; a bad cell comes first. A first pass reads only the key columns,
     placing every row; the second parses the cells into their places.
 
-    With start, the days are handed over as they are parsed instead of
-    returned: start(day_labels, m) returns take, and take(days, samples) gets
-    each numerics.day_chunks chunk, a slice of days and its (k, m, n) samples,
-    in day order. A ValueError (IngestError too) that start raises is raised
-    once the cells are checked.
-    Beside the chunk the reader then holds one block of the file, and more
-    chunks only while a day's rows are spread through the file.
+    start(day_labels, m) returns take, and take(days, samples) gets each
+    numerics.day_chunks chunk, a slice of days and its (k, m, n) samples, in
+    day order, as soon as its rows are parsed. A ValueError (IngestError too)
+    that start raises is raised once the cells are checked. Beside the chunk
+    the reader holds one block of the file, and more chunks only while a
+    day's rows are spread through the file.
     """
     n = len(location_ids)
     expected = ["day", "replicate"] + [f"loc_{i}" for i in location_ids]
@@ -192,12 +190,11 @@ def read_ensemble(path, location_ids, start=None):
     except UnicodeDecodeError:  # the cell pass names the byte, or an earlier error
         labels, runs, m, error = [], None, 0, IngestError(f"{path}: not UTF-8")
     take = None
-    if start is not None and error is None:
+    if error is None:
         try:
             take = start(labels, m)
         except ValueError as exc:  # IngestError too: raised after the cells are checked
             error = exc
-    out = np.empty((len(labels) * m, n)) if start is None and error is None else None
     chunks = day_chunks(len(labels), m * n)
     rows_per_chunk = chunks[0].stop * m if chunks else 1
     pending = {}  # chunk number -> [its (rows, n) cells, rows still to come]
@@ -205,15 +202,12 @@ def read_ensemble(path, location_ids, start=None):
 
     def place_rows(keys, values, first):
         nonlocal handed
-        if out is None and take is None:
+        if take is None:
             return
         starts, run_day, run_place = runs
         rows = np.arange(first, first + len(values))
         run = np.searchsorted(starts, rows, side="right") - 1
-        rows += (run_day[run] * m + run_place[run]) - starts[run]  # each row's place in out
-        if out is not None:
-            out[rows] = values
-            return
+        rows += (run_day[run] * m + run_place[run]) - starts[run]  # each row's day-major place
         chunk = rows // rows_per_chunk
         for c in np.unique(chunk).tolist():  # each chunk handed over before the next is made
             if c not in pending:
@@ -229,9 +223,6 @@ def read_ensemble(path, location_ids, start=None):
     read_csv(path, 2, check_header, nonnegative=True, each_block=place_rows, collect=False)
     if error is not None:
         raise error
-    if out is not None:
-        return labels, out.reshape(len(labels), m, n)
-    return None
 
 
 def _scan_keys(path, check_header):

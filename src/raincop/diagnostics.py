@@ -3,10 +3,11 @@
 Calibration: exceedance ROC/AUC from the marginal field, rank histograms
 with randomized tie-breaking (ties are pervasive with exact zeros), and
 pooled exceedance-frequency (ECDF) curves. Spatial coherence: correlation
-of every location with a center point, and the variogram score with
-inverse-distance weights. Accuracy: sample CRPS (the univariate energy
-score, with the unbiased pairwise divisor so values are comparable across
-ensemble sizes) and median-forecast bias summaries.
+of every location with the one nearest the mean (lat, lon), and the
+variogram score of order 1 with inverse-distance weights. Accuracy:
+sample CRPS (the univariate energy score, with the unbiased pairwise
+divisor so values are comparable across ensemble sizes) and median-forecast
+bias summaries.
 
 Each ensemble score is one array kernel over a run of a forecast's days:
 (days, m, n) samples against (days, n) observations (`crps_sample`,
@@ -61,8 +62,7 @@ class RocCurve:
     auc: float
 
 
-def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float,
-            tau_grid=None) -> RocCurve:
+def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float, tau_grid) -> RocCurve:
     """Exceedance detection skill pooled over all cells.
 
     Each (location, day) cell is an independent trial: the event is
@@ -74,8 +74,6 @@ def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float,
     """
     if q < 0.0:
         raise ValueError("exceedance level q must be nonnegative")
-    if tau_grid is None:
-        tau_grid = np.linspace(0.0, 1.0, 1001)
     taus = np.sort(np.asarray(tau_grid, dtype=float))[::-1]
 
     prob = np.empty(field.p.shape)
@@ -110,8 +108,7 @@ def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float,
     return RocCurve(q=float(q), taus=taus, fpr=fpr, tpr=tpr, auc=auc)
 
 
-def rank_histogram(samples, obs, bins: int, rng: np.random.Generator | None = None,
-                   counts=None):
+def rank_histogram(samples, obs, bins: int, rng: np.random.Generator, counts=None):
     """Histogram of observation ranks within their ensembles, (days, m, n) at once.
 
     The rank of an observation is the number of members strictly below it,
@@ -127,7 +124,6 @@ def rank_histogram(samples, obs, bins: int, rng: np.random.Generator | None = No
     days, m, n = samples.shape
     if bins < 1 or bins > m + 1:
         raise ValueError("bins must lie in [1, m + 1]")
-    rng = rng or np.random.Generator(np.random.Philox(0))
     counts = np.zeros(bins, dtype=int) if counts is None else counts
     for sl in day_chunks(days, m * n):
         x, y = samples[sl], obs[sl, None, :]
@@ -203,14 +199,14 @@ class CoMoments:
 
 
 def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
-                      center: str = "center-of-mass", moments: CoMoments | None = None):
+                      moments: CoMoments | None = None):
     """Pearson correlation across days between a center series and every location.
 
     panel_values is (n_days, n_locations), or a (days, m, n) ensemble as
-    (days * m, n). center is a location id, or "center-of-mass" to use the
-    location nearest the mean (lat, lon). Zero-variance series yield NaN
-    entries. Returns (center_id, correlations). The deviations, squared in
-    place once the cross products are taken, are one copy of panel_values.
+    (days * m, n). The center is the location nearest the mean (lat, lon).
+    Zero-variance series yield NaN entries. Returns (center_id,
+    correlations). The deviations, squared in place once the cross products
+    are taken, are one copy of panel_values.
     moments, when given, holds earlier row blocks of the same series: the
     rows are merged into it and the correlations are over every row so far.
     """
@@ -222,11 +218,8 @@ def cross_correlation(panel_values: np.ndarray, locs: LocationTable,
             raise ValueError("need at least 3 days for a correlation")
         moments = CoMoments()
 
-    if center == "center-of-mass":
-        mean_lat, mean_lon = locs.lat.mean(), locs.lon.mean()
-        center_idx = int(np.argmin((locs.lat - mean_lat) ** 2 + (locs.lon - mean_lon) ** 2))
-    else:
-        center_idx = locs.index_of(center)
+    mean_lat, mean_lon = locs.lat.mean(), locs.lon.mean()
+    center_idx = int(np.argmin((locs.lat - mean_lat) ** 2 + (locs.lon - mean_lon) ** 2))
     moments.add(values, center_idx)
     return locs.ids[center_idx], moments.correlation()
 
@@ -258,14 +251,13 @@ def crps_sample(samples, obs) -> np.ndarray:
     return out
 
 
-def variogram_score(samples, obs, distance: DistanceMatrix,
-                    p_exp: float = 1.0) -> np.ndarray:
+def variogram_score(samples, obs, distance: DistanceMatrix) -> np.ndarray:
     """Inverse-distance-weighted variogram score of each day's ensemble.
 
     samples is (days, m, n) with m >= 2, obs (days, n); returns the per-day
-    sums of w_kl * (|y_k - y_l|^p - mean_j |Y_jk - Y_jl|^p)^2 over all
-    ordered location pairs, with w_kl = 1 / D_kl and w_kk = 0. Off-diagonal
-    zero distances get weight 0 with a warning.
+    sums of w_kl * (|y_k - y_l| - mean_j |Y_jk - Y_jl|)^2 over all ordered
+    location pairs, with w_kl = 1 / D_kl and w_kk = 0: the variogram score of
+    order 1. Off-diagonal zero distances get weight 0 with a warning.
 
     The member mean is summed into one n x n accumulator per day, member by
     member in member order, and never as an (m, n, n) gap tensor. Rows are
@@ -276,8 +268,6 @@ def variogram_score(samples, obs, distance: DistanceMatrix,
     day of a chunk and one row block, about 2.4 n^2 doubles at n = 400.
     """
     samples, obs = ensemble_arrays(samples, obs)
-    if p_exp <= 0.0:
-        raise ValueError("p_exp must be positive")
     days, _, n = samples.shape
     if distance.n != n:
         raise ValueError("distance matrix does not match the ensemble's locations")
@@ -289,11 +279,11 @@ def variogram_score(samples, obs, distance: DistanceMatrix,
 
     out = np.empty(days)
     for sl in day_chunks(days, n * n):
-        out[sl] = [np.sum(t) for t in _variogram_terms(samples[sl], obs[sl], w, p_exp)]
+        out[sl] = [np.sum(t) for t in _variogram_terms(samples[sl], obs[sl], w)]
     return out
 
 
-def _variogram_terms(y, o, w, p_exp):
+def _variogram_terms(y, o, w):
     """The (k, n, n) weighted pair terms of k days, built beside one row block."""
     k, m, n = y.shape
     acc = np.zeros((k, n, n))  # member sums, then each pair's term
@@ -308,8 +298,6 @@ def _variogram_terms(y, o, w, p_exp):
         for j in range(m):
             np.subtract(y[:, j, r0:r1, None], y[:, j, None, r0:], out=gap)
             np.abs(gap, out=gap)
-            if p_exp != 1.0:
-                gap **= p_exp
             block += gap
         acc[:, r1:, r0:r1] = block[:, :, r1 - r0:].transpose(0, 2, 1)
         # rows r0:r1 now hold their full member sums: turn them into terms
@@ -317,7 +305,6 @@ def _variogram_terms(y, o, w, p_exp):
         part /= m
         np.subtract(o[:, r0:r1, None], o[:, None, :], out=buf)
         np.abs(buf, out=buf)
-        buf **= p_exp
         np.subtract(buf, part, out=part)
         np.square(part, out=part)
         part *= w[r0:r1]

@@ -117,8 +117,7 @@ class EstimateResult:
     wall_clock_s: float
 
 
-def energy_score_unbiased(samples: np.ndarray, obs: np.ndarray,
-                          beta: float = 0.5) -> np.ndarray:
+def energy_score_unbiased(samples: np.ndarray, obs: np.ndarray, beta: float) -> np.ndarray:
     """Unbiased energy score of each block in a stack, walked in day_chunks.
 
     samples is (k, m, n) with m >= 2, obs (k, n); returns the k scores

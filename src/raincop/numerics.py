@@ -1,10 +1,10 @@
-"""Bessel K for the Matérn kernel, the jittered Cholesky factor, the working-set budget.
+"""The jittered Cholesky factor, the symmetry test and the working-set budget.
 
-Every other special function the package needs (log-gamma, the regularized
-incomplete gamma and its inverse, the normal CDF and quantile) is called
-from ``scipy.special`` at the one place that uses it. All routines are pure
-and operate in double precision. SpdFactor instances are immutable and safe
-to share between threads.
+Every special function the package needs (Bessel K, log-gamma, the
+regularized incomplete gamma and its inverse, the normal CDF and quantile)
+is called from ``scipy.special`` at the one place that uses it. All routines
+are pure and operate in double precision. SpdFactor instances are immutable
+and safe to share between threads.
 day_chunks is the one reader of the element budget that bounds every
 working array walked in pieces: days, theta groups and row blocks alike.
 """
@@ -14,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "NotPositiveDefinite",
     "SpdFactor",
-    "bessel_k",
     "day_chunks",
     "ensemble_arrays",
     "is_symmetric",
@@ -31,10 +29,6 @@ __all__ = [
 # perturbed below diagnostic tolerance.
 JITTER_START = 1e-10
 JITTER_CEILING = 1e-6
-
-# K_nu(x) overflows double precision for x below roughly this value at the
-# largest supported order (nu = 10); callers get an OverflowError instead of inf.
-BESSEL_UNDERFLOW_X = 1e-300
 
 # Float64 elements allowed in one working array (512 KiB): bounds a day
 # chunk's (days, m, n) normals and a theta group's n x n factors alike. Small
@@ -63,34 +57,6 @@ class SpdFactor:
 
     lower: np.ndarray
     jitter_applied: float
-
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
-
-
-def bessel_k(nu: float, x):
-    """Modified Bessel function of the second kind K_nu(x), nu > 0, x > 0.
-
-    Evaluates scipy's K_nu after validating the arguments. Raises
-    OverflowError when the value exceeds double range, which happens for x
-    below an order-dependent threshold (at worst ~1e-300 for the supported
-    nu <= 10).
-    """
-    if not (0.0 < nu <= 10.0):
-        raise ValueError("bessel_k supports orders nu in (0, 10]")
-    x_a = np.asarray(x, dtype=float)
-    scalar = x_a.ndim == 0
-    x_a = np.atleast_1d(x_a)
-    if np.any(x_a <= 0.0) or not np.all(np.isfinite(x_a)):
-        raise ValueError("bessel_k requires x > 0")
-    with np.errstate(over="ignore", divide="ignore"):
-        out = _sp.kv(nu, x_a)
-    if np.any(np.isinf(out)):
-        raise OverflowError(
-            f"K_{nu}(x) overflows double precision for x <= {BESSEL_UNDERFLOW_X:g}"
-        )
-    return float(out[0]) if scalar else out
 
 
 def day_chunks(n_days: int, cells_per_day: int) -> list:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .numerics import SpdFactor, bessel_k, is_symmetric, spd_factorize
+from .numerics import SpdFactor, is_symmetric, spd_factorize
 from .panel import IngestError, float_text, read_csv, write_csv
 
 __all__ = [
@@ -75,12 +75,6 @@ class LocationTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def index_of(self, loc_id: str) -> int:
-        try:
-            return self.ids.index(loc_id)
-        except ValueError:
-            raise KeyError(f"unknown location id {loc_id!r}") from None
-
     def subset(self, indices) -> "LocationTable":
         idx = np.asarray(indices, dtype=int)
         return LocationTable(
@@ -128,7 +122,7 @@ class MaternParams:
             raise ValueError(f"theta must be positive, got {self.theta}")
         if not (self.nu > 0.0 and np.isfinite(self.nu)):
             raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.nu > 10.0:  # the largest order numerics.bessel_k supports
+        if self.nu > 10.0:  # K_nu(1e-8) stays finite: K_10(1e-8) is about 1.9e88
             raise ValueError(f"nu must be at most 10, got {self.nu}")
 
 
@@ -146,11 +140,11 @@ class CovarianceMatrix:
 
 
 def check_blend(a: float = DEFAULT_BLEND, topo_scale: float = DEFAULT_TOPO_SCALE) -> None:
-    """Reject a blend coefficient outside [0, 1] or a topo_scale that is not positive."""
+    """Reject a blend coefficient outside [0, 1] or a topo_scale not positive and finite."""
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"blend coefficient a must lie in [0, 1], got {a}")
-    if not topo_scale > 0.0:
-        raise ValueError(f"topo_scale must be positive, got {topo_scale}")
+    if not (topo_scale > 0.0 and np.isfinite(topo_scale)):
+        raise ValueError(f"topo_scale must be positive and finite, got {topo_scale}")
 
 
 def build_distance_matrix(locs: LocationTable, a: float = DEFAULT_BLEND,
@@ -210,9 +204,11 @@ def matern_kernel(d, params: MaternParams):
     form; other orders evaluate 2^(1-nu)/Gamma(nu) * x^nu * K_nu(x) with
     x = sqrt(2 nu) d / theta, returning the analytic limit 1 at d = 0 where
     that product is indeterminate. x is capped at 1e3, where both forms are 0
-    in double precision, so an x that overflows gives 0, not NaN. The result
-    is built in x's array; the closed form holds two more of d's size, the
-    general order the positive part of x and K_nu there.
+    in double precision, so an x that overflows gives 0, not NaN. A K_nu(x)
+    beyond double range (nu < 1, x near the smallest double) raises
+    OverflowError. The result is built in x's array; the closed form holds
+    two more of d's size, the general order the positive part of x and K_nu
+    there.
     """
     d_a = np.asarray(d, dtype=float)
     scalar = d_a.ndim == 0
@@ -231,8 +227,11 @@ def matern_kernel(d, params: MaternParams):
         pos = x > 1e-8 if nu >= 1.0 else x > 0.0
         log_pref = (1.0 - nu) * np.log(2.0) - _sp.gammaln(nu)
         val = x[pos]
-        with np.errstate(under="ignore"):
-            k_nu = bessel_k(nu, val)
+        with np.errstate(under="ignore", over="ignore"):
+            k_nu = _sp.kv(nu, val)
+            if np.isinf(k_nu).any():
+                raise OverflowError(f"K_{nu}(x) overflows double precision at x = "
+                                    f"{val.min():g}")
             np.log(val, out=val)
             val *= nu
             val += log_pref

@@ -2,7 +2,10 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from raincop.copula import read_ensemble
 
 
 @pytest.fixture
@@ -16,3 +19,21 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return measure
+
+
+@pytest.fixture(scope="session")
+def whole_ensemble():
+    """whole_ensemble(path, ids) -> (day labels, (days, m, n) samples): the day
+    chunks read_ensemble hands over, joined."""
+    def read(path, location_ids):
+        layout, chunks = [], []
+
+        def start(labels, m):
+            layout.extend((labels, m))
+            return lambda days, samples: chunks.append(samples)
+
+        read_ensemble(path, location_ids, start)
+        labels, m = layout
+        return labels, (np.concatenate(chunks) if chunks
+                        else np.empty((len(labels), m, len(location_ids))))
+    return read

@@ -193,7 +193,7 @@ def test_criterion_8_diagnostics_battery():
     p = rng.uniform(0.05, 0.95, (n, t))
     field = rc.MarginalField(p=p, mu=np.full((n, t), 3.0), phi=np.full((n, t), 1.0))
     panel = np.where(rng.random((n, t)) < 0.35, 5.0, 0.0)
-    auc = rc.roc_auc(field, panel, 1.0).auc
+    auc = rc.roc_auc(field, panel, 1.0, np.linspace(0.0, 1.0, 1001)).auc
     assert auc == pytest.approx(0.5, abs=0.02)
 
     # correctly-specified vs independence-misspecified variogram score
@@ -316,7 +316,7 @@ def test_criterion_11_held_out_locations():
         es, vs = {}, {}
         for name, cov in covs.items():
             ens = rc.joint_forecast(cov, field_test, range(t), m, seed, 110)
-            es[name] = energy_score_unbiased(ens, obs[:, test]).mean()
+            es[name] = energy_score_unbiased(ens, obs[:, test], rc.ScoreConfig.beta).mean()
             vs[name] = rc.variogram_score(ens, obs[:, test], distance).mean()
         assert es["copula"] < es["independent"], (seed, es)
         assert abs(es["copula"] - es["true"]) <= 0.02, (seed, es)

@@ -187,8 +187,9 @@ class TestEstimateTheta:
                       "--marginals", fixture_dir / "marginals.csv",
                       "--theta-min", "3000", "--theta-max", "6000",
                       "--grid", "4", "--m", "6",
-                      "--seed", "3", "--out", tmp_path, "--strict"])
+                      "--seed", "3", "--out", tmp_path / "out", "--strict"])
         assert rc == 3
+        assert not (tmp_path / "out").exists()  # a strict failure writes nothing
 
     @pytest.mark.filterwarnings("ignore:grid minimizer")
     def test_ingestion_probe_argv(self, tmp_path, capsys):
@@ -235,12 +236,12 @@ class TestSettingSources:
         ("estimate-theta", "nu", "0", "nu must be positive, got 0.0"),
         ("simulate", "theta", "nan", "theta must be positive, got nan"),
         ("estimate-theta", "a", "2", "blend coefficient a must lie in [0, 1], got 2.0"),
-        ("estimate-theta", "topo_scale", "0", "topo_scale must be positive, got 0.0"),
+        ("estimate-theta", "topo_scale", "0", "topo_scale must be positive and finite, got 0.0"),
         ("simulate", "a", "-0.5", "blend coefficient a must lie in [0, 1], got -0.5"),
-        ("simulate", "topo_scale", "nan", "topo_scale must be positive, got nan"),
+        ("simulate", "topo_scale", "nan", "topo_scale must be positive and finite, got nan"),
         ("simulate", "nu", "0", "nu must be positive, got 0.0"),
         ("diagnose", "a", "1.5", "blend coefficient a must lie in [0, 1], got 1.5"),
-        ("diagnose", "topo_scale", "-70", "topo_scale must be positive, got -70.0"),
+        ("diagnose", "topo_scale", "-70", "topo_scale must be positive and finite, got -70.0"),
         # a flag's text is converted like a config line's
         ("estimate-theta", "m", "abc", "invalid value 'abc' for m"),
         ("fit-marginals", "transform", "bogus", "invalid value 'bogus' for transform"),
@@ -253,8 +254,9 @@ class TestSettingSources:
         ("diagnose", "tau_grid", "1", "tau_grid must be at least 2, got 1"),
         ("diagnose", "tau_grid", "-3", "tau_grid must be at least 2, got -3"),
         ("diagnose", "rank_bins", "0", "rank_bins must be at least 1, got 0"),
-        ("diagnose", "q_levels", "-1", "q_levels must be nonnegative, got [-1.0]"),
-        ("diagnose", "ecdf_levels", "-2", "ecdf_levels must be nonnegative, got [-2.0]"),
+        ("diagnose", "q_levels", "-1", "q_levels must be nonnegative and finite, got [-1.0]"),
+        ("diagnose", "ecdf_levels", "-2",
+         "ecdf_levels must be nonnegative and finite, got [-2.0]"),
         ("synth", "n_locations", "1", "need at least two locations"),
         ("synth", "lat_min", "60", "a coordinate range needs low <= high, got (60.0, 58.7)"),
         ("synth", "start_date", "9999-12-30", "500 days from 9999-12-30 run past 9999-12-31"),
@@ -264,6 +266,14 @@ class TestSettingSources:
         ("simulate", "nu", "12.3", "nu must be at most 10, got 12.3"),
         ("synth", "nu", "10.5", "nu must be at most 10, got 10.5"),
         ("estimate-theta", "theta_max", "inf", "theta bounds must be finite, got [200.0, inf]"),
+        ("synth", "topo_scale", "inf", "topo_scale must be positive and finite, got inf"),
+        ("estimate-theta", "topo_scale", "inf", "topo_scale must be positive and finite, got inf"),
+        ("simulate", "topo_scale", "inf", "topo_scale must be positive and finite, got inf"),
+        ("diagnose", "topo_scale", "inf", "topo_scale must be positive and finite, got inf"),
+        ("diagnose", "q_levels", "0.5,inf",
+         "q_levels must be nonnegative and finite, got [0.5, inf]"),
+        ("diagnose", "ecdf_levels", "0,inf",
+         "ecdf_levels must be nonnegative and finite, got [0.0, inf]"),
     ], ids=["m", "beta", "grid", "theta-min", "nu", "simulate-theta",
             "a", "topo-scale", "simulate-a", "simulate-topo-scale", "simulate-nu",
             "diagnose-a", "diagnose-topo-scale", "m-malformed", "transform-malformed",
@@ -272,7 +282,10 @@ class TestSettingSources:
             "diagnose-tau-grid-one", "diagnose-tau-grid-negative", "diagnose-rank-bins-zero",
             "diagnose-q-levels", "diagnose-ecdf-levels", "synth-n-locations", "synth-lat-min",
             "synth-date-overflow", "synth-seed", "estimate-theta-seed", "nu-above-10",
-            "simulate-nu-above-10", "synth-nu-half-integer-above-10", "theta-max-infinite"])
+            "simulate-nu-above-10", "synth-nu-half-integer-above-10", "theta-max-infinite",
+            "synth-topo-scale-infinite", "topo-scale-infinite", "simulate-topo-scale-infinite",
+            "diagnose-topo-scale-infinite", "diagnose-q-levels-infinite",
+            "diagnose-ecdf-levels-infinite"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
                                            message, source):
@@ -315,7 +328,7 @@ class TestSettingSources:
 
 
 class TestSimulateAndDiagnose:
-    def test_pipeline(self, fixture_dir, tmp_path):
+    def test_pipeline(self, fixture_dir, tmp_path, whole_ensemble):
         sim_a, sim_b = tmp_path / "sa", tmp_path / "sb"
         for out in (sim_a, sim_b):
             rc = run(["simulate", "--locations", fixture_dir / "locations.csv",
@@ -340,13 +353,12 @@ class TestSimulateAndDiagnose:
                     "variogram_score_day_sum", "rmsb", "mab", "auc"):
             assert key in summary
         assert summary["crps_mean"] >= 0.0
-        from raincop.copula import read_ensemble
         from raincop.estimation import energy_score_unbiased
         from raincop.panel import read_rain_csv
         from raincop.spatial import read_locations
         locs = read_locations(fixture_dir / "locations.csv")
         obs = read_rain_csv(fixture_dir / "rainfall.csv", locs).values
-        _, ens = read_ensemble(sim_a / "ensemble.csv", locs.ids)
+        _, ens = whole_ensemble(sim_a / "ensemble.csv", locs.ids)
         per_day = [energy_score_unbiased(b[None], obs[None, s], 0.5)[0]
                    for s, b in enumerate(ens)]
         assert summary["energy_score_mean"] == pytest.approx(np.mean(per_day), rel=1e-12)

@@ -224,7 +224,7 @@ class TestJointForecast:
 
 
 class TestEnsembleCsv:
-    def test_round_trip_and_zero_tokens(self, tmp_path):
+    def test_round_trip_and_zero_tokens(self, tmp_path, whole_ensemble):
         blocks = [np.array([[0.0, 1.5], [2.25, 0.0]]),
                   np.array([[0.5, 0.0], [0.0, 3.75]])]
         path = tmp_path / "ensemble.csv"
@@ -232,27 +232,27 @@ class TestEnsembleCsv:
         text = path.read_text()
         assert "loc_a,loc_b" in text.splitlines()[0]
         assert ",0," in text or text.count(",0\n") > 0  # exact zero tokens
-        days, back = read_ensemble(path, ["a", "b"])
+        days, back = whole_ensemble(path, ["a", "b"])
         assert days == ["2001-01-01", "2001-01-02"]
         assert np.array_equal(back[0], blocks[0])
         assert np.array_equal(back[1], blocks[1])
 
-    def test_interleaved_days_grouped(self, tmp_path):
+    def test_interleaved_days_grouped(self, tmp_path, whole_ensemble):
         blocks = [np.array([[0.0, 1.5], [2.25, 0.0]]),
                   np.array([[0.5, 0.0], [0.0, 3.75]])]
         path = tmp_path / "ensemble.csv"
         write_ensemble(path, ["d0", "d1"], ["a", "b"], blocks)
         header, *rows = path.read_text().splitlines()
         path.write_text("\n".join([header, rows[0], rows[2], rows[1], rows[3]]) + "\n")
-        days, back = read_ensemble(path, ["a", "b"])
+        days, back = whole_ensemble(path, ["a", "b"])
         assert days == ["d0", "d1"]
         assert np.array_equal(back, np.stack(blocks))
 
-    def test_header_mismatch(self, tmp_path):
+    def test_header_mismatch(self, tmp_path, whole_ensemble):
         path = tmp_path / "ensemble.csv"
         write_ensemble(path, ["d0"], ["a", "b"], [np.zeros((2, 2))])
         with pytest.raises(ValueError):
-            read_ensemble(path, ["a", "c"])
+            whole_ensemble(path, ["a", "c"])
 
 
 class TestEnsembleHandedOver:
@@ -293,8 +293,6 @@ class TestEnsembleHandedOver:
         assert seen == [([f"d{s}" for s in range(days)], m)]
         assert [sl for sl, _ in got] == numerics.day_chunks(days, m * n)
         assert np.array_equal(np.concatenate([samples for _, samples in got]), cells)
-        labels, whole = read_ensemble(tmp_path / "e.csv", [f"s{i}" for i in range(n)])
-        assert np.array_equal(whole, cells)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: rows[:-1], "different numbers of replicates"),

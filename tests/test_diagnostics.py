@@ -15,6 +15,7 @@ from raincop.spatial import DistanceMatrix, LocationTable
 from raincop.synth import SynthSpec, simulate_dataset
 
 CRPS_STD_NORMAL_AT_MEAN = 0.23369497725510907  # (sqrt(2)-1)/sqrt(pi), quadrature-checked
+TAUS = np.linspace(0.0, 1.0, 1001)  # the command line's default tau grid
 
 
 def make_ensemble(rng, n_days=40, m=9, n=6, p=0.6):
@@ -32,10 +33,10 @@ def crps_cell(samples, y) -> float:
     return float(crps_sample(np.reshape(samples, (1, -1, 1)), [[y]])[0, 0])
 
 
-def variogram_day(samples, obs, distance, p_exp=1.0) -> float:
+def variogram_day(samples, obs, distance) -> float:
     """variogram_score of one day's (m, n) ensemble."""
     return float(variogram_score(np.asarray(samples)[None], np.asarray(obs)[None],
-                                 distance, p_exp)[0])
+                                 distance)[0])
 
 
 class TestCrps:
@@ -164,7 +165,7 @@ class TestRocAuc:
         p = np.where(events, 1.0, 0.0)
         field = MarginalField(p=p, mu=np.full(p.shape, 1e8), phi=np.full(p.shape, 1.0))
         panel = np.where(events, q + 1.0, 0.0)
-        curve = roc_auc(field, panel, q)
+        curve = roc_auc(field, panel, q, TAUS)
         assert curve.auc == pytest.approx(1.0, abs=1e-9)
 
     def test_uninformative_forecaster(self):
@@ -173,7 +174,7 @@ class TestRocAuc:
         p = rng.uniform(0.05, 0.95, (n, t))
         field = MarginalField(p=p, mu=np.full((n, t), 3.0), phi=np.full((n, t), 1.0))
         panel = np.where(rng.random((n, t)) < 0.35, 5.0, 0.0)  # independent of p
-        curve = roc_auc(field, panel, 1.0)
+        curve = roc_auc(field, panel, 1.0, TAUS)
         assert curve.auc == pytest.approx(0.5, abs=0.02)
 
     def test_brute_force_confusion_matrix(self):
@@ -202,7 +203,7 @@ class TestRocAuc:
         field = MarginalField(p=p, mu=np.full((10, 50), 3.0), phi=np.full((10, 50), 1.0))
         panel = np.where(rng.random((10, 50)) < p, 4.0, 0.0)  # informative
         q = 1.0
-        curve = roc_auc(field, panel, q)
+        curve = roc_auc(field, panel, q, TAUS)
         prob = 1.0 - mixture_cdf(field.p, field.mu, field.phi, np.full((10, 50), q))
         events = panel > q
         pe, pq = prob[events], prob[~events]
@@ -232,7 +233,7 @@ class TestRocAuc:
 
     def test_degenerate_panel(self):
         field = MarginalField.homogeneous(GammaMixture(p=0.5, mu=3.0, phi=1.0), 3, 4)
-        curve = roc_auc(field, np.zeros((4, 3)), 1.0)  # no events
+        curve = roc_auc(field, np.zeros((4, 3)), 1.0, TAUS)  # no events
         assert np.isnan(curve.auc)
 
 
@@ -348,7 +349,7 @@ class TestCrossCorrelation:
         values[:, rng.integers(n)] = 1.5  # a constant series
         locs = self.locations(n, seed=seed % 7)
         center_id, corr = cross_correlation(values, locs)
-        c = values[:, locs.index_of(center_id)]
+        c = values[:, locs.ids.index(center_id)]
         c_dev = c - c.mean()
         c_ss = float(c_dev @ c_dev)
         dev = values - values.mean(axis=0)
@@ -380,14 +381,13 @@ class TestCrossCorrelation:
         values = np.where(rng.random((rows, n)) < 0.4, 0.0, rng.gamma(0.7, 2.0, (rows, n)))
         values[:, rng.integers(n)] = 1.5  # a zero-variance series
         locs = self.locations(n, seed=seed % 7)
-        center = locs.ids[rng.integers(n)]
         if constant_center:
-            values[:, locs.index_of(center)] = 0.0
-        whole = cross_correlation(values, locs, center=center)
+            values[:, locs.ids.index(cross_correlation(values, locs)[0])] = 0.0
+        whole = cross_correlation(values, locs)
         cuts = sorted(data.draw(st.lists(st.integers(1, rows - 1), max_size=5, unique=True)))
         moments = CoMoments()
         for block in np.split(values, cuts):
-            merged = cross_correlation(block, locs, center=center, moments=moments)
+            merged = cross_correlation(block, locs, moments=moments)
         assert merged[0] == whole[0] and moments.rows == rows
         # zero-variance series stay NaN; the rest agree to rounding, and bit for bit
         # when the rows come as one block
@@ -396,13 +396,16 @@ class TestCrossCorrelation:
         if not cuts:
             assert merged[1].tobytes() == whole[1].tobytes()
 
-    def test_explicit_center_and_zero_variance(self):
+    def test_center_nearest_the_mean_and_zero_variance(self):
         locs = self.locations(4)
         panel = np.random.default_rng(3).gamma(1.0, 1.0, (4, 30)).T
-        panel[:, 2] = 5.0  # constant series
-        center_id, corr = cross_correlation(panel, locs, center="s0")
-        assert center_id == "s0"
-        assert np.isnan(corr[2])
+        gap = (locs.lat - locs.lat.mean()) ** 2 + (locs.lon - locs.lon.mean()) ** 2
+        center = int(np.argmin(gap))
+        other = (center + 1) % 4
+        panel[:, other] = 5.0  # constant series
+        center_id, corr = cross_correlation(panel, locs)
+        assert center_id == locs.ids[center]
+        assert np.isnan(corr[other]) and corr[center] == pytest.approx(1.0, abs=1e-12)
 
 
 # Array kernels against per-day and per-cell loops. The references below are
@@ -439,13 +442,13 @@ def distances(n, seed):
     return DistanceMatrix(values=d)
 
 
-def reference_variogram(samples, obs, d, p_exp):
+def reference_variogram(samples, obs, d):
     """One day's score from the full (m, n, n) gap tensor."""
     off = ~np.eye(obs.size, dtype=bool)
     w = np.zeros_like(d)
     w[off] = 1.0 / d[off]
-    obs_gap = np.abs(obs[:, None] - obs[None, :]) ** p_exp
-    sim_gap = np.abs(samples[:, :, None] - samples[:, None, :]) ** p_exp
+    obs_gap = np.abs(obs[:, None] - obs[None, :])
+    sim_gap = np.abs(samples[:, :, None] - samples[:, None, :])
     return float(np.sum(w * (obs_gap - sim_gap.mean(axis=0)) ** 2))
 
 
@@ -471,7 +474,6 @@ def reference_median_bias(samples, obs):
 def all_outputs(samples, obs, distance, bins, levels):
     return (crps_sample(samples, obs),
             variogram_score(samples, obs, distance),
-            variogram_score(samples, obs, distance, 0.5),
             rank_histogram(samples, obs, bins, substream(4, 20)),
             ecdf_curve(samples, obs, levels),
             rmsb_mab(samples, obs))
@@ -479,15 +481,15 @@ def all_outputs(samples, obs, distance, bins, levels):
 
 class TestArrayKernels:
     @settings(max_examples=150, deadline=None)
-    @given(ensembles(), st.sampled_from([0.5, 1.0, 1.5, 2.0]))
-    def test_variogram_matches_gap_tensor_bitwise(self, case, p_exp):
+    @given(ensembles())
+    def test_variogram_matches_gap_tensor_bitwise(self, case):
         samples, obs = case
         dist = distances(obs.shape[1], samples.shape[0])
-        got = variogram_score(samples, obs, dist, p_exp)
+        got = variogram_score(samples, obs, dist)
         for s in range(samples.shape[0]):
-            want = reference_variogram(samples[s], obs[s], dist.values, p_exp)
+            want = reference_variogram(samples[s], obs[s], dist.values)
             assert got[s] == want
-            assert variogram_day(samples[s], obs[s], dist, p_exp) == want
+            assert variogram_day(samples[s], obs[s], dist) == want
 
     @settings(max_examples=150, deadline=None)
     @given(ensembles())

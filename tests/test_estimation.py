@@ -70,9 +70,9 @@ class TestEnergyScore:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            energy_score_unbiased(np.zeros((1, 3, 2)), np.zeros((1, 3)))
+            energy_score_unbiased(np.zeros((1, 3, 2)), np.zeros((1, 3)), 0.5)
         with pytest.raises(ValueError):
-            energy_score_unbiased(np.zeros((1, 1, 2)), np.zeros((1, 2)))
+            energy_score_unbiased(np.zeros((1, 1, 2)), np.zeros((1, 2)), 0.5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

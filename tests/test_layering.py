@@ -2,7 +2,8 @@
 
 numerics holds the working-set budget and imports no other raincop module;
 only the command line imports estimation; copula holds the substream tags, one
-per stream; panel alone turns a float cell into text.
+per stream; panel alone turns a float cell into text; every name a module
+exports is used in the package or the benchmark.
 """
 
 import ast
@@ -10,9 +11,18 @@ import pathlib
 
 from raincop.copula import SUBSTREAM_TAGS
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "raincop"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "raincop"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(SRC.glob("*.py"))}
+BENCH = [ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted((ROOT / "perfbench").glob("*.py"))]
+
+# Exported names with no caller yet, each with the reason it stays.
+UNCALLED = {
+    ("marginals", "read_coefficients"): "the reader of coefficients.txt; ROADMAP item 6 "
+                                        "gives it a caller",
+}
 
 
 def imported(tree):
@@ -70,6 +80,25 @@ def test_substream_tags_are_distinct_and_each_names_one_stream():
                         and last.value.id == "SUBSTREAM_TAGS"), (module, ast.unparse(node))
                 used.append(ast.literal_eval(last.slice))
     assert sorted(used) == sorted(SUBSTREAM_TAGS)
+
+
+def test_every_exported_name_has_a_caller():
+    # a name read, imported or taken as an attribute anywhere in the package
+    # or the benchmark; a definition and its __all__ string do neither
+    used = set()
+    for tree in [*MODULES.values(), *BENCH]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    exported = {(module, name) for module, tree in MODULES.items() for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    assert {(module, name) for module, name in exported if name not in used} == set(UNCALLED)
 
 
 def test_only_panel_turns_floats_into_text():

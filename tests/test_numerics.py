@@ -2,16 +2,19 @@
 
 Frozen constants were computed with mpmath at 40 digits (quadrature for the
 incomplete gamma, besselk for the Bessel values) so the checks here do not
-share code with the implementation under test.
+share code with the implementation under test. The Bessel values are those
+of scipy.special.kv, which the general-order Matérn kernel calls directly.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from raincop.marginals import GammaMixture, mixture_cdf
-from raincop.numerics import NotPositiveDefinite, bessel_k, is_symmetric, spd_factorize
+from raincop.numerics import NotPositiveDefinite, is_symmetric, spd_factorize
+from raincop.spatial import MaternParams, matern_kernel
 
 # mpmath oracles (40-digit evaluation, rounded to double)
 P_2_5_AT_3_7 = 0.80744956692060424     # quadrature of t^{s-1} e^{-t} / Gamma(s)
@@ -61,23 +64,23 @@ class TestRegLowerIncGamma:
 
 class TestBesselK:
     def test_closed_form_half(self):
-        assert bessel_k(0.5, 1.0) == pytest.approx(K_HALF_AT_1, rel=1e-12)
+        assert special.kv(0.5, 1.0) == pytest.approx(K_HALF_AT_1, rel=1e-12)
 
     def test_recurrence_oracle_3half(self):
-        assert bessel_k(1.5, 2.0) == pytest.approx(K_3HALF_AT_2, rel=1e-12)
+        assert special.kv(1.5, 2.0) == pytest.approx(K_3HALF_AT_2, rel=1e-12)
 
     def test_half_integer_spot_values(self):
-        assert bessel_k(2.5, 0.7) == pytest.approx(K_5HALF_AT_0_7, rel=1e-9)
-        assert bessel_k(3.5, 7.0) == pytest.approx(K_7HALF_AT_7, rel=1e-9)
-        assert bessel_k(3.5, 50.0) == pytest.approx(K_7HALF_AT_50, rel=1e-9)
+        assert special.kv(2.5, 0.7) == pytest.approx(K_5HALF_AT_0_7, rel=1e-9)
+        assert special.kv(3.5, 7.0) == pytest.approx(K_7HALF_AT_7, rel=1e-9)
+        assert special.kv(3.5, 50.0) == pytest.approx(K_7HALF_AT_50, rel=1e-9)
 
     def test_small_argument_large_value(self):
         # ratio to the mpmath oracle within 1e-6
-        assert bessel_k(3.5, 0.001) / K_7HALF_AT_0_001 == pytest.approx(1.0, abs=1e-6)
+        assert special.kv(3.5, 0.001) / K_7HALF_AT_0_001 == pytest.approx(1.0, abs=1e-6)
 
     def test_general_order(self):
-        assert bessel_k(1.2, 0.5) == pytest.approx(K_1_2_AT_0_5, rel=1e-9)
-        assert bessel_k(4.8, 3.3) == pytest.approx(K_4_8_AT_3_3, rel=1e-9)
+        assert special.kv(1.2, 0.5) == pytest.approx(K_1_2_AT_0_5, rel=1e-9)
+        assert special.kv(4.8, 3.3) == pytest.approx(K_4_8_AT_3_3, rel=1e-9)
 
     def test_against_upward_recurrence(self):
         # K_{v+1}(x) = K_{v-1}(x) + (2v/x) K_v(x), seeded from the exact
@@ -88,26 +91,29 @@ class TestBesselK:
             k_0 = k_m
             for v in (0.5, 1.5, 2.5):
                 k_m, k_0 = k_0, k_m + (2.0 * v / x) * k_0
-            assert bessel_k(3.5, x) == pytest.approx(k_0, rel=1e-9)
+            assert special.kv(3.5, x) == pytest.approx(k_0, rel=1e-9)
 
     def test_strictly_decreasing(self):
         rng = np.random.default_rng(11)
         for nu in (0.5, 1.5, 2.5, 3.5, 1.7):
             x = np.sort(rng.uniform(1e-3, 30.0, size=50))
-            vals = np.atleast_1d(bessel_k(nu, x))
+            vals = np.atleast_1d(special.kv(nu, x))
             assert np.all(np.diff(vals) < 0.0)
 
     def test_overflow_signal(self):
-        with pytest.raises(OverflowError):
-            bessel_k(3.5, 1e-300)
+        # below nu = 1 the kernel evaluates K_nu at every x > 0; at x ~ 1.4e-315
+        # K_0.99 is beyond double range, and the kernel says so
+        with pytest.raises(OverflowError, match="overflows double precision"):
+            matern_kernel(np.array([0.0, 1e-15, 1.0]), MaternParams(theta=1e300, nu=0.99))
 
     def test_domain_errors(self):
+        # the kernel's orders are (0, 10]; K_nu at its smallest argument stays finite there
+        for nu in (0.0, -1.0, 10.5, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                MaternParams(theta=1.0, nu=nu)
+        assert np.isfinite(special.kv(10.0, 1e-8))
         with pytest.raises(ValueError):
-            bessel_k(3.5, 0.0)
-        with pytest.raises(ValueError):
-            bessel_k(0.0, 1.0)
-        with pytest.raises(ValueError):
-            bessel_k(11.0, 1.0)
+            matern_kernel(-1.0, MaternParams(theta=1.0, nu=1.2))
 
 
 class TestSpdFactorize:

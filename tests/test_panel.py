@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from raincop.cli import main
-from raincop.copula import read_ensemble
 from raincop import panel as panel_module
 from raincop.marginals import GammaMixture, MarginalField
 from raincop.panel import (IngestError, RainPanel, read_features_csv,
@@ -102,29 +101,12 @@ class TestRainPanel:
 
 @pytest.fixture(scope="module")
 def fixture_20x400(tmp_path_factory):
-    """A 20 x 400 synth data set with a 50-replicate ensemble."""
+    """A 20 x 400 synth data set."""
     fx = tmp_path_factory.mktemp("fx400")
     assert main(["synth", "--out", str(fx), "--seed", "3", "--n-locations", "20",
                  "--days", "400"]) == 0
-    assert main(["simulate", "--locations", str(fx / "locations.csv"),
-                 "--rainfall", str(fx / "rainfall.csv"),
-                 "--marginals", str(fx / "marginals.csv"),
-                 "--theta", "450", "--m", "50", "--seed", "3", "--out", str(fx)]) == 0
     locs = read_locations(fx / "locations.csv")
     return fx, locs, read_rain_csv(fx / "rainfall.csv", locs)
-
-
-@pytest.fixture(scope="module")
-def fixture_400x60(tmp_path_factory):
-    """A 400-location, 60-day synth data set with a 20-replicate ensemble."""
-    fx = tmp_path_factory.mktemp("fx400wide")
-    assert main(["synth", "--out", str(fx), "--seed", "3", "--n-locations", "400",
-                 "--days", "60"]) == 0
-    assert main(["simulate", "--locations", str(fx / "locations.csv"),
-                 "--rainfall", str(fx / "rainfall.csv"),
-                 "--marginals", str(fx / "marginals.csv"),
-                 "--theta", "450", "--m", "20", "--seed", "3", "--out", str(fx)]) == 0
-    return fx, read_locations(fx / "locations.csv")
 
 
 class TestReaderMemory:
@@ -134,20 +116,6 @@ class TestReaderMemory:
         fx, _, panel = fixture_20x400
         peak, _ = traced_peak(lambda: read_marginals_csv(fx / "marginals.csv", panel))
         assert peak < 2 * (fx / "marginals.csv").stat().st_size  # about 232 KB
-
-    def test_ensemble_peak_within_1_9_times_its_array(self, fixture_20x400, traced_peak):
-        fx, locs, _ = fixture_20x400
-        peak, (_, ens) = traced_peak(lambda: read_ensemble(fx / "ensemble.csv", locs.ids))
-        assert ens.shape == (400, 50, 20)
-        assert peak <= 1.9 * ens.nbytes
-
-    def test_wide_ensemble_peak_within_1_9_times_its_array(self, fixture_400x60,
-                                                           traced_peak):
-        # 402 columns: the block is capped, not 4096 characters a column
-        fx, locs = fixture_400x60
-        peak, (_, ens) = traced_peak(lambda: read_ensemble(fx / "ensemble.csv", locs.ids))
-        assert ens.shape == (60, 20, 400)
-        assert peak <= 1.9 * ens.nbytes
 
 
 class TestLongWriters:

@@ -120,13 +120,13 @@ def test_features_round_trip(n, t, d, data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.data())
-def test_ensemble_round_trip(days, m, n, data):
+def test_ensemble_round_trip(whole_ensemble, days, m, n, data):
     blocks = [draw_grid(data, RAIN, m, n) for _ in range(days)]
     ids = [f"s{i}" for i in range(n)]
     labels = [f"d{s}" for s in range(days)]
     (back_labels, back), text = write_then_read(
         lambda p: write_ensemble(p, labels, ids, blocks),
-        lambda p: read_ensemble(p, ids))
+        lambda p: whole_ensemble(p, ids))
     assert back_labels == labels
     for got, want in zip(back, blocks):
         assert np.array_equal(got, want)
@@ -412,10 +412,10 @@ def ensemble_text(data, days, m, n):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4), st.data())
-def test_ensemble_bulk_parse_matches_line_parser(days, m, n, data):
+def test_ensemble_bulk_parse_matches_line_parser(whole_ensemble, days, m, n, data):
     ids, text = ensemble_text(data, days, m, n)
     compare_readers(data, text,
-                    lambda path: read_ensemble(path, ids),
+                    lambda path: whole_ensemble(path, ids),
                     lambda path: line_read_ensemble(path, ids))
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from raincop.numerics import NotPositiveDefinite, bessel_k, spd_factorize
+from raincop.numerics import NotPositiveDefinite, spd_factorize
 from raincop.spatial import (DistanceMatrix, LocationTable,
                              MaternParams, build_covariance, build_distance_matrix,
                              matern_kernel, read_locations, repaired_correlation,
@@ -144,12 +144,12 @@ class TestMaternKernel:
         assert val == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_bessel_formula_oracle(self):
-        # evaluate the general kernel formula through bessel_k (a different
+        # evaluate the general kernel formula through scipy's K_nu (a different
         # code path from the half-integer polynomial used in production)
         params = MaternParams(theta=450.0, nu=3.5)
         got = matern_kernel(450.0, params)
         x = np.sqrt(7.0) * 450.0 / 450.0
-        want = 2.0 ** (1.0 - 3.5) / math.gamma(3.5) * x ** 3.5 * bessel_k(3.5, x)
+        want = 2.0 ** (1.0 - 3.5) / math.gamma(3.5) * x ** 3.5 * special.kv(3.5, x)
         assert got == pytest.approx(want, abs=1e-9)
         assert got == pytest.approx(MATERN_3_5_AT_450_450, rel=1e-12)
 
@@ -186,12 +186,12 @@ class TestMaternKernel:
         log_pref = (1.0 - nu) * np.log(2.0) - special.gammaln(nu)
         want = np.ones_like(x)
         with np.errstate(under="ignore"):
-            want[pos] = np.exp(log_pref + nu * np.log(x[pos])) * bessel_k(nu, x[pos])
+            want[pos] = np.exp(log_pref + nu * np.log(x[pos])) * special.kv(nu, x[pos])
         got = matern_kernel(d, MaternParams(theta=theta, nu=nu))
         assert got.tobytes() == np.clip(want, 0.0, 1.0).tobytes()
 
     def test_nu_above_ten_rejected(self):
-        # bessel_k's orders end at 10; one rule for both kernel forms
+        # orders end at 10, where K_nu(1e-8) is finite; one rule for both kernel forms
         MaternParams(theta=1.0, nu=10.0)
         for nu in (10.5, 12.3, 100.5):
             with pytest.raises(ValueError, match="nu must be at most 10"):
@@ -322,7 +322,7 @@ class TestBuildCovariance:
             pos = x > 1e-8 if nu >= 1.0 else x > 0.0
             log_pref = (1.0 - nu) * np.log(2.0) - special.gammaln(nu)
             with np.errstate(under="ignore"):
-                kern[pos] = np.exp(log_pref + nu * np.log(x[pos])) * bessel_k(nu, x[pos])
+                kern[pos] = np.exp(log_pref + nu * np.log(x[pos])) * special.kv(nu, x[pos])
         kern = np.clip(kern, 0.0, 1.0)
         sigma = kern.reshape(n, n).copy()
         np.fill_diagonal(sigma, 1.0)
