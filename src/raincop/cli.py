@@ -71,8 +71,11 @@ CONVERT = {
     **dict.fromkeys(("q_levels", "ecdf_levels"),
                     lambda v: [float(tok) for tok in str(v).split(",") if tok.strip()]),
     "transform": make_transform,
-    "strict": lambda v: str(v).strip().lower() in ("1", "true", "yes", "on"),
+    "strict": lambda v: _BOOLEAN[str(v).strip().lower()],
 }
+# The words a yes/no setting takes, in any case.
+_BOOLEAN = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+            **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 class Settings(dict):
@@ -118,7 +121,7 @@ class Settings(dict):
             return None
         try:
             return CONVERT.get(key, str)(v)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, KeyError) as exc:
             raise IngestError(f"{where}: invalid value {v!r} for {key}") from exc
 
     def path(self, key):
@@ -300,14 +303,8 @@ def cmd_diagnose(settings: Settings) -> int:
     bias_sums, moments = np.zeros(3), CoMoments()
     scores = {}  # by name; a pooled score is over the days scored so far
 
-    def start(day_labels, m):
-        """Check the ensemble's days and m; return the scorer of its day chunks."""
-        if day_labels != list(panel.day_labels):
-            differ = next((f"day {k + 1} is {got!r}, the panel's {want!r}" for k, (got, want)
-                           in enumerate(zip(day_labels, panel.day_labels)) if got != want),
-                          f"{len(day_labels)} days, the panel {panel.n_days}")
-            raise IngestError(f"{ensemble_path}: ensemble days do not match the rainfall "
-                              f"panel: {differ}")
+    def start(m):
+        """Check m; return the scorer of the ensemble's day chunks."""
         if m < 2:
             raise IngestError(f"{ensemble_path}: ensemble needs at least two replicates per day")
         if bins > m + 1:
@@ -327,7 +324,7 @@ def cmd_diagnose(settings: Settings) -> int:
         scores["bias"] = rmsb_mab(ens, y, sums=bias_sums)
         scores["model_corr"] = cross_correlation(ens.reshape(-1, n), locs, moments)[1]
 
-    read_ensemble(ensemble_path, locs.ids, start)
+    read_ensemble(ensemble_path, panel, start)
     # Compute every result before writing any file: a rejected setting writes nothing.
     tau_grid = np.linspace(0.0, 1.0, settings["tau_grid"])
     curves = {f"{q:g}": roc_auc(field, obs, q, tau_grid)

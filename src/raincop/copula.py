@@ -29,14 +29,12 @@ forecast holds one chunk of it.
 from __future__ import annotations
 
 import warnings
-from array import array
 
 import numpy as np
 from scipy import special as _sp
 
 from .marginals import MarginalField, mixture_cdf, mixture_quantile
-from .numerics import day_chunks
-from .panel import IngestError, file_row, float_text, read_csv, write_csv
+from .panel import IngestError, float_text, read_long_csv, write_csv
 from .spatial import CovarianceMatrix
 
 __all__ = [
@@ -161,109 +159,16 @@ def write_ensemble(path, day_labels, location_ids, blocks) -> None:
                for j, row in enumerate(np.asarray(block, dtype=float).tolist())))
 
 
-def read_ensemble(path, location_ids, start) -> None:
-    """Read an ensemble CSV, handing its days over a day chunk at a time.
+def read_ensemble(path, panel, start) -> None:
+    """Read an ensemble CSV through panel.read_long_csv, a day chunk at a time.
 
-    Every day must hold the same number m of rows, carrying replicate
-    0, 1, ..., m - 1 in that order; a day's rows need not be contiguous. A
-    ragged day raises IngestError, and so do a replicate out of place and a
-    non-numeric, non-finite or negative cell, naming the file, row and
-    column; a bad cell comes first. A first pass reads only the key columns,
-    placing every row; the second parses the cells into their places.
-
-    start(day_labels, m) returns take, and take(days, samples) gets each
-    numerics.day_chunks chunk, a slice of days and its (k, m, n) samples, in
-    day order, as soon as its rows are parsed. A ValueError (IngestError too)
-    that start raises is raised once the cells are checked. Beside the chunk
-    the reader holds one block of the file, and more chunks only while a
-    day's rows are spread through the file.
+    The file is keyed (day, replicate): the panel's days in order, each with m
+    rows, replicate 0, ..., m - 1, m the first day's row count. start(m)
+    returns take, and take(days, samples) gets each day chunk's (k, m, n)
+    samples in day order; errors come in read_long_csv's order.
     """
-    n = len(location_ids)
-    expected = ["day", "replicate"] + [f"loc_{i}" for i in location_ids]
-
     def check_header(header):
-        if header != expected:
+        if header != ["day", "replicate", *(f"loc_{i}" for i in panel.location_ids)]:
             raise IngestError(f"{path}: ensemble header does not match the locations file")
 
-    try:
-        labels, runs, m, error = _scan_keys(path, check_header)
-    except UnicodeDecodeError:  # the cell pass names the byte, or an earlier error
-        labels, runs, m, error = [], None, 0, IngestError(f"{path}: not UTF-8")
-    take = None
-    if error is None:
-        try:
-            take = start(labels, m)
-        except ValueError as exc:  # IngestError too: raised after the cells are checked
-            error = exc
-    chunks = day_chunks(len(labels), m * n)
-    rows_per_chunk = chunks[0].stop * m if chunks else 1
-    pending = {}  # chunk number -> [its (rows, n) cells, rows still to come]
-    handed = 0  # chunks handed to take
-
-    def place_rows(keys, values, first):
-        nonlocal handed
-        if take is None:
-            return
-        starts, run_day, run_place = runs
-        rows = np.arange(first, first + len(values))
-        run = np.searchsorted(starts, rows, side="right") - 1
-        rows += (run_day[run] * m + run_place[run]) - starts[run]  # each row's day-major place
-        chunk = rows // rows_per_chunk
-        for c in np.unique(chunk).tolist():  # each chunk handed over before the next is made
-            if c not in pending:
-                k = chunks[c].stop - chunks[c].start
-                pending[c] = [np.empty((k * m, n)), k * m]
-            mine = chunk == c
-            pending[c][0][rows[mine] - c * rows_per_chunk] = values[mine]
-            pending[c][1] -= int(np.count_nonzero(mine))
-            while handed in pending and pending[handed][1] == 0:
-                take(chunks[handed], pending.pop(handed)[0].reshape(-1, m, n))
-                handed += 1
-
-    read_csv(path, 2, check_header, nonnegative=True, each_block=place_rows, collect=False)
-    if error is not None:
-        raise error
-
-
-def _scan_keys(path, check_header):
-    """The key pass of read_ensemble: (day labels, runs, m, error).
-
-    Labels are in order of their first row. runs holds, for each run of data
-    rows with one label, its first data row, its day's index and its first
-    row's place in that day: one run a day in a contiguous file. error is the
-    IngestError of a ragged day or else of the first day's first misplaced
-    replicate, or None. Blank lines hold no data row, as in read_csv.
-    """
-    days: dict = {}  # label -> [its index, its rows so far]
-    runs = array("i"), array("i"), array("i")
-    misplaced = None  # (day, place, data row, token) of the first replicate out of place
-    with open(path, encoding="utf-8") as fh:
-        check_header(fh.readline().rstrip("\r\n").split(","))
-        r, previous, seen = 0, None, None
-        for line in fh:
-            if line == "\n":
-                continue
-            label, _, rest = line.rstrip("\n").partition(",")
-            if label != previous:
-                seen = days.get(label)
-                if seen is None:
-                    seen = days[label] = [len(days), 0]
-                for column, value in zip(runs, (r, *seen)):
-                    column.append(value)
-                previous = label
-            d, j = seen
-            seen[1] = j + 1
-            token = rest.partition(",")[0]
-            if token != str(j) and (misplaced is None or (d, j) < misplaced[:2]):
-                misplaced = (d, j, r, token)
-            r += 1
-    sizes = {rows for _, rows in days.values()}
-    m = sizes.pop() if len(sizes) == 1 else 0
-    error = None
-    if sizes:
-        error = IngestError(f"{path}: ensemble days hold different numbers of replicates")
-    elif misplaced:
-        _, j, r, token = misplaced
-        error = IngestError(f"{path}: row {file_row(path, r)}: replicate {token!r} in column 2 "
-                            f"(replicate), expected {j}")
-    return list(days), [np.frombuffer(column, dtype=np.intc) for column in runs], m, error
+    read_long_csv(path, check_header, panel.day_labels, start=start, nonnegative=True)

@@ -117,11 +117,12 @@ def spd_factorize(matrix: np.ndarray) -> SpdFactor:
     except np.linalg.LinAlgError:
         pass
 
-    eye = np.eye(a.shape[0])
+    jittered = a + 0.0  # one copy to jitter in place; + 0.0 makes -0.0 0.0, as a + jitter * I would
     jitter = JITTER_START
     while jitter <= JITTER_CEILING * (1.0 + 1e-12):
+        np.fill_diagonal(jittered, a.diagonal() + jitter)
         try:
-            return SpdFactor(lower=np.linalg.cholesky(a + jitter * eye), jitter_applied=jitter)
+            return SpdFactor(lower=np.linalg.cholesky(jittered), jitter_applied=jitter)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NotPositiveDefinite(

@@ -2,9 +2,9 @@
 
 Rainfall lives in a wide CSV: first column `date` (ISO-8601), remaining
 headers are location ids in the locations-file order, one row per day.
-Feature and marginal-cache CSVs are long format, one row per (date,
-location) cell, date-major: the cells of an (n_days, n_locations) array in C
-order. That is the one layout of every panel-shaped array in memory
+Feature, marginal-cache and ensemble CSVs are long, read by read_long_csv: a
+(date, location) cell or (day, replicate) draw a row, day-major like the one
+layout of every panel-shaped array in memory, (n_days, n_locations) in C order
 (RainPanel.values, MarginalField's p, mu and phi). Every CSV is read by
 read_csv, which rejects a wrong field count, a non-numeric or non-finite
 (NaN, inf, -inf) cell and, where asked, a negative one, naming the file, row
@@ -41,7 +41,7 @@ from .numerics import day_chunks
 __all__ = ["IngestError", "RainPanel", "read_csv", "file_row", "read_kv", "write_csv",
            "write_json", "float_text",
            "read_rain_csv", "write_rain_csv",
-           "read_features_csv", "write_features_csv",
+           "read_long_csv", "read_features_csv", "write_features_csv",
            "read_marginals_csv", "write_marginals_csv"]
 
 
@@ -348,8 +348,96 @@ def _key_array(keys) -> np.ndarray:
     return np.array(keys, dtype=object if any("\x00" in k for k in keys) else str)
 
 
-def _read_long_csv(path, panel: RainPanel, value_names):
-    """Shared reader for date-major long CSVs keyed by (date, loc); returns the values."""
+def read_long_csv(path, check_header, outer, inner=None, start=None, nonnegative=False):
+    """Read a long CSV whose data row r is keyed (outer[r // k], inner[r % k]).
+
+    outer is the panel's days; inner=None stands for the replicate numbers
+    "0", ..., str(k - 1), k the first day's row count. check_header and
+    nonnegative are as in read_csv. Returns the (rows, cells) values; with
+    start, nothing: start(k) returns take, and take(days, values) gets each
+    numerics.day_chunks chunk, a slice of days and its (days, k, cells)
+    values, in order as soon as its rows are parsed, up to the first row out
+    of order. Beside the chunk it holds one block, or the first day's blocks.
+
+    IngestError names the file: a wrong field count or bad cell first (as in
+    read_csv), then a row count other than len(outer) * k, then the first row
+    out of order and its wrong key; last a ValueError start raised.
+    """
+    outer_keys, header, held, rows_seen = _key_array(outer), [], [], 0
+    misordered = []  # the data row of the first row out of order, and what it says
+    k = inner_keys = chunks = take = error = buf = None
+
+    def check(names):
+        check_header(names)
+        header.extend(names)
+
+    def settle(final=False):
+        """Once k is known (the first day's end, or the file's), place the held blocks."""
+        nonlocal inner, k, inner_keys, chunks, take, error
+        if k is None:
+            if inner is None:
+                day = [key for keys, _, _ in held for key in keys[0].tolist()]  # str sees NULs
+                ends = next((r for r, key in enumerate(day) if key != day[0]),
+                            len(day) if final else None)
+                if ends is None:
+                    return
+                inner = list(map(str, range(ends)))
+            k, inner_keys = len(inner), _key_array(inner)
+            chunks = day_chunks(len(outer), k * (len(header) - 2))
+            if start is not None:
+                try:
+                    take = start(k)
+                except ValueError as exc:  # IngestError too: raised after the rows are checked
+                    error = exc
+        while held:
+            place(*held.pop(0))
+
+    def each_block(keys, values, first):
+        nonlocal rows_seen
+        rows_seen = first + len(values)
+        held.append((keys, values, first))
+        settle()
+
+    def place(keys, values, first):
+        nonlocal buf
+        if misordered:
+            return
+        rows = np.arange(first, min(first + len(values), len(outer) * k))  # later: only counted
+        wants = outer_keys[rows // k], inner_keys[rows % k]
+        bad = [column[:len(rows)] != want for column, want in zip(keys, wants)]
+        if (bad[0] | bad[1]).any():
+            r = int(np.argmax(bad[0] | bad[1]))
+            c = 0 if bad[0][r] else 1
+            misordered.extend((rows[r], f"{header[c]} {str(keys[c][r])!r} does not match "
+                                        f"panel order (expected {str(wants[c][r])!r})"))
+            rows = rows[:r]
+        values, r = values[:len(rows)], first
+        while take is not None and len(values):  # into its chunk, handed over once full
+            c, at = divmod(r, chunks[0].stop * k)
+            if at == 0:
+                buf = np.empty(((chunks[c].stop - chunks[c].start) * k, values.shape[1]))
+            part = values[:len(buf) - at]
+            buf[at:at + len(part)] = part
+            values, r = values[len(part):], r + len(part)
+            if at + len(part) == len(buf):
+                take(chunks[c], buf.reshape(-1, k, buf.shape[1]))
+
+    widths = [max(map(len, outer), default=0) + 1,
+              _KEY_WIDTH if inner is None else max(map(len, inner), default=0) + 1]
+    values = read_csv(path, 2, check, nonnegative, each_block, widths, collect=start is None)
+    settle(final=True)
+    if rows_seen != len(outer) * k:
+        raise IngestError(f"{path}: {rows_seen} rows but the panel's {len(outer)} days "
+                          f"need {len(outer) * k} ({k} a day)")
+    if misordered:
+        raise IngestError(f"{path}: row {file_row(path, misordered[0])}: {misordered[1]}")
+    if error is not None:
+        raise error
+    return values
+
+
+def _read_panel_cells(path, panel: RainPanel, value_names):
+    """The values of a long CSV keyed by (date, loc) over the panel's cells."""
     def check_header(header):
         if header[:2] != ["date", "loc"]:
             raise IngestError(f"{path}: header must start with 'date,loc'")
@@ -357,38 +445,12 @@ def _read_long_csv(path, panel: RainPanel, value_names):
             raise IngestError(f"{path}: expected value columns {value_names}, "
                               f"got {header[2:]}")
 
-    n, cells = panel.n_locations, panel.n_locations * panel.n_days
-    dates, locs = _key_array(panel.day_labels), _key_array(panel.location_ids)
-    misordered = []  # (data row, what it says) of the first row out of panel order
-
-    def check_keys(keys, values, first):
-        if misordered:
-            return
-        # the panel cell of each row; rows past the last cell are only counted
-        cell = np.arange(first, min(first + len(keys[0]), cells))
-        got_date, got_loc = (column[:len(cell)] for column in keys)
-        bad_date = got_date != dates[cell // n]
-        bad = bad_date | (got_loc != locs[cell % n])
-        if bad.any():
-            r = int(np.argmax(bad))
-            name, got, want = (("date", got_date[r], dates[cell[r] // n]) if bad_date[r] else
-                               ("loc", got_loc[r], locs[cell[r] % n]))
-            misordered.append((cell[r], f"{name} {str(got)!r} does not match panel order "
-                                        f"(expected {str(want)!r})"))
-
-    widths = [max(map(len, keys)) + 1 for keys in (panel.day_labels, panel.location_ids)]
-    values = read_csv(path, 2, check_header, each_block=check_keys, key_widths=widths)
-    if len(values) != cells:
-        raise IngestError(f"{path}: {len(values)} rows but the panel has {cells} cells")
-    if misordered:
-        r, what = misordered[0]
-        raise IngestError(f"{path}: row {file_row(path, r)}: {what}")
-    return values
+    return read_long_csv(path, check_header, panel.day_labels, panel.location_ids)
 
 
 def read_features_csv(path, panel: RainPanel) -> np.ndarray:
     """Read a feature CSV aligned with the panel; returns (n*t, d), date-major."""
-    return _read_long_csv(path, panel, value_names=None)
+    return _read_panel_cells(path, panel, value_names=None)
 
 
 def write_marginals_csv(path, panel: RainPanel, field) -> None:
@@ -402,6 +464,6 @@ def read_marginals_csv(path, panel: RainPanel):
     """Read a marginal cache back into a MarginalField aligned with the panel."""
     from .marginals import MarginalField
 
-    values = _read_long_csv(path, panel, value_names=["p", "mu", "phi"])
+    values = _read_panel_cells(path, panel, value_names=["p", "mu", "phi"])
     return MarginalField(*(values[:, k].reshape(panel.n_days, panel.n_locations)
                            for k in range(3)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from raincop.copula import read_ensemble
+from raincop.panel import RainPanel
 
 
 @pytest.fixture
@@ -23,17 +24,18 @@ def traced_peak():
 
 @pytest.fixture(scope="session")
 def whole_ensemble():
-    """whole_ensemble(path, ids) -> (day labels, (days, m, n) samples): the day
-    chunks read_ensemble hands over, joined."""
-    def read(path, location_ids):
-        layout, chunks = [], []
+    """whole_ensemble(path, day_labels, ids) -> the (days, m, n) samples: the
+    day chunks read_ensemble hands over, joined."""
+    def read(path, day_labels, location_ids):
+        panel = RainPanel(np.zeros((len(day_labels), len(location_ids))), location_ids,
+                          day_labels)
+        members, chunks = [], []
 
-        def start(labels, m):
-            layout.extend((labels, m))
+        def start(m):
+            members.append(m)
             return lambda days, samples: chunks.append(samples)
 
-        read_ensemble(path, location_ids, start)
-        labels, m = layout
-        return labels, (np.concatenate(chunks) if chunks
-                        else np.empty((len(labels), m, len(location_ids))))
+        read_ensemble(path, panel, start)
+        return (np.concatenate(chunks) if chunks
+                else np.empty((len(day_labels), *members, len(location_ids))))
     return read

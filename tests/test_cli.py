@@ -34,10 +34,6 @@ def ensemble_path(fixture_dir, tmp_path_factory):
     return out / "ensemble.csv"
 
 
-def read_all(out_dir, names):
-    return {n: (out_dir / n).read_bytes() for n in names}
-
-
 class TestSynthCommand:
     def test_outputs_exist(self, fixture_dir):
         for name in ("locations.csv", "rainfall.csv", "marginals.csv", "truth.json"):
@@ -302,6 +298,25 @@ class TestSettingSources:
         assert f"error: {where}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["ture", "2", ""], ids=["misspelt", "number", "empty"])
+    def test_non_boolean_strict_names_config_line(self, tmp_path, capsys, value):
+        # --strict takes no value, so only a config line can give strict a word
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment, so the setting sits on line 2\nstrict={value}\n")
+        missing = tmp_path / "missing.csv"
+        rc = run(["fit-marginals", "--locations", missing, "--rainfall", missing,
+                  "--config", cfg, "--out", tmp_path / "out"])
+        assert rc == 2
+        assert (f"error: {cfg}: line 2: invalid value {value!r} for strict"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_strict_words_in_any_case(self):
+        for word, value in [("1", True), ("TRUE", True), (" yes ", True), ("On", True),
+                            ("0", False), ("False", False), ("no", False), ("OFF", False),
+                            (True, True)]:  # True: the --strict flag
+            assert cli.CONVERT["strict"](word) is value
+
     def test_every_table_key_is_a_flag(self):
         # a setting deleted from COMMANDS may not linger in another table
         flags = set(cli._COMMON)
@@ -357,8 +372,9 @@ class TestSimulateAndDiagnose:
         from raincop.panel import read_rain_csv
         from raincop.spatial import read_locations
         locs = read_locations(fixture_dir / "locations.csv")
-        obs = read_rain_csv(fixture_dir / "rainfall.csv", locs).values
-        _, ens = whole_ensemble(sim_a / "ensemble.csv", locs.ids)
+        panel = read_rain_csv(fixture_dir / "rainfall.csv", locs)
+        obs = panel.values
+        ens = whole_ensemble(sim_a / "ensemble.csv", panel.day_labels, locs.ids)
         per_day = [energy_score_unbiased(b[None], obs[None, s], 0.5)[0]
                    for s, b in enumerate(ens)]
         assert summary["energy_score_mean"] == pytest.approx(np.mean(per_day), rel=1e-12)
@@ -410,7 +426,9 @@ class TestSimulateAndDiagnose:
         rc = run(["diagnose", *common, "--ensemble", tmp_path / "ensemble.csv",
                   "--out", tmp_path / "diag"])
         assert rc == 2
-        assert "different numbers of replicates" in capsys.readouterr().err
+        assert ("449 rows but the panel's 150 days need 450 (3 a day)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "diag").exists()
 
     def test_single_replicate_rejected(self, fixture_dir, tmp_path, capsys):
         common = ["--locations", fixture_dir / "locations.csv",
@@ -426,9 +444,10 @@ class TestSimulateAndDiagnose:
         assert not (tmp_path / "diag").exists()
 
     @pytest.mark.parametrize("edit, detail", [
-        (lambda lines: lines[:-4], "149 days, the panel 150"),  # the last day's 4 rows gone
+        (lambda lines: lines[:-4],  # the last day's 4 rows gone
+         "596 rows but the panel's 150 days need 600 (4 a day)"),
         (lambda lines: [line.replace("1999-01-03,", "1999-01-33,") for line in lines],
-         "day 3 is '1999-01-33', the panel's '1999-01-03'"),
+         "row 10: day '1999-01-33' does not match panel order (expected '1999-01-03')"),
     ], ids=["fewer-days", "renamed-day"])
     def test_day_mismatch_names_ensemble_and_day(self, fixture_dir, ensemble_path, tmp_path,
                                                  capsys, edit, detail):
@@ -439,8 +458,7 @@ class TestSimulateAndDiagnose:
                   "--marginals", fixture_dir / "marginals.csv",
                   "--ensemble", path, "--out", tmp_path / "diag"])
         assert rc == 2
-        assert (f"error: {path}: ensemble days do not match the rainfall panel: {detail}"
-                in capsys.readouterr().err)
+        assert f"error: {path}: {detail}" in capsys.readouterr().err
         assert not (tmp_path / "diag").exists()
 
     @pytest.mark.parametrize("flag, value", [
@@ -474,13 +492,13 @@ class TestSimulateAndDiagnose:
         assert f"{where}: invalid value 'abc' for q_levels" in capsys.readouterr().err
         assert not (tmp_path / "diag").exists()
 
-    @pytest.mark.parametrize("replicates, bad_row, token", [
-        (["x"] * 8, 2, "x"),                          # not an index at all
-        (["0", "1", "2", "3", "0", "0", "2", "3"], 7, "0"),   # duplicated index
-        (["0", "1", "2", "3", "1", "0", "2", "3"], 6, "1"),   # swapped pair
+    @pytest.mark.parametrize("replicates, bad_row, token, want", [
+        (["x"] * 8, 2, "x", "0"),                          # not an index at all
+        (["0", "1", "2", "3", "0", "0", "2", "3"], 7, "0", "1"),   # duplicated index
+        (["0", "1", "2", "3", "1", "0", "2", "3"], 6, "1", "0"),   # swapped pair
     ], ids=["not-an-index", "duplicated", "swapped"])
     def test_replicate_column_checked(self, fixture_dir, ensemble_path, tmp_path, capsys,
-                                      replicates, bad_row, token):
+                                      replicates, bad_row, token, want):
         lines = ensemble_path.read_text().splitlines()
         for k, rep in enumerate(replicates, start=1):  # days 0 and 1, m = 4
             day, _, rest = lines[k].split(",", 2)
@@ -493,7 +511,8 @@ class TestSimulateAndDiagnose:
                   "--ensemble", path, "--out", tmp_path / "diag"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{path}: row {bad_row}: replicate {token!r} in column 2" in err
+        assert (f"{path}: row {bad_row}: replicate {token!r} does not match panel order "
+                f"(expected {want!r})") in err
         assert not (tmp_path / "diag").exists()
 
 
@@ -642,33 +661,34 @@ class TestDiagnoseStreamed:
                     "--ensemble", ensemble, "--q-levels", "0.5,5", "--rank-bins", "5",
                     "--seed", "4", "--out", out, *extra])
 
-    @pytest.mark.parametrize("days_per_chunk", [None, 7], ids=["one-chunk", "7-day-chunks"])
-    def test_interleaved_days_give_the_same_outputs(self, fixture_dir, ensemble_path,
-                                                    tmp_path, monkeypatch, days_per_chunk):
-        from raincop import numerics
-
-        m, n = 4, 10  # ensemble_path: --m 4 over the fixture's 10 locations, 150 days
-        if days_per_chunk:
-            monkeypatch.setattr(numerics, "_ELEMENT_BUDGET", days_per_chunk * m * n)
-        # replicate-major rows: every day's first row comes before any day's second
+    @pytest.mark.parametrize("order, message", [
+        # replicate-major rows, every day's first row before any day's second: the
+        # first day holds one row, so m reads 1
+        (lambda rows: [rows[s * 4 + j] for j in range(4) for s in range(150)],
+         "600 rows but the panel's 150 days need 150 (1 a day)"),
+        # the second and third days' rows taken in turn
+        (lambda rows: [*rows[:4], *(row for pair in zip(rows[4:8], rows[8:12]) for row in pair),
+                       *rows[12:]],
+         "row 7: day '1999-01-03' does not match panel order (expected '1999-01-02')"),
+    ], ids=["replicate-major", "two-days"])
+    def test_interleaved_days_rejected(self, fixture_dir, ensemble_path, tmp_path, capsys,
+                                       order, message):
+        # ensemble_path: --m 4 over the fixture's 10 locations, 150 days
         header, *rows = ensemble_path.read_text().splitlines()
-        interleaved = tmp_path / "interleaved.csv"
-        interleaved.write_text("\n".join(
-            [header, *(rows[s * m + j] for j in range(m) for s in range(150))]) + "\n")
-        assert self.diagnose(fixture_dir, ensemble_path, tmp_path / "a") == 0
-        assert self.diagnose(fixture_dir, interleaved, tmp_path / "b") == 0
-        names = sorted(p.name for p in (tmp_path / "a").iterdir())
-        assert len(names) == 6
-        assert read_all(tmp_path / "a", names) == read_all(tmp_path / "b", names)
+        path = tmp_path / "interleaved.csv"
+        path.write_text("\n".join([header, *order(rows)]) + "\n")
+        assert self.diagnose(fixture_dir, path, tmp_path / "diag") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "diag").exists()
 
     # Each edit of the ensemble's data rows (a list of field lists, 150 days of
     # m = 4 over 10 locations) and the error it gives; the later edits pair a key
     # or setting error with a bad cell further down, which comes first.
     EDITS = {
         "ragged": (lambda rows: rows.pop(5),
-                   "ensemble days hold different numbers of replicates"),
+                   "599 rows but the panel's 150 days need 600 (4 a day)"),
         "misplaced": (lambda rows: rows.insert(0, rows.pop(1)),
-                      "row 2: replicate '1' in column 2 (replicate), expected 0"),
+                      "row 2: replicate '1' does not match panel order (expected '0')"),
         "non-numeric": (lambda rows: rows[8].__setitem__(4, "abc"),
                         "row 10: non-numeric value 'abc' in column 5 (loc_s0002)"),
         "non-finite": (lambda rows: rows[20].__setitem__(11, "-inf"),
@@ -676,8 +696,8 @@ class TestDiagnoseStreamed:
         "negative": (lambda rows: rows[30].__setitem__(2, "-0.5"),
                      "row 32: negative rainfall in column 3 (loc_s0000)"),
         "day-mismatch": (lambda rows: [row.__setitem__(0, "1999-13-01") for row in rows[8:12]],
-                         "ensemble days do not match the rainfall panel: day 3 is "
-                         "'1999-13-01', the panel's '1999-01-03'"),
+                         "row 10: day '1999-13-01' does not match panel order "
+                         "(expected '1999-01-03')"),
         "ragged-then-negative": (lambda rows: (rows.pop(5), rows[400].__setitem__(3, "-1")),
                                  "row 402: negative rainfall in column 4 (loc_s0001)"),
         "misplaced-then-abc": (lambda rows: (rows.insert(0, rows.pop(1)),

@@ -11,6 +11,7 @@ from raincop.copula import (censor, censor_thresholds, day_normals, joint_foreca
                             obs_to_gaussian, read_ensemble, substream, write_ensemble)
 from raincop.marginals import GammaMixture, MarginalField, mixture_cdf, mixture_quantile
 from raincop.numerics import spd_factorize
+from raincop.panel import IngestError, RainPanel
 from raincop.spatial import CovarianceMatrix, MaternParams
 
 
@@ -223,6 +224,12 @@ class TestJointForecast:
             joint_forecast(cov_from_sigma(np.eye(2)), field, days, m, 0)
 
 
+def panel_of(days, n):
+    """A rainfall panel of days d0, d1, ... over sites s0, s1, ...: what an ensemble keys to."""
+    return RainPanel(np.zeros((days, n)), [f"s{i}" for i in range(n)],
+                     [f"d{s}" for s in range(days)])
+
+
 class TestEnsembleCsv:
     def test_round_trip_and_zero_tokens(self, tmp_path, whole_ensemble):
         blocks = [np.array([[0.0, 1.5], [2.25, 0.0]]),
@@ -232,79 +239,89 @@ class TestEnsembleCsv:
         text = path.read_text()
         assert "loc_a,loc_b" in text.splitlines()[0]
         assert ",0," in text or text.count(",0\n") > 0  # exact zero tokens
-        days, back = whole_ensemble(path, ["a", "b"])
-        assert days == ["2001-01-01", "2001-01-02"]
+        back = whole_ensemble(path, ["2001-01-01", "2001-01-02"], ["a", "b"])
         assert np.array_equal(back[0], blocks[0])
         assert np.array_equal(back[1], blocks[1])
 
-    def test_interleaved_days_grouped(self, tmp_path, whole_ensemble):
-        blocks = [np.array([[0.0, 1.5], [2.25, 0.0]]),
-                  np.array([[0.5, 0.0], [0.0, 3.75]])]
+    def test_interleaved_days_rejected(self, tmp_path, whole_ensemble):
+        # the second and third days' rows taken in turn: the first row out of order is named
         path = tmp_path / "ensemble.csv"
-        write_ensemble(path, ["d0", "d1"], ["a", "b"], blocks)
+        write_ensemble(path, ["d0", "d1", "d2"], ["a", "b"], np.zeros((3, 2, 2)))
         header, *rows = path.read_text().splitlines()
-        path.write_text("\n".join([header, rows[0], rows[2], rows[1], rows[3]]) + "\n")
-        days, back = whole_ensemble(path, ["a", "b"])
-        assert days == ["d0", "d1"]
-        assert np.array_equal(back, np.stack(blocks))
+        path.write_text("\n".join([header, *rows[:3], rows[4], rows[3], rows[5]]) + "\n")
+        with pytest.raises(IngestError, match="row 5: day 'd2' does not match panel order "
+                                              "\\(expected 'd1'\\)"):
+            whole_ensemble(path, ["d0", "d1", "d2"], ["a", "b"])
 
     def test_header_mismatch(self, tmp_path, whole_ensemble):
         path = tmp_path / "ensemble.csv"
         write_ensemble(path, ["d0"], ["a", "b"], [np.zeros((2, 2))])
         with pytest.raises(ValueError):
-            whole_ensemble(path, ["a", "c"])
+            whole_ensemble(path, ["d0"], ["a", "c"])
 
 
 class TestEnsembleHandedOver:
-    """read_ensemble(path, ids, start) hands the days over a day chunk at a time."""
+    """read_ensemble(path, panel, start) hands the days over a day chunk at a time."""
 
     @staticmethod
     def write(path, days, m, n, order=None):
         """An ensemble of distinct cells; order(rows) may reorder its data rows."""
         cells = np.arange(days * m * n, dtype=float).reshape(days, m, n)
-        write_ensemble(path, [f"d{s}" for s in range(days)], [f"s{i}" for i in range(n)],
-                       cells)
+        panel = panel_of(days, n)
+        write_ensemble(path, panel.day_labels, panel.location_ids, cells)
         header, *rows = path.read_text().splitlines()
         path.write_text("\n".join([header, *(order(rows) if order else rows)]) + "\n")
         return cells
 
     @staticmethod
-    def collect(path, n, seen=None):
-        got = []
+    def collect(path, days, n, seen=None, got=None):
+        """The (days, samples) chunks handed over; seen gets each m start is called with."""
+        got = [] if got is None else got
 
-        def start(labels, m):
+        def start(m):
             if seen is not None:
-                seen.append((labels, m))
+                seen.append(m)
             return lambda days, samples: got.append((days, samples.copy()))
 
-        assert read_ensemble(path, [f"s{i}" for i in range(n)], start) is None
+        assert read_ensemble(path, panel_of(days, n), start) is None
         return got
 
-    @pytest.mark.parametrize("interleaved", [False, True], ids=["contiguous", "interleaved"])
-    def test_chunks_in_day_order_are_the_whole(self, tmp_path, monkeypatch, interleaved):
-        # replicate-major rows: every day's first row comes before any day's second
+    @pytest.mark.parametrize("blank_lines", [False, True], ids=["contiguous", "blank-lines"])
+    def test_chunks_in_day_order_are_the_whole(self, tmp_path, monkeypatch, blank_lines):
+        # blank lines hold no data row, so they move no row to another chunk
         days, m, n = 23, 3, 4
-        order = ((lambda rows: [rows[s * m + j] for j in range(m) for s in range(days)])
-                 if interleaved else None)
+        order = (lambda rows: [line for row in rows for line in (row, "")]) if blank_lines else None
         cells = self.write(tmp_path / "e.csv", days, m, n, order)
         monkeypatch.setattr(numerics, "_ELEMENT_BUDGET", 5 * m * n)  # five days a chunk
         seen = []
-        got = self.collect(tmp_path / "e.csv", n, seen)
-        assert seen == [([f"d{s}" for s in range(days)], m)]
+        got = self.collect(tmp_path / "e.csv", days, n, seen)
+        assert seen == [m]
         assert [sl for sl, _ in got] == numerics.day_chunks(days, m * n)
         assert np.array_equal(np.concatenate([samples for _, samples in got]), cells)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda rows: rows[:-1], "different numbers of replicates"),
-        (lambda rows: [rows[1], rows[0], *rows[2:]], "row 2: replicate '1' in column 2"),
+        (lambda rows: rows[:-1], "11 rows but the panel's 4 days need 12 \\(3 a day\\)"),
+        (lambda rows: [rows[1], rows[0], *rows[2:]],
+         "row 2: replicate '1' does not match panel order \\(expected '0'\\)"),
         (lambda rows: [*rows[:-1], rows[-1].replace(",", ",x", 1)],
-         "replicate 'x2' in column 2"),
+         "row 13: replicate 'x2' does not match panel order \\(expected '2'\\)"),
     ], ids=["ragged", "swapped", "renamed"])
     def test_bad_keys_hand_nothing_over(self, tmp_path, edit, message):
+        # the four days make one chunk, which holds the bad key
         self.write(tmp_path / "e.csv", 4, 3, 2, edit)
-        with pytest.raises(ValueError, match=message):
-            self.collect(tmp_path / "e.csv", 2, seen := [])
-        assert seen == []
+        with pytest.raises(IngestError, match=message):
+            self.collect(tmp_path / "e.csv", 4, 2, got=(got := []))
+        assert got == []
+
+    def test_chunks_before_the_first_row_out_of_order_are_handed_over(self, tmp_path,
+                                                                       monkeypatch):
+        monkeypatch.setattr(numerics, "_ELEMENT_BUDGET", 3 * 2)  # one day a chunk
+        cells = self.write(tmp_path / "e.csv", 4, 3, 2,
+                           lambda rows: [*rows[:6], rows[7], rows[6], *rows[8:]])
+        with pytest.raises(IngestError, match="row 8: replicate '1' does not match"):
+            self.collect(tmp_path / "e.csv", 4, 2, got=(got := []))
+        assert [sl for sl, _ in got] == [slice(0, 1), slice(1, 2)]
+        assert np.array_equal(np.concatenate([samples for _, samples in got]), cells[:2])
 
     def test_bad_cell_comes_before_bad_keys_and_start(self, tmp_path):
         # a ragged last day, and a negative cell after the first day
@@ -314,18 +331,21 @@ class TestEnsembleHandedOver:
 
         self.write(tmp_path / "e.csv", 4, 3, 2, edit)
         with pytest.raises(ValueError, match="row 7: negative rainfall in column 4"):
-            self.collect(tmp_path / "e.csv", 2)
+            self.collect(tmp_path / "e.csv", 4, 2)
 
-        def refuse(labels, m):
+        def refuse(m):
             raise ValueError("refused")
 
         self.write(tmp_path / "f.csv", 4, 3, 2, lambda rows: [*rows[:5], "d1,2,1,abc",
                                                               *rows[6:]])
         with pytest.raises(ValueError, match="row 7: non-numeric value 'abc'"):
-            read_ensemble(tmp_path / "f.csv", ["s0", "s1"], refuse)
+            read_ensemble(tmp_path / "f.csv", panel_of(4, 2), refuse)
+        self.write(tmp_path / "h.csv", 4, 3, 2, lambda rows: [rows[1], rows[0], *rows[2:]])
+        with pytest.raises(ValueError, match="row 2: replicate '1'"):
+            read_ensemble(tmp_path / "h.csv", panel_of(4, 2), refuse)
         self.write(tmp_path / "g.csv", 4, 3, 2)
         with pytest.raises(ValueError, match="refused"):
-            read_ensemble(tmp_path / "g.csv", ["s0", "s1"], refuse)
+            read_ensemble(tmp_path / "g.csv", panel_of(4, 2), refuse)
 
 
 class TestDayNormals:

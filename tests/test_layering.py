@@ -2,8 +2,8 @@
 
 numerics holds the working-set budget and imports no other raincop module;
 only the command line imports estimation; copula holds the substream tags, one
-per stream; panel alone turns a float cell into text; every name a module
-exports is used in the package or the benchmark.
+per stream; panel alone turns a float cell into text and reads a data file;
+every name a module exports is used in the package or the benchmark.
 """
 
 import ast
@@ -17,6 +17,11 @@ MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(SRC.glob("*.py"))}
 BENCH = [ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted((ROOT / "perfbench").glob("*.py"))]
+
+# Functions outside panel that open a file for reading, each with the reason.
+READERS = {
+    ("cli", "cmd_simulate"): "summary.json, a JSON object read whole by json.load",
+}
 
 # Exported names with no caller yet, each with the reason it stays.
 UNCALLED = {
@@ -118,3 +123,22 @@ def test_one_import_inside_a_function():
              for name, fn in functions(tree)
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert inner == [("panel", "read_marginals_csv", "from .marginals import MarginalField")]
+
+
+def test_only_panel_opens_a_file_for_reading():
+    # open() (io.open, os.open) with no mode or a mode without w, a or x, and the
+    # whole-file readers of pathlib and numpy: a second CSV scanner would show here
+    def reads(call):
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        if name in ("read_text", "read_bytes", "loadtxt", "genfromtxt", "fromfile"):
+            return True
+        if name != "open":
+            return False
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+        return not isinstance(mode, ast.Constant) or not set("wax") & set(str(mode.value))
+
+    readers = {(module, name) for module, tree in MODULES.items() if module != "panel"
+               for name, fn in functions(tree)
+               for node in ast.walk(fn) if isinstance(node, ast.Call) and reads(node)}
+    assert readers == set(READERS)

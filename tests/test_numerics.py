@@ -150,6 +150,19 @@ class TestSpdFactorize:
         with pytest.raises(ValueError):
             spd_factorize(a)
 
+    def test_jitter_retry_holds_one_copy(self, traced_peak):
+        # a rank-5 correlation matrix: the plain factor fails and 1e-10 jitter takes
+        n = 300
+        v = np.random.default_rng(17).standard_normal((n, 5))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        a = v @ v.T
+        a = 0.5 * (a + a.T)
+        np.fill_diagonal(a, 1.0)
+        peak, f = traced_peak(lambda: spd_factorize(a))
+        assert f.jitter_applied == 1e-10
+        assert peak <= 2.1 * n * n * 8  # the jittered copy and the factor
+        assert np.linalg.cholesky(a + 1e-10 * np.eye(n)).tobytes() == f.lower.tobytes()
+
     def test_gram_plus_ridge_needs_no_jitter(self):
         rng = np.random.default_rng(13)
         for _ in range(5):

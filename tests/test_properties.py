@@ -124,10 +124,9 @@ def test_ensemble_round_trip(whole_ensemble, days, m, n, data):
     blocks = [draw_grid(data, RAIN, m, n) for _ in range(days)]
     ids = [f"s{i}" for i in range(n)]
     labels = [f"d{s}" for s in range(days)]
-    (back_labels, back), text = write_then_read(
+    back, text = write_then_read(
         lambda p: write_ensemble(p, labels, ids, blocks),
-        lambda p: whole_ensemble(p, ids))
-    assert back_labels == labels
+        lambda p: whole_ensemble(p, labels, ids))
     for got, want in zip(back, blocks):
         assert np.array_equal(got, want)
     cells = value_cells(text, 2)
@@ -202,38 +201,36 @@ def line_read(path, n_keys, nonnegative=False):
     return header, keys, values, row_nos
 
 
+def check_long_keys(path, names, keys, row_nos, outer, inner):
+    """A long CSV's key checks after its cells: the row count, then the first row whose
+    keys are not (outer[r // k], inner[r % k])."""
+    k = len(inner)
+    if len(row_nos) != len(outer) * k:
+        raise IngestError(f"{path}: {len(row_nos)} rows but the panel's {len(outer)} days "
+                          f"need {len(outer) * k} ({k} a day)")
+    order = ((o, i) for o in outer for i in inner)
+    for row_no, got, want in zip(row_nos, zip(*keys), order):
+        for name, g, w in zip(names, got, want):
+            if g != w:
+                raise IngestError(f"{path}: row {row_no}: {name} {g!r} does not "
+                                  f"match panel order (expected {w!r})")
+
+
 def line_read_long(path, panel):
-    _, (dates, locs), values, row_nos = line_read(path, 2)
-    cells = panel.n_locations * panel.n_days
-    if len(row_nos) != cells:
-        raise IngestError(f"{path}: {len(row_nos)} rows but the panel has {cells} cells")
-    order = ((d, loc) for d in panel.day_labels for loc in panel.location_ids)
-    for row_no, date, loc, (want_date, want_loc) in zip(row_nos, dates, locs, order):
-        if date != want_date:
-            raise IngestError(f"{path}: row {row_no}: date {date!r} does not "
-                              f"match panel order (expected {want_date!r})")
-        if loc != want_loc:
-            raise IngestError(f"{path}: row {row_no}: loc {loc!r} does not "
-                              f"match panel order (expected {want_loc!r})")
+    _, keys, values, row_nos = line_read(path, 2)
+    check_long_keys(path, ["date", "loc"], keys, row_nos, panel.day_labels,
+                    panel.location_ids)
     return values
 
 
-def line_read_ensemble(path, location_ids):
-    _, (days, replicates), values, row_nos = line_read(path, 2, nonnegative=True)
-    rows_of_day: dict = {}
-    for r, day in enumerate(days):
-        rows_of_day.setdefault(day, []).append(r)
-    sizes = {len(rows) for rows in rows_of_day.values()}
-    if len(sizes) > 1:
-        raise IngestError(f"{path}: ensemble days hold different numbers of replicates")
-    m = sizes.pop() if sizes else 0
-    for rows in rows_of_day.values():
-        for j, r in enumerate(rows):
-            if replicates[r] != str(j):
-                raise IngestError(f"{path}: row {row_nos[r]}: replicate {replicates[r]!r} "
-                                  f"in column 2 (replicate), expected {j}")
-    order = [r for rows in rows_of_day.values() for r in rows]
-    return list(rows_of_day), values[order].reshape(len(rows_of_day), m, len(location_ids))
+def line_read_ensemble(path, day_labels, location_ids):
+    """Day-major like line_read_long, with m the number of rows of the first day."""
+    _, keys, values, row_nos = line_read(path, 2, nonnegative=True)
+    days = keys[0]
+    m = next((r for r, day in enumerate(days) if day != days[0]), len(days))
+    check_long_keys(path, ["day", "replicate"], keys, row_nos, day_labels,
+                    [str(j) for j in range(m)])
+    return values.reshape(len(day_labels), m, len(location_ids))
 
 
 def line_read_rain(path, locs):
@@ -389,21 +386,22 @@ def test_long_csv_bulk_parse_matches_line_parser(n, t, kind, data):
 
 
 def interleave_days(rows, m):
-    """Two adjacent days' rows taken in turn: each day keeps its replicate order."""
-    if len(rows) < 2 * m:
+    """The second and third days' rows taken in turn: each day keeps its replicate order."""
+    if len(rows) < 3 * m:
         return rows
-    a, b = rows[:m], rows[m:2 * m]
-    return [row for pair in zip(a, b) for row in pair] + rows[2 * m:]
+    a, b = rows[m:2 * m], rows[2 * m:3 * m]
+    return rows[:m] + [row for pair in zip(a, b) for row in pair] + rows[3 * m:]
 
 
 def ensemble_text(data, days, m, n):
-    """(location ids, the text of an ensemble file of days x m rows, perhaps mutated)."""
+    """(day labels, location ids, the text of an ensemble file of days x m rows, perhaps
+    mutated)."""
     ids = data.draw(st.lists(KEY, min_size=n, max_size=n, unique=True))
     labels = data.draw(st.lists(KEY, min_size=days, max_size=days, unique=True))
     header = ["day", "replicate", *(f"loc_{i}" for i in ids)]
     rows = [[label, str(j), *(cell_token(data, NONNEGATIVE) for _ in range(n))]
             for label in labels for j in range(m)]
-    return ids, draw_text(data, header, rows, 2, extra={
+    return labels, ids, draw_text(data, header, rows, 2, extra={
         "interleaved": lambda rows: interleave_days(rows, m),
         "replicate-swapped": lambda rows: rows[1::-1] + rows[2:],
         "replicate-padded": lambda rows: [[rows[0][0], " 0", *rows[0][2:]], *rows[1:]],
@@ -413,33 +411,33 @@ def ensemble_text(data, days, m, n):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4), st.data())
 def test_ensemble_bulk_parse_matches_line_parser(whole_ensemble, days, m, n, data):
-    ids, text = ensemble_text(data, days, m, n)
+    labels, ids, text = ensemble_text(data, days, m, n)
     compare_readers(data, text,
-                    lambda path: whole_ensemble(path, ids),
-                    lambda path: line_read_ensemble(path, ids))
+                    lambda path: whole_ensemble(path, labels, ids),
+                    lambda path: line_read_ensemble(path, labels, ids))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.data())
 def test_handed_over_ensemble_matches_line_parser(days, m, n, days_per_chunk, data):
     # the days handed over a chunk of days_per_chunk days at a time, joined again
-    ids, text = ensemble_text(data, days, m, n)
+    labels, ids, text = ensemble_text(data, days, m, n)
+    panel = RainPanel(np.zeros((days, n)), ids, labels)
 
     def handed(path):
-        layout, chunks = [], []
+        members, chunks = [], []
 
-        def start(labels, rows_per_day):
-            layout.append((labels, rows_per_day))
+        def start(rows_per_day):
+            members.append(rows_per_day)
             return lambda days, samples: chunks.append((days, samples.copy()))
 
         with mock.patch.object(numerics_module, "_ELEMENT_BUDGET", days_per_chunk * m * n):
-            assert read_ensemble(path, ids, start) is None
-            labels, rows_per_day = layout[0]
+            assert read_ensemble(path, panel, start) is None
             assert [sl for sl, _ in chunks] == numerics_module.day_chunks(
-                len(labels), rows_per_day * n)
-        return labels, np.concatenate([samples for _, samples in chunks])
+                days, members[0] * n)
+        return np.concatenate([samples for _, samples in chunks])
 
-    compare_readers(data, text, handed, lambda path: line_read_ensemble(path, ids))
+    compare_readers(data, text, handed, lambda path: line_read_ensemble(path, labels, ids))
 
 
 @settings(max_examples=200, deadline=None)
