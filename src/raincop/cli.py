@@ -8,7 +8,7 @@ line, and names that flag or line when it does not convert, before any input
 file is read. Every subcommand is deterministic for a fixed seed and inputs:
 reruns under one OpenBLAS thread count (OPENBLAS_NUM_THREADS, by default the
 core count; it splits the sums of matrix products) produce byte-identical
-files. --threads must be an integer and (like estimate-theta's
+files. --threads must be a positive integer and (like estimate-theta's
 --refine-day-subsample) changes neither the outputs nor the work done: no
 subcommand starts threads of its own, nor sets OpenBLAS's.
 
@@ -287,6 +287,10 @@ def cmd_diagnose(settings: Settings) -> int:
     for key in ("q_levels", "ecdf_levels"):
         if not all(0.0 <= level < np.inf for level in settings[key]):
             settings.reject(f"{key} must be nonnegative and finite, got {settings[key]}", key)
+    names = [f"{q:g}" for q in settings["q_levels"]]  # of the ROC files and the auc keys
+    if len(set(names)) < len(names):
+        settings.reject(f"q_levels must differ in 6 significant digits, got "
+                        f"{settings['q_levels']}", "q_levels")
     a, topo_scale = _blend_settings(settings)
     locs = read_locations(settings.path("locations"))
     panel = read_rain_csv(settings.path("rainfall"), locs)
@@ -301,37 +305,36 @@ def cmd_diagnose(settings: Settings) -> int:
     rank_counts = np.zeros(bins, dtype=int)
     ecdf_counts = np.zeros((2, levels.size + 1), dtype=int)
     bias_sums, moments = np.zeros(3), CoMoments()
-    scores = {}  # by name; a pooled score is over the days scored so far
-
-    def start(m):
-        """Check m; return the scorer of the ensemble's day chunks."""
-        if m < 2:
-            raise IngestError(f"{ensemble_path}: ensemble needs at least two replicates per day")
-        if bins > m + 1:
-            settings.reject(f"rank_bins must be at most m + 1 = {m + 1}, got {bins}",
-                            "rank_bins")
-        scores.update(m=m, distance=build_distance_matrix(locs, a=a, topo_scale=topo_scale),
-                      obs_corr=cross_correlation(obs, locs))
-        return take
-
-    def take(sl, ens):  # the (k, m, n) samples of days sl, scored and dropped
+    m, error = 0, None
+    for sl, ens in read_ensemble(ensemble_path, panel):  # (k, m, n) samples of days sl
+        if not m:  # the first chunk fixes m; what it rejects waits for the reader's errors
+            m = ens.shape[1]
+            try:
+                if bins > m + 1:
+                    settings.reject(f"rank_bins must be at most m + 1 = {m + 1}, got {bins}",
+                                    "rank_bins")
+                distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
+                center_id, obs_corr = cross_correlation(obs, locs)
+            except ValueError as exc:
+                error = exc
+        if m < 2 or error is not None:
+            continue
         y = obs[sl]
         crps_vals[sl] = crps_sample(ens, y)
         energy_vals[sl] = energy_score_unbiased(ens, y, beta)
-        vario_vals[sl] = variogram_score(ens, y, scores["distance"])
-        scores["rank"] = rank_histogram(ens, y, bins, rng, counts=rank_counts)
-        scores["ecdf"] = ecdf_curve(ens, y, levels, counts=ecdf_counts)
-        scores["bias"] = rmsb_mab(ens, y, sums=bias_sums)
-        scores["model_corr"] = cross_correlation(ens.reshape(-1, n), locs, moments)[1]
-
-    read_ensemble(ensemble_path, panel, start)
+        vario_vals[sl] = variogram_score(ens, y, distance)
+        counts, freq = rank_histogram(ens, y, bins, rng, counts=rank_counts)
+        model_freq, obs_freq = ecdf_curve(ens, y, levels, counts=ecdf_counts)
+        rmsb, mab = rmsb_mab(ens, y, sums=bias_sums)
+        model_corr = cross_correlation(ens.reshape(-1, n), locs, moments)[1]
+    if m < 2:
+        raise IngestError(f"{ensemble_path}: ensemble needs at least two replicates per day")
+    if error is not None:
+        raise error
     # Compute every result before writing any file: a rejected setting writes nothing.
     tau_grid = np.linspace(0.0, 1.0, settings["tau_grid"])
-    curves = {f"{q:g}": roc_auc(field, obs, q, tau_grid)
-              for q in settings["q_levels"]}
-    (counts, freq), (model_freq, obs_freq) = scores["rank"], scores["ecdf"]
-    (rmsb, mab), (center_id, obs_corr) = scores["bias"], scores["obs_corr"]
-    m, model_corr = scores["m"], scores["model_corr"]
+    curves = {name: roc_auc(field, obs, q, tau_grid)
+              for name, q in zip(names, settings["q_levels"])}
     summary = {
         "crps_mean": float(np.mean(crps_vals)),
         "energy_score_mean": float(np.mean(energy_vals)),
@@ -419,8 +422,10 @@ def main(argv=None) -> int:
                "estimate-theta": cmd_estimate_theta, "simulate": cmd_simulate,
                "diagnose": cmd_diagnose}[args.command]
         settings = Settings(args)
-        if settings["seed"] < 0:  # every command takes --seed
+        if settings["seed"] < 0:  # every command takes --seed and --threads
             settings.reject(f"seed must be nonnegative, got {settings['seed']}", "seed")
+        if settings["threads"] is not None and settings["threads"] < 1:
+            settings.reject(f"threads must be at least 1, got {settings['threads']}", "threads")
         return run(settings)
     except (IngestError, FileNotFoundError) as exc:
         _log(f"error: {exc}")

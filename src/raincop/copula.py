@@ -21,9 +21,9 @@ alike: callers walk a run of days in budget-sized chunks
 one array in place.
 
 The ensemble file goes out and comes back in the same day chunks:
-write_ensemble takes the blocks as they are drawn, and read_ensemble hands
-each day chunk over as soon as its rows are parsed, so a reader of a long
-forecast holds one chunk of it.
+write_ensemble takes the blocks as they are drawn, and read_ensemble is a
+generator that yields each day chunk as soon as its rows are parsed, so a
+reader of a long forecast holds one chunk of it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .marginals import MarginalField, mixture_cdf, mixture_quantile
+from .numerics import day_chunks
 from .panel import IngestError, float_text, read_long_csv, write_csv
 from .spatial import CovarianceMatrix
 
@@ -82,16 +83,11 @@ def day_normals(days, m: int, n: int, seed: int, *path: int) -> np.ndarray:
 def censor_thresholds(field: MarginalField) -> np.ndarray:
     """Per-cell censoring thresholds Phi^{-1}(1 - p) with infinite sentinels.
 
-    Finite wherever p is strictly inside (0, 1); +inf where p = 0, -inf
-    where p = 1, keeping the elementwise-max censoring rule valid.
+    Finite wherever 1 - p is strictly inside (0, 1); ndtri gives +inf where
+    p = 0 and -inf where p = 1, keeping the elementwise-max censoring rule
+    valid.
     """
-    p = field.p
-    out = np.empty_like(p)
-    interior = (p > 0.0) & (p < 1.0)
-    out[p == 0.0] = np.inf
-    out[p == 1.0] = -np.inf
-    out[interior] = _sp.ndtri(1.0 - p[interior])
-    return out
+    return _sp.ndtri(1.0 - field.p)
 
 
 def censor(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -159,16 +155,31 @@ def write_ensemble(path, day_labels, location_ids, blocks) -> None:
                for j, row in enumerate(np.asarray(block, dtype=float).tolist())))
 
 
-def read_ensemble(path, panel, start) -> None:
-    """Read an ensemble CSV through panel.read_long_csv, a day chunk at a time.
+def read_ensemble(path, panel):
+    """Yield the days of an ensemble CSV a numerics.day_chunks chunk at a time.
 
     The file is keyed (day, replicate): the panel's days in order, each with m
-    rows, replicate 0, ..., m - 1, m the first day's row count. start(m)
-    returns take, and take(days, samples) gets each day chunk's (k, m, n)
-    samples in day order; errors come in read_long_csv's order.
+    rows, replicate 0, ..., m - 1, m the first day's row count. Each chunk
+    comes as (days, samples), a slice of days and its (k, m, n) samples, in
+    day order as soon as its rows are parsed, up to the first row out of
+    order; the errors of panel.read_long_csv come, in its order, once the
+    file is read.
     """
     def check_header(header):
         if header != ["day", "replicate", *(f"loc_{i}" for i in panel.location_ids)]:
             raise IngestError(f"{path}: ensemble header does not match the locations file")
 
-    read_long_csv(path, check_header, panel.day_labels, start=start, nonnegative=True)
+    chunks = None
+    for values, first, m in read_long_csv(path, check_header, panel.day_labels,
+                                          nonnegative=True):
+        chunks = chunks or day_chunks(panel.n_days, m * values.shape[1])
+        step, last = chunks[0].stop * m, first + len(values)  # rows a chunk, but the last
+        cuts = [first, *range((first // step + 1) * step, last, step), last]
+        for lo, hi in zip(cuts, cuts[1:]):  # the block's rows, a chunk at a time
+            c, at = divmod(lo, step)
+            if at == 0:
+                buf = np.empty(((chunks[c].stop - chunks[c].start) * m, values.shape[1]))
+            buf[at:at + hi - lo] = values[lo - first:hi - first]
+            if at + hi - lo == len(buf):
+                yield chunks[c], buf.reshape(-1, m, buf.shape[1])
+        del values  # before the next block is read

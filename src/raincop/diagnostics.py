@@ -11,17 +11,19 @@ bias summaries.
 
 Each ensemble score is one array kernel over a run of a forecast's days:
 (days, m, n) samples against (days, n) observations (`crps_sample`,
-`variogram_score`, `rank_histogram`, `ecdf_curve`, `rmsb_mab`). Each walks
-the days in the consecutive chunks `numerics.day_chunks` gives under its
-element budget, so its temporaries stay bounded whatever the number of days;
-one day or one cell is scored as a stack of one. A run's per-day and
-per-cell scores are those days' scores in the whole forecast. The pooled
-scores take the running totals of earlier runs (`counts`, `sums`,
-`moments`), so a forecast scored a day chunk at a time, in day order, gives
-the bits of the whole; the pooled correlation merges centred co-moments and
-agrees with the two-pass value to rounding. All diagnostics are pure over
-their inputs, but for the running totals they add to, with fixed iteration
-order.
+`variogram_score`, `rank_histogram`, `ecdf_curve`, `rmsb_mab`). Each scores
+the array it is given, so its temporaries are the size of that run: the
+caller bounds them by handing over one `numerics.day_chunks` chunk at a time,
+as `diagnose` does with the chunks `copula.read_ensemble` yields. Only
+`variogram_score` walks its run again, in day chunks and row blocks under the
+budget of its n x n accumulators. One day or one cell is scored as a stack
+of one. A run's per-day and per-cell scores are those days' scores in the
+whole forecast. The pooled scores take the running totals of earlier runs
+(`counts`, `sums`, `moments`), so a forecast scored a day chunk at a time,
+in day order, gives the bits of the whole; the pooled correlation merges
+centred co-moments and agrees with the two-pass value to rounding. All
+diagnostics are pure over their inputs, but for the running totals they add
+to, with fixed iteration order.
 """
 
 from __future__ import annotations
@@ -121,15 +123,14 @@ def rank_histogram(samples, obs, bins: int, rng: np.random.Generator, counts=Non
     (bins,) integer counts of earlier days and is added to in place.
     """
     samples, obs = ensemble_arrays(samples, obs)
-    days, m, n = samples.shape
+    m = samples.shape[1]
     if bins < 1 or bins > m + 1:
         raise ValueError("bins must lie in [1, m + 1]")
     counts = np.zeros(bins, dtype=int) if counts is None else counts
-    for sl in day_chunks(days, m * n):
-        x, y = samples[sl], obs[sl, None, :]
-        ties = (x == y).sum(axis=1)
-        ranks = (x < y).sum(axis=1) + rng.integers(0, ties + 1)
-        counts += np.bincount(((ranks * bins) // (m + 1)).ravel(), minlength=bins)
+    y = obs[:, None, :]
+    ties = (samples == y).sum(axis=1)
+    ranks = (samples < y).sum(axis=1) + rng.integers(0, ties + 1)
+    counts += np.bincount(((ranks * bins) // (m + 1)).ravel(), minlength=bins)
     return counts, counts / counts.sum()
 
 
@@ -147,11 +148,9 @@ def ecdf_curve(samples, obs, levels, counts=None):
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0.0):
         raise ValueError("levels must be nonnegative")
-    days, m, n = samples.shape
     counts = np.zeros((2, levels.size + 1), dtype=int) if counts is None else counts
-    for sl in day_chunks(days, m * n):
-        counts[0, :-1] += (samples[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
-        counts[1, :-1] += (obs[sl].reshape(1, -1) > levels[:, None]).sum(axis=1)
+    counts[0, :-1] += (samples.reshape(1, -1) > levels[:, None]).sum(axis=1)
+    counts[1, :-1] += (obs.reshape(1, -1) > levels[:, None]).sum(axis=1)
     counts[:, -1] += samples.size, obs.size
     return counts[0, :-1] / counts[0, -1], counts[1, :-1] / counts[1, -1]
 
@@ -230,25 +229,22 @@ def crps_sample(samples, obs) -> np.ndarray:
     samples is (days, m, n) with m >= 2, obs (days, n); returns (days, n):
     mean |x_j - y| minus half the mean of |x_j - x_k| over the m(m-1)
     ordered pairs. Nonnegative, smaller is better; a point forecast (all
-    members equal) reduces it to the absolute error exactly. Each chunk of
-    days is transposed to (days, n, m) so every cell's members are
-    contiguous, then sorted on that axis for the pair term. Both terms are
-    numpy sums along that axis, so a cell's score does not depend on the
-    array it is part of: a cell scored alone, as a (1, m, 1) stack, gives
-    the same bits as that cell scored inside a larger array.
+    members equal) reduces it to the absolute error exactly. The samples are
+    transposed to (days, n, m) so every cell's members are contiguous, then
+    sorted on that axis for the pair term. Both terms are numpy sums along
+    that axis, so a cell's score does not depend on the array it is part
+    of: a cell scored alone, as a (1, m, 1) stack, gives the same bits as
+    that cell scored inside a larger array.
     """
     samples, obs = ensemble_arrays(samples, obs)
-    days, m, n = samples.shape
+    m = samples.shape[1]
     # sum_{j<k} (x_(k) - x_(j)) = sum_k (2k - m + 1) x_(k) on the sorted sample
     weights = 2.0 * np.arange(m) - m + 1.0
-    out = np.empty((days, n))
-    for sl in day_chunks(days, m * n):
-        x = samples[sl].transpose(0, 2, 1).copy()  # C order; sorted in place below
-        term_obs = np.abs(x - obs[sl, :, None]).mean(axis=2)
-        x.sort(axis=2)
-        x *= weights
-        out[sl] = term_obs - x.sum(axis=2) / (m * (m - 1))
-    return out
+    x = samples.transpose(0, 2, 1).copy()  # C order; sorted in place below
+    term_obs = np.abs(x - obs[:, :, None]).mean(axis=2)
+    x.sort(axis=2)
+    x *= weights
+    return term_obs - x.sum(axis=2) / (m * (m - 1))
 
 
 def variogram_score(samples, obs, distance: DistanceMatrix) -> np.ndarray:
@@ -321,16 +317,15 @@ def rmsb_mab(samples, obs, sums=None):
     absolute biases and then the cells, and is added to in place.
     """
     samples, obs = ensemble_arrays(samples, obs)
-    days, m, n = samples.shape
+    days, n = obs.shape
     if samples.size == 0:
         raise ValueError("no cells to score")
     sums = np.zeros(3) if sums is None else sums
     running = np.empty((days + 1, 2))  # the totals so far, then each day's two sums
     running[0] = sums[:2]
-    for sl in day_chunks(days, m * n):
-        diff = obs[sl] - np.median(samples[sl], axis=1)
-        running[1 + sl.start:1 + sl.stop, 0] = (diff ** 2).sum(axis=1)
-        running[1 + sl.start:1 + sl.stop, 1] = np.abs(diff).sum(axis=1)
+    diff = obs - np.median(samples, axis=1)
+    running[1:, 0] = (diff ** 2).sum(axis=1)
+    running[1:, 1] = np.abs(diff).sum(axis=1)
     sums[:2] = np.cumsum(running, axis=0)[-1]
     sums[2] += days * n
     return float(np.sqrt(sums[0] / sums[2])), float(sums[1] / sums[2])

@@ -22,10 +22,10 @@ element budget of numerics.day_chunks, the days into chunks whose (days, m,
 n) normals fit the same budget. Each chunk's normals are drawn once and
 reused for every theta of the group; the chunk is then re-correlated,
 censored and scored by energy_score_unbiased, the one energy-score kernel,
-which `diagnose` calls on a whole ensemble. Working memory is therefore
-bounded by a few budget-sized arrays whatever the number of locations or
-days, and the scores do not depend on the budget beyond floating-point
-rounding. A group's factors are released before the next group's are built.
+which `diagnose` calls on each day chunk of an ensemble. Working memory is
+therefore bounded by a few budget-sized arrays whatever the number of
+locations or days, and the scores do not depend on the budget beyond
+floating-point rounding. A group's factors are released before the next group's are built.
 
 The search scores one grid of thetas in one batched call on the same days.
 theta_hat is the vertex of the parabola through the grid minimum and its two
@@ -118,32 +118,29 @@ class EstimateResult:
 
 
 def energy_score_unbiased(samples: np.ndarray, obs: np.ndarray, beta: float) -> np.ndarray:
-    """Unbiased energy score of each block in a stack, walked in day_chunks.
+    """Unbiased energy score of each block in a stack, all at once.
 
     samples is (k, m, n) with m >= 2, obs (k, n); returns the k scores
     (2/m) sum_j ||x_j - y||^beta minus the mean of ||x_j - x_k||^beta over
     the m(m-1) ordered pairs, nonnegative for beta <= 1 (||.||^beta is then
     a metric). Pair distances come from exact differences, pairing each
     replicate with the one `shift` places later, so rows that tie exactly
-    (censored coordinates) are exactly 0 apart.
+    (censored coordinates) are exactly 0 apart. Its temporaries are the size
+    of the stack: callers hand over one numerics.day_chunks chunk at a time.
     """
     samples, obs = ensemble_arrays(samples, obs)
     k, m, n = samples.shape
-    out = np.empty(k)
-    for sl in day_chunks(k, m * n):
-        x = samples[sl]
-        to_obs = np.sqrt(((x - obs[sl, None, :]) ** 2).sum(axis=2)) ** beta
-        sq_pair = np.empty((x.shape[0], m * (m - 1) // 2))
-        diff = np.empty((x.shape[0], m - 1, n))
-        pos = 0
-        for shift in range(1, m):
-            d = diff[:, :m - shift]
-            np.subtract(x[:, shift:], x[:, :m - shift], out=d)
-            np.einsum("kjn,kjn->kj", d, d, out=sq_pair[:, pos:pos + m - shift])
-            pos += m - shift
-        pair = (np.sqrt(sq_pair) ** beta).sum(axis=1)
-        out[sl] = 2.0 * to_obs.mean(axis=1) - 2.0 * pair / (m * (m - 1))
-    return out
+    to_obs = np.sqrt(((samples - obs[:, None, :]) ** 2).sum(axis=2)) ** beta
+    sq_pair = np.empty((k, m * (m - 1) // 2))
+    diff = np.empty((k, m - 1, n))
+    pos = 0
+    for shift in range(1, m):
+        d = diff[:, :m - shift]
+        np.subtract(samples[:, shift:], samples[:, :m - shift], out=d)
+        np.einsum("kjn,kjn->kj", d, d, out=sq_pair[:, pos:pos + m - shift])
+        pos += m - shift
+    pair = (np.sqrt(sq_pair) ** beta).sum(axis=1)
+    return 2.0 * to_obs.mean(axis=1) - 2.0 * pair / (m * (m - 1))
 
 
 def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,

@@ -5,19 +5,22 @@ headers are location ids in the locations-file order, one row per day.
 Feature, marginal-cache and ensemble CSVs are long, read by read_long_csv: a
 (date, location) cell or (day, replicate) draw a row, day-major like the one
 layout of every panel-shaped array in memory, (n_days, n_locations) in C order
-(RainPanel.values, MarginalField's p, mu and phi). Every CSV is read by
-read_csv, which rejects a wrong field count, a non-numeric or non-finite
-(NaN, inf, -inf) cell and, where asked, a negative one, naming the file, row
-and column; each reader adds only the checks of its own format, on each
-block's keys as arrays. Flat key=value files go through read_kv.
+(RainPanel.values, MarginalField's p, mu and phi). Every CSV is parsed by
+one generator, _csv_blocks, which rejects a wrong field count, a non-numeric
+or non-finite (NaN, inf, -inf) cell and, where asked, a negative one, naming
+the file, row and column. Each reader is a loop over its blocks that adds
+only the checks of its own format, on each block's keys as arrays, and drops
+the block before the next is parsed: read_csv (a whole wide file) collects
+them, read_long_csv yields their rows in key order. Flat key=value files go
+through read_kv.
 
-read_csv takes the file in blocks of about _CHARS_PER_COLUMN characters per
-column, at most _BLOCK_CHARS, and parses each with one np.loadtxt call into
-text keys and float64 cells. Any token float() accepts gets float()'s value: a
-block that loadtxt rejects (1_0, non-ASCII digits, a wrong field count, a
-non-numeric cell) or that holds a character of _BULK_UNSAFE goes through the
-line parser, which reads each line with str.split and float() and words every
-error. The line parser runs on no other block. The readers count data rows;
+_csv_blocks takes the file in blocks of about _CHARS_PER_COLUMN characters
+per column, at most _BLOCK_CHARS, and parses each with one np.loadtxt call
+into text keys and float64 cells. Any token float() accepts gets float()'s
+value: a block that loadtxt rejects (1_0, non-ASCII digits, a wrong field
+count, a non-numeric cell) or that holds a character of _BULK_UNSAFE goes
+through the line parser, which reads each line with str.split and float()
+and words every error. The line parser runs on no other block. The readers count data rows;
 a message that names a file row finds it with file_row, which reads the file
 again.
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 import json
 from array import array
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -183,33 +186,29 @@ def _utf8_text(path, line_word: str):
         raise
 
 
-def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_block=None,
-             key_widths=None, collect: bool = True):
-    """Parse a CSV of n_keys text key columns followed by float cells, block by block.
+def _csv_blocks(path, n_keys: int, check_header, nonnegative: bool = False, key_widths=None):
+    """Yield the header of a CSV of n_keys text key columns then float cells, then its blocks.
 
     check_header(header) raises IngestError for a header of the wrong format
-    before any row is read. Blank lines are skipped; a wrong field count, a
+    before any row is read; the header comes first, then (keys, values, first)
+    of each block in file order, up to the block of the first bad cell: keys
+    holds its key columns as arrays, values its (rows, columns - n_keys)
+    cells and first the index of its first data row (file_row names the row
+    of a data row index). Blank lines are skipped; a wrong field count, a
     non-numeric or non-finite cell and, with nonnegative, a negative one raise
-    IngestError naming the file, row and column: the first wrong field count or
-    non-numeric cell in the file, else the first non-finite or negative cell.
-    Every token float() accepts is accepted, with the value float() gives.
-
-    each_block(keys, values, first) sees each block in file order, up to the
-    block of the first bad cell: keys holds its key columns as arrays, values
-    its (rows, columns - n_keys) cells and first the index of its first data
-    row (file_row names the row of a data row index). It runs before later
-    blocks are checked, so it records what it finds rather than raise.
-    Returns the float array of every block's cells, or with collect=False
-    nothing: the blocks are then only handed back, and beside them the reader
-    holds one block of at most about _BLOCK_CHARS characters.
+    IngestError naming the file, row and column: the first wrong field count
+    or non-numeric cell as soon as its block is parsed, else, once the last
+    block is read, the first non-finite or negative cell. Every token float()
+    accepts is accepted, with the value float() gives. The generator holds
+    one block at a time, of at most about _BLOCK_CHARS characters.
     """
     with _utf8_text(path, "row") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         check_header(header)
+        yield header
         widths = key_widths or (_KEY_WIDTH,) * n_keys
         dtype = np.dtype([*((f"k{i}", f"U{width}") for i, width in enumerate(widths)),
                           ("v", "f8", (len(header) - n_keys,))])
-        cells = array("d")
         n_rows, row_no, bad = 0, 2, None  # bad: (data row, column, value) of the first bad cell
         block_chars = min(_CHARS_PER_COLUMN * len(header), _BLOCK_CHARS)
         while text := fh.read(block_chars):
@@ -224,10 +223,7 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
                     r, k = np.unravel_index(np.argmax(wrong), wrong.shape)
                     bad = n_rows + r, k + n_keys + 1, float(values[r, k])
             if bad is None:
-                if each_block is not None:
-                    each_block(keys, values, n_rows)
-                if collect:
-                    cells.frombytes(memoryview(values.ravel()).cast("B"))
+                yield keys, values, n_rows
             n_rows += len(values)
             row_no += text.count("\n")
             del keys, values, text  # before the next block is read
@@ -236,8 +232,21 @@ def read_csv(path, n_keys: int, check_header, nonnegative: bool = False, each_bl
         what = f"non-finite value {v!r}" if not np.isfinite(v) else "negative rainfall"
         raise IngestError(f"{path}: row {file_row(path, r)}: {what} in column {col} "
                           f"({header[col - 1]})")
-    if collect:
-        return np.frombuffer(cells, dtype=float).reshape(n_rows, len(header) - n_keys)
+
+
+def read_csv(path, check_header, nonnegative: bool = False):
+    """(keys, values) of a whole CSV of one text key column then float cells.
+
+    keys lists the key of every data row, values holds the (rows, columns - 1)
+    cells; check_header, nonnegative and the errors are as in _csv_blocks.
+    """
+    blocks = _csv_blocks(path, 1, check_header, nonnegative)
+    keys, cells, width = [], array("d"), len(next(blocks)) - 1
+    for block_keys, values, _ in blocks:
+        keys.extend(block_keys[0].tolist())
+        cells.frombytes(memoryview(values.ravel()).cast("B"))
+        del block_keys, values  # before the next block is read
+    return keys, np.frombuffer(cells, dtype=float).reshape(len(keys), width)
 
 
 def read_kv(path) -> dict:
@@ -305,20 +314,12 @@ def read_rain_csv(path, locs) -> RainPanel:
                 f"{path}: {len(header) - 1} id columns but {len(locs)} locations"
             )
 
-    labels, seen, repeated = [], set(), []  # repeated: the data row of the first repeated date
-
-    def record_labels(keys, values, first):
-        for r, label in enumerate(keys[0].tolist(), start=first):
-            if label in seen and not repeated:
-                repeated.append(r)
-            seen.add(label)
-            labels.append(label)
-
-    values = read_csv(path, 1, check_header, nonnegative=True, each_block=record_labels)
+    labels, values = read_csv(path, check_header, nonnegative=True)
     if not labels:
         raise IngestError(f"{path}: no data rows")
-    if repeated:
-        r = repeated[0]
+    if len(set(labels)) < len(labels):
+        seen = set()
+        r = next(r for r, label in enumerate(labels) if label in seen or seen.add(label))
         raise IngestError(f"{path}: row {file_row(path, r)}: date {labels[r]!r} "
                           "repeats an earlier row")
     return RainPanel(values=values, location_ids=locs.ids, day_labels=labels)
@@ -348,92 +349,74 @@ def _key_array(keys) -> np.ndarray:
     return np.array(keys, dtype=object if any("\x00" in k for k in keys) else str)
 
 
-def read_long_csv(path, check_header, outer, inner=None, start=None, nonnegative=False):
-    """Read a long CSV whose data row r is keyed (outer[r // k], inner[r % k]).
+def _first_day(blocks):
+    """(k, the same blocks): k the first day's row count, from the blocks up to its end."""
+    held, day = [], []
+    for block in blocks:
+        held.append(block)
+        keys = block[0][0].tolist()  # str sees NULs
+        day.extend(keys)
+        if any(key != day[0] for key in keys):
+            break
+    k = next((r for r, key in enumerate(day) if key != day[0]), len(day))
+    return k, chain((held.pop(0) for _ in range(len(held))), blocks)  # each let go once read
+
+
+def _keyed_in_order(keys, first, outer_keys, inner_keys, header):
+    """(count, misordered) of a block of a long CSV whose first row is data row first.
+
+    count is how many of its leading rows are keyed (outer[r // k], inner[r % k])
+    within the panel's len(outer) * k rows (later rows are only counted);
+    misordered is None, or the data row of the first row out of order and its message.
+    """
+    k = len(inner_keys)
+    rows = np.arange(first, min(first + len(keys[0]), len(outer_keys) * k))
+    wants = outer_keys[rows // k], inner_keys[rows % k]
+    bad = [column[:len(rows)] != want for column, want in zip(keys, wants)]
+    if not (bad[0] | bad[1]).any():
+        return len(rows), None
+    r = int(np.argmax(bad[0] | bad[1]))
+    c = 0 if bad[0][r] else 1
+    return r, (first + r, f"{header[c]} {str(keys[c][r])!r} does not match panel order "
+                          f"(expected {str(wants[c][r])!r})")
+
+
+def read_long_csv(path, check_header, outer, inner=None, nonnegative=False):
+    """Yield the row blocks of a long CSV whose data row r is keyed (outer[r // k], inner[r % k]).
 
     outer is the panel's days; inner=None stands for the replicate numbers
     "0", ..., str(k - 1), k the first day's row count. check_header and
-    nonnegative are as in read_csv. Returns the (rows, cells) values; with
-    start, nothing: start(k) returns take, and take(days, values) gets each
-    numerics.day_chunks chunk, a slice of days and its (days, k, cells)
-    values, in order as soon as its rows are parsed, up to the first row out
-    of order. Beside the chunk it holds one block, or the first day's blocks.
+    nonnegative are as in read_csv. Each block comes as (values, first, k):
+    the (rows, cells) values of data rows first, first + 1, ..., every one
+    keyed in order, in file order up to the first row out of order. It holds
+    one block at a time, or the first day's blocks until that day ends.
 
-    IngestError names the file: a wrong field count or bad cell first (as in
-    read_csv), then a row count other than len(outer) * k, then the first row
-    out of order and its wrong key; last a ValueError start raised.
+    IngestError names the file: a wrong field count or non-numeric cell as
+    soon as its block is parsed (as in read_csv); once the last block is
+    read, a non-finite or negative cell, then a row count other than
+    len(outer) * k, then the first row out of order and its wrong key.
     """
-    outer_keys, header, held, rows_seen = _key_array(outer), [], [], 0
-    misordered = []  # the data row of the first row out of order, and what it says
-    k = inner_keys = chunks = take = error = buf = None
-
-    def check(names):
-        check_header(names)
-        header.extend(names)
-
-    def settle(final=False):
-        """Once k is known (the first day's end, or the file's), place the held blocks."""
-        nonlocal inner, k, inner_keys, chunks, take, error
-        if k is None:
-            if inner is None:
-                day = [key for keys, _, _ in held for key in keys[0].tolist()]  # str sees NULs
-                ends = next((r for r, key in enumerate(day) if key != day[0]),
-                            len(day) if final else None)
-                if ends is None:
-                    return
-                inner = list(map(str, range(ends)))
-            k, inner_keys = len(inner), _key_array(inner)
-            chunks = day_chunks(len(outer), k * (len(header) - 2))
-            if start is not None:
-                try:
-                    take = start(k)
-                except ValueError as exc:  # IngestError too: raised after the rows are checked
-                    error = exc
-        while held:
-            place(*held.pop(0))
-
-    def each_block(keys, values, first):
-        nonlocal rows_seen
-        rows_seen = first + len(values)
-        held.append((keys, values, first))
-        settle()
-
-    def place(keys, values, first):
-        nonlocal buf
-        if misordered:
-            return
-        rows = np.arange(first, min(first + len(values), len(outer) * k))  # later: only counted
-        wants = outer_keys[rows // k], inner_keys[rows % k]
-        bad = [column[:len(rows)] != want for column, want in zip(keys, wants)]
-        if (bad[0] | bad[1]).any():
-            r = int(np.argmax(bad[0] | bad[1]))
-            c = 0 if bad[0][r] else 1
-            misordered.extend((rows[r], f"{header[c]} {str(keys[c][r])!r} does not match "
-                                        f"panel order (expected {str(wants[c][r])!r})"))
-            rows = rows[:r]
-        values, r = values[:len(rows)], first
-        while take is not None and len(values):  # into its chunk, handed over once full
-            c, at = divmod(r, chunks[0].stop * k)
-            if at == 0:
-                buf = np.empty(((chunks[c].stop - chunks[c].start) * k, values.shape[1]))
-            part = values[:len(buf) - at]
-            buf[at:at + len(part)] = part
-            values, r = values[len(part):], r + len(part)
-            if at + len(part) == len(buf):
-                take(chunks[c], buf.reshape(-1, k, buf.shape[1]))
-
     widths = [max(map(len, outer), default=0) + 1,
               _KEY_WIDTH if inner is None else max(map(len, inner), default=0) + 1]
-    values = read_csv(path, 2, check, nonnegative, each_block, widths, collect=start is None)
-    settle(final=True)
-    if rows_seen != len(outer) * k:
-        raise IngestError(f"{path}: {rows_seen} rows but the panel's {len(outer)} days "
+    blocks = _csv_blocks(path, 2, check_header, nonnegative, widths)
+    header = next(blocks)
+    if inner is None:
+        k, blocks = _first_day(blocks)
+        inner = list(map(str, range(k)))
+    outer_keys, inner_keys, k = _key_array(outer), _key_array(inner), len(inner)
+    n_rows, misordered = 0, None
+    for keys, values, first in blocks:
+        n_rows = first + len(values)
+        if misordered is None:
+            in_order, misordered = _keyed_in_order(keys, first, outer_keys, inner_keys, header)
+            if in_order:
+                yield values[:in_order], first, k
+        del keys, values  # before the next block is read
+    if n_rows != len(outer) * k:
+        raise IngestError(f"{path}: {n_rows} rows but the panel's {len(outer)} days "
                           f"need {len(outer) * k} ({k} a day)")
-    if misordered:
+    if misordered is not None:
         raise IngestError(f"{path}: row {file_row(path, misordered[0])}: {misordered[1]}")
-    if error is not None:
-        raise error
-    return values
 
 
 def _read_panel_cells(path, panel: RainPanel, value_names):
@@ -445,7 +428,14 @@ def _read_panel_cells(path, panel: RainPanel, value_names):
             raise IngestError(f"{path}: expected value columns {value_names}, "
                               f"got {header[2:]}")
 
-    return read_long_csv(path, check_header, panel.day_labels, panel.location_ids)
+    out = None
+    for values, first, _ in read_long_csv(path, check_header, panel.day_labels,
+                                          panel.location_ids):
+        if out is None:
+            out = np.empty((panel.values.size, values.shape[1]))
+        out[first:first + len(values)] = values
+        del values  # before the next block is read
+    return out
 
 
 def read_features_csv(path, panel: RainPanel) -> np.ndarray:

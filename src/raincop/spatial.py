@@ -291,9 +291,7 @@ def read_locations(path) -> LocationTable:
         if [h.strip() for h in header] != ["id", "lat", "lon", "elev"]:
             raise IngestError(f"{path}: expected header 'id,lat,lon,elev', got {header}")
 
-    ids = []
-    values = read_csv(path, 1, check_header,
-                      each_block=lambda keys, values, first: ids.extend(keys[0].tolist()))
+    ids, values = read_csv(path, check_header)
     lat, lon, elev = values.T.copy()
     return LocationTable(ids=tuple(loc_id.strip() for loc_id in ids), lat=lat, lon=lon,
                          elev=elev)

@@ -25,17 +25,12 @@ def traced_peak():
 @pytest.fixture(scope="session")
 def whole_ensemble():
     """whole_ensemble(path, day_labels, ids) -> the (days, m, n) samples: the
-    day chunks read_ensemble hands over, joined."""
+    day chunks read_ensemble yields, joined."""
     def read(path, day_labels, location_ids):
         panel = RainPanel(np.zeros((len(day_labels), len(location_ids))), location_ids,
                           day_labels)
-        members, chunks = [], []
-
-        def start(m):
-            members.append(m)
-            return lambda days, samples: chunks.append(samples)
-
-        read_ensemble(path, panel, start)
+        chunks = [samples for _, samples in read_ensemble(path, panel)]
+        # no chunk and no error: a header and no rows, m = 0
         return (np.concatenate(chunks) if chunks
-                else np.empty((len(day_labels), *members, len(location_ids))))
+                else np.empty((len(day_labels), 0, len(location_ids))))
     return read

@@ -270,6 +270,16 @@ class TestSettingSources:
          "q_levels must be nonnegative and finite, got [0.5, inf]"),
         ("diagnose", "ecdf_levels", "0,inf",
          "ecdf_levels must be nonnegative and finite, got [0.0, inf]"),
+        # two levels that would write one roc_q<name>.csv and one auc key
+        ("diagnose", "q_levels", "0.5,0.50000001,5",
+         "q_levels must differ in 6 significant digits, got [0.5, 0.50000001, 5.0]"),
+        ("diagnose", "q_levels", "5,5.0",
+         "q_levels must differ in 6 significant digits, got [5.0, 5.0]"),
+        ("synth", "threads", "0", "threads must be at least 1, got 0"),
+        ("fit-marginals", "threads", "-5", "threads must be at least 1, got -5"),
+        ("estimate-theta", "threads", "0", "threads must be at least 1, got 0"),
+        ("simulate", "threads", "-5", "threads must be at least 1, got -5"),
+        ("diagnose", "threads", "0", "threads must be at least 1, got 0"),
     ], ids=["m", "beta", "grid", "theta-min", "nu", "simulate-theta",
             "a", "topo-scale", "simulate-a", "simulate-topo-scale", "simulate-nu",
             "diagnose-a", "diagnose-topo-scale", "m-malformed", "transform-malformed",
@@ -281,7 +291,10 @@ class TestSettingSources:
             "simulate-nu-above-10", "synth-nu-half-integer-above-10", "theta-max-infinite",
             "synth-topo-scale-infinite", "topo-scale-infinite", "simulate-topo-scale-infinite",
             "diagnose-topo-scale-infinite", "diagnose-q-levels-infinite",
-            "diagnose-ecdf-levels-infinite"])
+            "diagnose-ecdf-levels-infinite", "diagnose-q-levels-same-name",
+            "diagnose-q-levels-repeated", "synth-threads-zero", "fit-marginals-threads-negative",
+            "estimate-theta-threads-zero", "simulate-threads-negative",
+            "diagnose-threads-zero"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_rejected_setting_names_source(self, tmp_path, capsys, command, key, value,
                                            message, source):

@@ -1,5 +1,8 @@
 """Latent sampling, censoring, Gaussian-scale transforms, and joint forecasts."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,7 +264,7 @@ class TestEnsembleCsv:
 
 
 class TestEnsembleHandedOver:
-    """read_ensemble(path, panel, start) hands the days over a day chunk at a time."""
+    """read_ensemble(path, panel) yields the days a day chunk at a time."""
 
     @staticmethod
     def write(path, days, m, n, order=None):
@@ -274,16 +277,11 @@ class TestEnsembleHandedOver:
         return cells
 
     @staticmethod
-    def collect(path, days, n, seen=None, got=None):
-        """The (days, samples) chunks handed over; seen gets each m start is called with."""
+    def collect(path, days, n, got=None):
+        """The (days, samples) chunks yielded, into got as they come."""
         got = [] if got is None else got
-
-        def start(m):
-            if seen is not None:
-                seen.append(m)
-            return lambda days, samples: got.append((days, samples.copy()))
-
-        assert read_ensemble(path, panel_of(days, n), start) is None
+        for sl, samples in read_ensemble(path, panel_of(days, n)):
+            got.append((sl, samples.copy()))
         return got
 
     @pytest.mark.parametrize("blank_lines", [False, True], ids=["contiguous", "blank-lines"])
@@ -293,9 +291,8 @@ class TestEnsembleHandedOver:
         order = (lambda rows: [line for row in rows for line in (row, "")]) if blank_lines else None
         cells = self.write(tmp_path / "e.csv", days, m, n, order)
         monkeypatch.setattr(numerics, "_ELEMENT_BUDGET", 5 * m * n)  # five days a chunk
-        seen = []
-        got = self.collect(tmp_path / "e.csv", days, n, seen)
-        assert seen == [m]
+        got = self.collect(tmp_path / "e.csv", days, n)
+        assert {samples.shape[1] for _, samples in got} == {m}
         assert [sl for sl, _ in got] == numerics.day_chunks(days, m * n)
         assert np.array_equal(np.concatenate([samples for _, samples in got]), cells)
 
@@ -333,19 +330,34 @@ class TestEnsembleHandedOver:
         with pytest.raises(ValueError, match="row 7: negative rainfall in column 4"):
             self.collect(tmp_path / "e.csv", 4, 2)
 
-        def refuse(m):
-            raise ValueError("refused")
+        def refuse(path):
+            """Refuse the first chunk, as diagnose does: raised once the file is read."""
+            refused = None
+            for _ in read_ensemble(path, panel_of(4, 2)):
+                refused = refused or ValueError("refused")
+            raise refused
 
         self.write(tmp_path / "f.csv", 4, 3, 2, lambda rows: [*rows[:5], "d1,2,1,abc",
                                                               *rows[6:]])
         with pytest.raises(ValueError, match="row 7: non-numeric value 'abc'"):
-            read_ensemble(tmp_path / "f.csv", panel_of(4, 2), refuse)
+            refuse(tmp_path / "f.csv")
         self.write(tmp_path / "h.csv", 4, 3, 2, lambda rows: [rows[1], rows[0], *rows[2:]])
         with pytest.raises(ValueError, match="row 2: replicate '1'"):
-            read_ensemble(tmp_path / "h.csv", panel_of(4, 2), refuse)
+            refuse(tmp_path / "h.csv")
         self.write(tmp_path / "g.csv", 4, 3, 2)
         with pytest.raises(ValueError, match="refused"):
-            read_ensemble(tmp_path / "g.csv", panel_of(4, 2), refuse)
+            refuse(tmp_path / "g.csv")
+
+    def test_leaving_after_the_first_chunk_closes_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(numerics, "_ELEMENT_BUDGET", 3 * 2)  # one day a chunk
+        self.write(tmp_path / "e.csv", 4, 3, 2)
+        # a file object freed unclosed warns from its finalizer, where an error is lost
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in read_ensemble(tmp_path / "e.csv", panel_of(4, 2)):
+                break
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestDayNormals:

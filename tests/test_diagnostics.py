@@ -540,11 +540,23 @@ class TestArrayKernels:
         inputs = samples.copy(), obs.copy()
         base = all_outputs(samples, obs, dist, bins, levels)
         assert np.array_equal(samples, inputs[0]) and np.array_equal(obs, inputs[1])
-        # chunks of days_per_chunk days for the (m, n) kernels, fewer and
-        # smaller row blocks for the variogram's n x n accumulators
+        # chunks of days_per_chunk days scored in day order with the running
+        # totals, as diagnose scores an ensemble; fewer and smaller row blocks
+        # for the variogram's n x n accumulators
+        crps, vario = np.empty((days, n)), np.empty(days)
+        rng, rank_counts = substream(4, 20), np.zeros(bins, dtype=int)
+        ecdf_counts, bias_sums = np.zeros((2, levels.size + 1), dtype=int), np.zeros(3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "_ELEMENT_BUDGET", days_per_chunk * m * n)
-            chunked = all_outputs(samples, obs, dist, bins, levels)
+            assert len(numerics.day_chunks(days, m * n)) == -(-days // days_per_chunk)
+            for sl in numerics.day_chunks(days, m * n):
+                x, y = samples[sl], obs[sl]
+                crps[sl] = crps_sample(x, y)
+                vario[sl] = variogram_score(x, y, dist)
+                rank = rank_histogram(x, y, bins, rng, counts=rank_counts)
+                ecdf = ecdf_curve(x, y, levels, counts=ecdf_counts)
+                bias = rmsb_mab(x, y, sums=bias_sums)
+        chunked = crps, vario, rank, ecdf, bias
         for a, b in zip(base, chunked):
             for x, y in zip(np.atleast_1d(a), np.atleast_1d(b)):
                 assert np.array_equal(x, y)

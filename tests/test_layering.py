@@ -3,7 +3,8 @@
 numerics holds the working-set budget and imports no other raincop module;
 only the command line imports estimation; copula holds the substream tags, one
 per stream; panel alone turns a float cell into text and reads a data file;
-every name a module exports is used in the package or the benchmark.
+every name a module exports is used in the package or the benchmark; no
+function keeps state in a closure through nonlocal.
 """
 
 import ast
@@ -67,6 +68,14 @@ def test_only_day_chunks_reads_the_budget():
                if isinstance(node, (ast.Name, ast.Attribute))
                and "_ELEMENT_BUDGET" in (getattr(node, "id", None), getattr(node, "attr", None))}
     assert readers == {("numerics", "day_chunks")}
+
+
+def test_no_function_rebinds_an_enclosing_name():
+    # state lives in a loop's locals or an object's fields, not in a closure's cells
+    rebinding = {(module, name) for module, tree in MODULES.items()
+                 for name, fn in functions(tree)
+                 if any(isinstance(node, ast.Nonlocal) for node in ast.walk(fn))}
+    assert rebinding == set()
 
 
 def test_substream_tags_are_distinct_and_each_names_one_stream():

@@ -5,6 +5,7 @@ mixture quantile and CDF inverting each other, and every module's exports resolv
 
 import importlib
 import os
+import pathlib
 import pkgutil
 import tempfile
 from unittest import mock
@@ -146,7 +147,7 @@ def test_locations_round_trip(n, data):
                for elements in (st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), FINITE)]
     locs = LocationTable(tuple(ids), *columns)
     (back, raw), _ = write_then_read(lambda p: write_locations(p, locs),
-                                     lambda p: (read_locations(p), open(p, "rb").read()))
+                                     lambda p: (read_locations(p), pathlib.Path(p).read_bytes()))
     assert raw.count(b"\n") == n + 1 and b"\r" not in raw  # write_csv's LF line ends
     assert back.ids == locs.ids
     for got, want in zip((back.lat, back.lon, back.elev), columns):
@@ -425,16 +426,10 @@ def test_handed_over_ensemble_matches_line_parser(days, m, n, days_per_chunk, da
     panel = RainPanel(np.zeros((days, n)), ids, labels)
 
     def handed(path):
-        members, chunks = [], []
-
-        def start(rows_per_day):
-            members.append(rows_per_day)
-            return lambda days, samples: chunks.append((days, samples.copy()))
-
         with mock.patch.object(numerics_module, "_ELEMENT_BUDGET", days_per_chunk * m * n):
-            assert read_ensemble(path, panel, start) is None
+            chunks = list(read_ensemble(path, panel))
             assert [sl for sl, _ in chunks] == numerics_module.day_chunks(
-                days, members[0] * n)
+                days, chunks[0][1].shape[1] * n)
         return np.concatenate([samples for _, samples in chunks])
 
     compare_readers(data, text, handed, lambda path: line_read_ensemble(path, labels, ids))
