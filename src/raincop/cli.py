@@ -6,11 +6,13 @@ built from one table, COMMANDS, and takes every flag as text: Settings
 converts each value the same way whether it came from a flag or a config
 line, and names that flag or line when it does not convert, before any input
 file is read. Every subcommand is deterministic for a fixed seed and inputs:
-reruns under one OpenBLAS thread count (OPENBLAS_NUM_THREADS, by default the
-core count; it splits the sums of matrix products) produce byte-identical
-files. --threads must be a positive integer and (like estimate-theta's
---refine-day-subsample) changes neither the outputs nor the work done: no
-subcommand starts threads of its own, nor sets OpenBLAS's.
+reruns produce byte-identical files under any OPENBLAS_NUM_THREADS and any
+--threads. Importing raincop sets OPENBLAS_NUM_THREADS=1 for the process and
+its children, and tells numpy's bundled OpenBLAS so too; the one gap left is
+a numpy whose OpenBLAS is not the wheel's, imported before raincop.
+--threads must be a positive integer: estimate-theta scores that many day
+chunks at once, and the other subcommands run on one thread.
+estimate-theta's --refine-day-subsample is accepted and ignored.
 
 Exit codes: 0 success, 2 ingestion error, 3 numerical/convergence error
 (including --strict escalations), 4 internal invariant violation.
@@ -57,7 +59,7 @@ DEFAULTS = {
     "tau_grid": 1001, "q_levels": "0.5,5.0",
     "ecdf_levels": "0,0.5,1,2,4,8,16,32", "rank_bins": 10,
     "transform": "identity",
-    "theta": None,
+    "theta": None, "threads": 1,
 }
 
 
@@ -222,7 +224,8 @@ def cmd_estimate_theta(settings: Settings) -> int:
     panel = read_rain_csv(settings.path("rainfall"), locs)
     field = read_marginals_csv(settings.path("marginals"), panel)
     distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
-    result = estimate_theta(panel.values, field, distance, cfg, search, nu=nu)
+    result = estimate_theta(panel.values, field, distance, cfg, search, nu=nu,
+                            threads=settings["threads"])
     _log(f"estimate-theta: theta_hat {result.theta_hat:.3f} "
          f"({result.n_evaluations} evaluations, {result.wall_clock_s:.2f}s)")
     if result.boundary:
@@ -424,7 +427,7 @@ def main(argv=None) -> int:
         settings = Settings(args)
         if settings["seed"] < 0:  # every command takes --seed and --threads
             settings.reject(f"seed must be nonnegative, got {settings['seed']}", "seed")
-        if settings["threads"] is not None and settings["threads"] < 1:
+        if settings["threads"] < 1:
             settings.reject(f"threads must be at least 1, got {settings['threads']}", "threads")
         return run(settings)
     except (IngestError, FileNotFoundError) as exc:

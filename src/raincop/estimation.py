@@ -44,7 +44,7 @@ import numpy as np
 
 from .copula import SUBSTREAM_TAGS, censor, censor_thresholds, day_normals, obs_to_gaussian
 from .marginals import MarginalField
-from .numerics import day_chunks, ensemble_arrays
+from .numerics import day_chunks, ensemble_arrays, map_chunks
 from .panel import float_text, write_csv, write_json
 from .spatial import DEFAULT_NU, DistanceMatrix, MaternParams, build_covariance
 
@@ -127,47 +127,64 @@ def energy_score_unbiased(samples: np.ndarray, obs: np.ndarray, beta: float) -> 
     replicate with the one `shift` places later, so rows that tie exactly
     (censored coordinates) are exactly 0 apart. Its temporaries are the size
     of the stack: callers hand over one numerics.day_chunks chunk at a time.
+    The pairs are taken from a replicate-major copy, where each shift is one
+    contiguous subtraction; every sum runs in the order it would on the
+    block-major stack, so the bits are those of that layout.
     """
     samples, obs = ensemble_arrays(samples, obs)
     k, m, n = samples.shape
-    to_obs = np.sqrt(((samples - obs[:, None, :]) ** 2).sum(axis=2)) ** beta
-    sq_pair = np.empty((k, m * (m - 1) // 2))
-    diff = np.empty((k, m - 1, n))
+    work = np.subtract(samples, obs[:, None, :])
+    to_obs = np.sqrt(np.square(work, out=work).sum(axis=2)) ** beta
+    members = work.reshape(m, k, n)  # the buffer again, replicate-major
+    members[...] = samples.transpose(1, 0, 2)
+    sq_pair = np.empty((m * (m - 1) // 2, k))
+    diff = np.empty((m - 1, k, n))
     pos = 0
     for shift in range(1, m):
-        d = diff[:, :m - shift]
-        np.subtract(samples[:, shift:], samples[:, :m - shift], out=d)
-        np.einsum("kjn,kjn->kj", d, d, out=sq_pair[:, pos:pos + m - shift])
+        d = diff[:m - shift]
+        np.subtract(members[shift:], members[:m - shift], out=d)
+        np.einsum("jkn,jkn->jk", d, d, out=sq_pair[pos:pos + m - shift])
         pos += m - shift
-    pair = (np.sqrt(sq_pair) ** beta).sum(axis=1)
+    del work, members, diff
+    dist = np.sqrt(sq_pair.T.copy())  # block-major again: each block's pairs sum in order
+    dist **= beta
+    pair = dist.sum(axis=1)
     return 2.0 * to_obs.mean(axis=1) - 2.0 * pair / (m * (m - 1))
 
 
 def _group_terms(thetas, distance: DistanceMatrix, nu: float, cfg: ScoreConfig,
-                 obs: np.ndarray, thr: np.ndarray) -> np.ndarray:
+                 obs: np.ndarray, thr: np.ndarray, threads: int) -> np.ndarray:
     """Per-day scores of thetas whose factors fit the budget together.
 
     obs is (days, n), thr (days, 1, n). Each day chunk's normals are drawn
-    once and shared by every theta of the group; everything built here is
-    released on return, before the next group's factors exist.
+    once and shared by every theta of the group; the chunks run on `threads`
+    threads, which share the group's factors read-only. Everything built here
+    is released on return, before the next group's factors exist.
     """
     m, n = cfg.m, distance.n
     lowers_t = [build_covariance(distance, MaternParams(theta=theta, nu=nu)).factor.lower.T
                 for theta in thetas]
-    scores = np.empty((len(thetas), len(obs)))
-    for sl in day_chunks(len(obs), m * n):
+
+    def chunk_scores(sl):
         z = day_normals(range(len(obs))[sl], m, n, cfg.seed, SUBSTREAM_TAGS["theta_objective"])
+        terms = np.empty((len(lowers_t), len(z)))
         for k, lower_t in enumerate(lowers_t):
             sims = censor(z @ lower_t, thr[sl])
-            scores[k, sl] = energy_score_unbiased(sims, obs[sl], cfg.beta)
+            terms[k] = energy_score_unbiased(sims, obs[sl], cfg.beta)
+        return terms
+
+    scores = np.empty((len(thetas), len(obs)))
+    chunks = day_chunks(len(obs), m * n)
+    for sl, terms in zip(chunks, map_chunks(chunk_scores, chunks, threads)):
+        scores[:, sl] = terms
     return scores
 
 
 def _objective_terms(thetas, obs_gauss, thresholds, distance: DistanceMatrix,
-                     cfg: ScoreConfig, nu: float) -> np.ndarray:
+                     cfg: ScoreConfig, nu: float, threads: int) -> np.ndarray:
     """Per-day unbiased scores, (len(thetas), days), under common random numbers."""
     thr = thresholds[:, None, :]
-    return np.vstack([_group_terms(thetas[g], distance, nu, cfg, obs_gauss, thr)
+    return np.vstack([_group_terms(thetas[g], distance, nu, cfg, obs_gauss, thr, threads)
                       for g in day_chunks(len(thetas), distance.n * distance.n)])
 
 
@@ -191,7 +208,8 @@ def _grid_vertex(grid: np.ndarray, scores: np.ndarray) -> tuple:
 
 def estimate_theta(panel_values: np.ndarray, field: MarginalField,
                    distance: DistanceMatrix, cfg: ScoreConfig,
-                   search: ThetaSearchSpec, nu: float = DEFAULT_NU) -> EstimateResult:
+                   search: ThetaSearchSpec, nu: float = DEFAULT_NU,
+                   threads: int = 1) -> EstimateResult:
     """Grid scan of the lengthscale, refined by the parabolic vertex.
 
     The emitted profile holds the grid evaluations (one ProfilePoint per
@@ -200,13 +218,15 @@ def estimate_theta(panel_values: np.ndarray, field: MarginalField,
     of the parabola through the grid minimum and its two neighbours. A
     minimizer on a search boundary is flagged and warned about, and is then
     theta_hat itself. The result records the grid minimizer and its bracket.
+    threads scores that many day chunks at once; the result is the same
+    bits for every value.
     """
     t0 = time.perf_counter()
     obs_gauss = obs_to_gaussian(panel_values, field)
     thresholds = censor_thresholds(field)
     grid = np.linspace(search.lower, search.upper, search.grid_size)
 
-    all_terms = _objective_terms(grid, obs_gauss, thresholds, distance, cfg, nu)
+    all_terms = _objective_terms(grid, obs_gauss, thresholds, distance, cfg, nu, threads)
 
     profile = []
     for theta, scores in zip(grid, all_terms):

@@ -1,12 +1,18 @@
 """Command-line pipeline tests: determinism, ingestion validation, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from raincop import cli, marginals
+from raincop import cli, marginals, numerics
 from raincop.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -175,6 +181,20 @@ class TestEstimateTheta:
         assert (a / "profile.csv").read_bytes() == (b / "profile.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
+    def test_threads_share_day_chunks_and_keep_bytes(self, tmp_path):
+        # 40 sites x 120 days at m = 30: three day chunks, so --threads 2
+        # puts a second thread to work
+        fx = tmp_path / "fx"
+        assert run(["synth", "--out", fx, "--seed", "4", "--n-locations", "40",
+                    "--days", "120"]) == 0
+        assert len(numerics.day_chunks(120, 30 * 40)) == 3
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert self.estimate(fx, out, ("--m", "30", "--threads", threads)) == 0
+            outputs.append([(out / f).read_bytes() for f in ("profile.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+
     def test_boundary_strict_exit_3(self, fixture_dir, tmp_path):
         with pytest.warns(UserWarning, match="boundary"):
             rc = run(["estimate-theta",
@@ -221,6 +241,45 @@ class TestEstimateTheta:
         assert probe(fx / "rainfall.csv", b, ()) == 0
         for name in ("profile.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestBlasThreads:
+    """Importing raincop pins OpenBLAS to one thread, so no output depends on its count."""
+
+    # how each run starts: (argv prefix, OPENBLAS_NUM_THREADS or None for unset)
+    LAUNCHES = {
+        "one": ([sys.executable, "-m", "raincop.cli"], "1"),
+        "unset": ([sys.executable, "-m", "raincop.cli"], None),
+        "two": ([sys.executable, "-m", "raincop.cli"], "2"),
+        "numpy-first": ([sys.executable, "-c",
+                         "import sys, numpy; from raincop.cli import main; sys.exit(main())"],
+                        None),
+    }
+    FILES = ("locations.csv", "rainfall.csv", "marginals.csv", "est/profile.csv",
+             "est/summary.json")
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 100 sites x 30 days: unpinned, rainfall.csv and profile.csv differed
+        # between one and two OpenBLAS threads on a 2-core machine (40 x 60 did
+        # not). numpy-first loads numpy at the default count before raincop.
+        outputs = {}
+        for name, (launch, blas) in self.LAUNCHES.items():
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            out = tmp_path / name
+            for args in (["synth", "--out", out, "--seed", "1", "--n-locations", "100",
+                          "--days", "30"],
+                         ["estimate-theta", "--locations", out / "locations.csv",
+                          "--rainfall", out / "rainfall.csv",
+                          "--marginals", out / "marginals.csv",
+                          "--grid", "3", "--m", "8", "--seed", "1", "--out", out / "est"]):
+                subprocess.run([*launch, *map(str, args)], env=env, check=True,
+                               capture_output=True)
+            outputs[name] = [(out / f).read_bytes() for f in self.FILES]
+        for name in ("unset", "two", "numpy-first"):
+            assert outputs[name] == outputs["one"], name
 
 
 class TestSettingSources:

@@ -1,6 +1,7 @@
 """Energy-score estimator and lengthscale-search tests."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def small_case(seed=5, n=10, days=80):
 def objective(theta, panel_values, field, distance, cfg):
     """The summed per-day scores of one theta, as estimate_theta scores a grid point."""
     return float(_objective_terms([theta], obs_to_gaussian(panel_values, field),
-                                  censor_thresholds(field), distance, cfg, 3.5).sum())
+                                  censor_thresholds(field), distance, cfg, 3.5, 1).sum())
 
 
 class TestSrObjective:
@@ -117,9 +118,9 @@ class TestSrObjective:
         obs = obs_to_gaussian(res.panel.values, res.field)
         thr = censor_thresholds(res.field)
         thetas = [350.0, 600.0]
-        full = _objective_terms(thetas, obs, thr, res.distance, cfg, 3.5)
+        full = _objective_terms(thetas, obs, thr, res.distance, cfg, 3.5, 1)
         for k in (1, 5, 11):
-            cut = _objective_terms(thetas, obs[:k], thr[:k], res.distance, cfg, 3.5)
+            cut = _objective_terms(thetas, obs[:k], thr[:k], res.distance, cfg, 3.5, 1)
             assert np.array_equal(cut, full[:, :k])
 
 
@@ -285,7 +286,7 @@ class TestBatchedObjective:
     def test_grid_call_equals_one_theta_calls(self, batched_case, thetas, seed):
         res, obs_gauss, thresholds = batched_case
         cfg = ScoreConfig(seed=seed, m=5)
-        args = (obs_gauss, thresholds, res.distance, cfg, 3.5)
+        args = (obs_gauss, thresholds, res.distance, cfg, 3.5, 1)
         grid = _objective_terms(thetas, *args)
         singles = np.vstack([_objective_terms([t], *args) for t in thetas])
         assert np.array_equal(grid, singles)
@@ -322,6 +323,33 @@ class TestBatchedObjective:
         np.testing.assert_allclose([p.mc_stderr for p in chunked.profile],
                                    [p.mc_stderr for p in base.profile], rtol=1e-12)
         assert chunked.theta_hat == base.theta_hat
+
+
+class TestThreads:
+    @pytest.mark.filterwarnings("ignore:grid minimizer")
+    def test_threads_give_the_same_bits(self, monkeypatch):
+        # 40 sites x 120 days at m = 30: three day chunks for the pool to share
+        res = small_case(seed=4, n=40, days=120)
+        cfg = ScoreConfig(seed=6, m=30)
+        chunks = numerics.day_chunks(120, cfg.m * 40)
+        assert len(chunks) == 3
+        search = ThetaSearchSpec(lower=200.0, upper=800.0, grid_size=5)
+        args = (res.panel.values, res.field, res.distance, cfg, search)
+        drawn_on, draw = [], estimation.day_normals
+
+        def recorded(*a):
+            drawn_on.append(threading.get_ident())
+            return draw(*a)
+
+        monkeypatch.setattr(estimation, "day_normals", recorded)
+        one = estimate_theta(*args, threads=1)
+        assert drawn_on == [threading.get_ident()] * len(chunks)  # inline
+        drawn_on.clear()
+        three = estimate_theta(*args, threads=3)
+        assert len(drawn_on) == len(chunks) and threading.get_ident() not in drawn_on
+        assert [(p.theta, p.score, p.mc_stderr) for p in three.profile] == \
+            [(p.theta, p.score, p.mc_stderr) for p in one.profile]
+        assert three.theta_hat == one.theta_hat
 
 
 class TestWriters:

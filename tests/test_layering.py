@@ -4,7 +4,9 @@ numerics holds the working-set budget and imports no other raincop module;
 only the command line imports estimation; copula holds the substream tags, one
 per stream; panel alone turns a float cell into text and reads a data file;
 every name a module exports is used in the package or the benchmark; no
-function keeps state in a closure through nonlocal.
+function keeps state in a closure through nonlocal; the package pins OpenBLAS
+to one thread and fixes the allocator's thresholds before any of its modules
+loads, and only numerics.map_chunks builds a thread pool.
 """
 
 import ast
@@ -151,3 +153,38 @@ def test_only_panel_opens_a_file_for_reading():
                for name, fn in functions(tree)
                for node in ast.walk(fn) if isinstance(node, ast.Call) and reads(node)}
     assert readers == set(READERS)
+
+
+def test_package_pins_blas_before_its_modules_load():
+    # the variable is set before numpy is imported, and numpy's own library
+    # and the allocator are told before the first module of the package
+    # imports anything
+    body = MODULES["__init__"].body
+    first_module = next(i for i, node in enumerate(body)
+                        if isinstance(node, ast.ImportFrom) and node.level)
+    numpy_import = next(i for i, node in enumerate(body) if isinstance(node, ast.Import)
+                        and any(a.name == "numpy" for a in node.names))
+    pin_var = next(i for i, node in enumerate(body)
+                   if ast.unparse(node) == "os.environ['OPENBLAS_NUM_THREADS'] = '1'")
+    pin_call = next(i for i, node in enumerate(body) for attr in ast.walk(node)
+                    if getattr(attr, "attr", None) == "scipy_openblas_set_num_threads64_")
+    allocator = next(i for i, node in enumerate(body) for call in ast.walk(node)
+                     if isinstance(call, ast.Call) and ast.unparse(call.func) == "_mallopt")
+    assert pin_var < numpy_import < pin_call < allocator < first_module
+
+
+def test_only_map_chunks_builds_a_thread_pool():
+    # --threads has one owner: no other module imports a way to start threads
+    # or processes, and within numerics only map_chunks builds the pool
+    starters = ("concurrent", "multiprocessing", "threading", "_thread")
+    importers = {module for module, tree in MODULES.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) and any(a.name.split(".")[0] in starters
+                                                         for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and not node.level
+                 and node.module.split(".")[0] in starters}
+    assert importers == {"numerics"}
+    builders = {(module, name) for module, tree in MODULES.items()
+                for name, fn in functions(tree)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and node.id.endswith("PoolExecutor")}
+    assert builders == {("numerics", "map_chunks")}

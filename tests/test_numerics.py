@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from raincop.marginals import GammaMixture, mixture_cdf
-from raincop.numerics import NotPositiveDefinite, is_symmetric, spd_factorize
+from raincop.numerics import NotPositiveDefinite, is_symmetric, map_chunks, spd_factorize
 from raincop.spatial import MaternParams, matern_kernel
 
 # mpmath oracles (40-digit evaluation, rounded to double)
@@ -209,3 +209,11 @@ class TestIsSymmetric:
             if mirrored:
                 a[j, i] = special
         assert is_symmetric(a) == np.allclose(a, a.T, 1e-12, 1e-12)
+
+
+class TestMapChunks:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_results_in_chunk_order(self, threads):
+        chunks = [slice(s, s + 3) for s in range(0, 30, 3)]
+        assert map_chunks(lambda sl: (sl.start, sl.stop), chunks, threads) == \
+            [(sl.start, sl.stop) for sl in chunks]
