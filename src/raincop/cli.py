@@ -1,8 +1,9 @@
 """Command-line front-end: synth, fit-marginals, estimate-theta, simulate, diagnose.
 
-Configuration is a flat key=value file (# comments allowed); command-line
-flags override file values, which override built-in defaults. The parser is
-built from one table, COMMANDS, and takes every flag as text: Settings
+Configuration is a flat key=value file (a # at the start of a line or after
+whitespace starts a comment); command-line flags override file values, which
+override built-in defaults. The parser and the dispatch are built from one
+table, COMMANDS, and the parser takes every flag as text: Settings
 converts each value the same way whether it came from a flag or a config
 line, and names that flag or line when it does not convert, before any input
 file is read. Every subcommand is deterministic for a fixed seed and inputs:
@@ -11,7 +12,9 @@ reruns produce byte-identical files under any OPENBLAS_NUM_THREADS and any
 its children, and tells numpy's bundled OpenBLAS so too; the one gap left is
 a numpy whose OpenBLAS is not the wheel's, imported before raincop.
 --threads must be a positive integer: estimate-theta scores that many day
-chunks at once, and the other subcommands run on one thread.
+chunks at once, at most one a core; the other subcommands run on one thread.
+diagnose rejects what only the ensemble tells (m < 2, a --rank-bins above
+m + 1; unset, it is min(10, m + 1)) after the ensemble reader's own errors.
 estimate-theta's --refine-day-subsample is accepted and ignored.
 
 Exit codes: 0 success, 2 ingestion error, 3 numerical/convergence error
@@ -92,15 +95,10 @@ class Settings(dict):
 
     def __init__(self, args: argparse.Namespace):
         super().__init__()
-        self.cli = vars(args)
-        self.file = {}
-        if self.cli.get("config"):
-            self.config = self.cli["config"]
-            if not os.path.exists(self.config):
-                raise IngestError(f"config file not found: {self.config}")
-            if os.path.isdir(self.config):
-                raise IngestError(f"--config: {self.config} is a directory, not a file")
-            self.file = read_kv(self.config)
+        self.cli, self.file = vars(args), {}
+        self["config"] = self.config = self.cli.get("config")  # for path, before the rest
+        if self.config:
+            self.file = read_kv(self.path("config"))
             known = (set(DEFAULTS) | set(self.cli)) - {"command"}
             for key, (line_no, _) in self.file.items():
                 if key not in known:
@@ -283,6 +281,7 @@ def cmd_simulate(settings: Settings) -> int:
 
 def cmd_diagnose(settings: Settings) -> int:
     beta, bins = settings["beta"], settings["rank_bins"]
+    default_bins = settings.source("rank_bins")[1] == "default"  # then min(10, m + 1)
     settings.check(lambda: ScoreConfig(beta=beta), "beta")
     for key, low in (("tau_grid", 2), ("rank_bins", 1)):
         if settings[key] < low:
@@ -301,39 +300,33 @@ def cmd_diagnose(settings: Settings) -> int:
     ensemble_path = settings.path("ensemble")
     obs = panel.values  # (days, n)
     days, n = obs.shape
+    distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
+    center_id, obs_corr = cross_correlation(obs, locs)
     seed, levels = settings["seed"], np.array(settings["ecdf_levels"])
     crps_vals, energy_vals, vario_vals = np.empty((days, n)), np.empty(days), np.empty(days)
     rng = substream(seed, SUBSTREAM_TAGS["rank_ties"])
-    # the running totals of the pooled scores, added to a day chunk at a time
-    rank_counts = np.zeros(bins, dtype=int)
-    ecdf_counts = np.zeros((2, levels.size + 1), dtype=int)
+    # the running totals of the pooled scores, added to a day chunk at a time;
+    # rank_histogram makes its counts on the first chunk scored, once bins is known
+    counts, ecdf_counts = None, np.zeros((2, levels.size + 1), dtype=int)
     bias_sums, moments = np.zeros(3), CoMoments()
-    m, error = 0, None
+    m = 0
     for sl, ens in read_ensemble(ensemble_path, panel):  # (k, m, n) samples of days sl
-        if not m:  # the first chunk fixes m; what it rejects waits for the reader's errors
-            m = ens.shape[1]
-            try:
-                if bins > m + 1:
-                    settings.reject(f"rank_bins must be at most m + 1 = {m + 1}, got {bins}",
-                                    "rank_bins")
-                distance = build_distance_matrix(locs, a=a, topo_scale=topo_scale)
-                center_id, obs_corr = cross_correlation(obs, locs)
-            except ValueError as exc:
-                error = exc
-        if m < 2 or error is not None:
+        m = ens.shape[1]  # every chunk's: the reader holds each day to the first day's m
+        bins = min(bins, m + 1) if default_bins else bins
+        if m < 2 or bins > m + 1:  # rejected below, once the reader's errors have come
             continue
         y = obs[sl]
         crps_vals[sl] = crps_sample(ens, y)
         energy_vals[sl] = energy_score_unbiased(ens, y, beta)
         vario_vals[sl] = variogram_score(ens, y, distance)
-        counts, freq = rank_histogram(ens, y, bins, rng, counts=rank_counts)
+        counts, freq = rank_histogram(ens, y, bins, rng, counts=counts)
         model_freq, obs_freq = ecdf_curve(ens, y, levels, counts=ecdf_counts)
         rmsb, mab = rmsb_mab(ens, y, sums=bias_sums)
         model_corr = cross_correlation(ens.reshape(-1, n), locs, moments)[1]
     if m < 2:
         raise IngestError(f"{ensemble_path}: ensemble needs at least two replicates per day")
-    if error is not None:
-        raise error
+    if bins > m + 1:
+        settings.reject(f"rank_bins must be at most m + 1 = {m + 1}, got {bins}", "rank_bins")
     # Compute every result before writing any file: a rejected setting writes nothing.
     tau_grid = np.linspace(0.0, 1.0, settings["tau_grid"])
     curves = {name: roc_auc(field, obs, q, tau_grid)
@@ -370,22 +363,24 @@ def cmd_diagnose(settings: Settings) -> int:
     return 0
 
 
-# command -> (help, input files, setting keys): each is a flag --key-name taken as
-# text, converted by Settings. Every command also takes the _COMMON flags.
+# command -> (function, help, input files, setting keys): each key is a flag
+# --key-name taken as text, converted by Settings. Every command also takes the
+# _COMMON flags.
 COMMANDS = {
-    "synth": ("generate a ground-truth-known fixture", (),
+    "synth": (cmd_synth, "generate a ground-truth-known fixture", (),
               ("n_locations", "days", "theta_true", "a", "nu", "topo_scale", "p", "mu", "phi",
                "lat_min", "lat_max", "lon_min", "lon_max", "elev_min", "elev_max",
                "start_date")),
-    "fit-marginals": ("fit mixture coefficients by joint likelihood",
+    "fit-marginals": (cmd_fit_marginals, "fit mixture coefficients by joint likelihood",
                       ("locations", "rainfall", "features"), ("transform",)),
-    "estimate-theta": ("minimum energy-score lengthscale search",
+    "estimate-theta": (cmd_estimate_theta, "minimum energy-score lengthscale search",
                        ("locations", "rainfall", "marginals"),
                        ("a", "topo_scale", "nu", "beta", "theta_min", "theta_max", "grid", "m",
                         "refine_day_subsample")),
-    "simulate": ("sample joint rainfall forecasts", ("locations", "rainfall", "marginals"),
+    "simulate": (cmd_simulate, "sample joint rainfall forecasts",
+                 ("locations", "rainfall", "marginals"),
                  ("theta", "summary", "a", "topo_scale", "nu", "m")),
-    "diagnose": ("verification diagnostics of an ensemble",
+    "diagnose": (cmd_diagnose, "verification diagnostics of an ensemble",
                  ("locations", "rainfall", "marginals", "ensemble"),
                  ("a", "topo_scale", "beta", "tau_grid", "q_levels", "ecdf_levels",
                   "rank_bins")),
@@ -407,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, input_files, keys) in COMMANDS.items():
+    for command, (_, help_text, input_files, keys) in COMMANDS.items():
         p = subs.add_parser(command, help=help_text)
         for key in (*input_files, *_COMMON, *keys):
             flag = "--" + key.replace("_", "-")
@@ -421,15 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run = {"synth": cmd_synth, "fit-marginals": cmd_fit_marginals,
-               "estimate-theta": cmd_estimate_theta, "simulate": cmd_simulate,
-               "diagnose": cmd_diagnose}[args.command]
         settings = Settings(args)
         if settings["seed"] < 0:  # every command takes --seed and --threads
             settings.reject(f"seed must be nonnegative, got {settings['seed']}", "seed")
         if settings["threads"] < 1:
             settings.reject(f"threads must be at least 1, got {settings['threads']}", "threads")
-        return run(settings)
+        return COMMANDS[args.command][0](settings)
     except (IngestError, FileNotFoundError) as exc:
         _log(f"error: {exc}")
         return 2

@@ -64,6 +64,15 @@ class RocCurve:
     auc: float
 
 
+def _signal_rate(sorted_prob: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Share of sorted_prob above each tau > 0, 1 at tau <= 0 (everything signals
+    there); NaN at every tau when sorted_prob is empty."""
+    if not sorted_prob.size:
+        return np.full(taus.size, np.nan)
+    above = 1.0 - np.searchsorted(sorted_prob, taus, side="right") / sorted_prob.size
+    return np.where(taus > 0.0, above, 1.0)
+
+
 def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float, tau_grid) -> RocCurve:
     """Exceedance detection skill pooled over all cells.
 
@@ -84,24 +93,8 @@ def roc_auc(field: MarginalField, panel_values: np.ndarray, q: float, tau_grid) 
     events = np.asarray(panel_values, dtype=float) > q
     p_event = np.sort(prob[events])
     p_quiet = np.sort(prob[~events])
-    n_event, n_quiet = p_event.size, p_quiet.size
-
-    # signal iff prob > tau (tau > 0); everything signals at tau = 0
-    tpr = np.empty(taus.size)
-    fpr = np.empty(taus.size)
-    pos_tau = taus > 0.0
-    if n_event:
-        tpr[pos_tau] = 1.0 - np.searchsorted(p_event, taus[pos_tau], side="right") / n_event
-        tpr[~pos_tau] = 1.0
-    else:
-        tpr[:] = np.nan
-    if n_quiet:
-        fpr[pos_tau] = 1.0 - np.searchsorted(p_quiet, taus[pos_tau], side="right") / n_quiet
-        fpr[~pos_tau] = 1.0
-    else:
-        fpr[:] = np.nan
-
-    if n_event == 0 or n_quiet == 0:
+    tpr, fpr = _signal_rate(p_event, taus), _signal_rate(p_quiet, taus)
+    if p_event.size == 0 or p_quiet.size == 0:
         auc = float("nan")
     else:
         order = np.argsort(fpr, kind="stable")

@@ -8,11 +8,13 @@ and safe to share between threads.
 day_chunks is the one reader of the element budget that bounds every
 working array walked in pieces: days, theta groups and row blocks alike.
 map_chunks is the one owner of threads: it runs independent chunks on a pool
-when its caller asks for more than one thread.
+when its caller asks for more than one thread, never more threads than the
+host has cores.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -72,10 +74,13 @@ def day_chunks(n_days: int, cells_per_day: int) -> list:
 def map_chunks(fn, chunks, threads: int) -> list:
     """[fn(chunk) for chunk in chunks], on a pool of `threads` threads when above one.
 
-    One thread maps inline: an executor costs tens of milliseconds and a few
-    MB even with one worker. fn must compute each chunk's result on its own;
-    the results come back in chunk order whatever order the chunks ran in.
+    The pool holds at most one thread a core: each holds a chunk's working set,
+    and more threads than cores add memory, not speed. One thread maps inline:
+    an executor costs tens of milliseconds and a few MB even with one worker.
+    fn must compute each chunk's result on its own; the results come back in
+    chunk order whatever order the chunks ran in.
     """
+    threads = min(threads, os.cpu_count() or 1)
     if threads == 1:
         return list(map(fn, chunks))
     with ThreadPoolExecutor(threads) as pool:

@@ -33,6 +33,7 @@ cell. Every JSON file goes through write_json.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -250,11 +251,12 @@ def read_csv(path, check_header, nonnegative: bool = False):
 
 
 def read_kv(path) -> dict:
-    """Read key=value lines (# starts a comment), each key once: key -> (line number, text)."""
+    """Read key=value lines, each key once: key -> (line number, text). A # starts a
+    comment at the start of a line or after whitespace; in a value (res#2) it is text."""
     out = {}
     with _utf8_text(path, "line") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -392,7 +392,7 @@ class TestSettingSources:
     def test_every_table_key_is_a_flag(self):
         # a setting deleted from COMMANDS may not linger in another table
         flags = set(cli._COMMON)
-        for _, input_files, keys in cli.COMMANDS.values():
+        for _, _, input_files, keys in cli.COMMANDS.values():
             flags.update(input_files, keys)
         for table in (cli.DEFAULTS, cli.CONVERT, cli._HELP):
             assert set(table) <= flags, set(table) - flags
@@ -412,6 +412,18 @@ class TestSettingSources:
         message = "rank_bins must be at most m + 1 = 5, got 6"  # m = 4
         assert f"error: {where}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "diag").exists()
+
+    def test_default_rank_bins_fit_a_small_ensemble(self, fixture_dir, ensemble_path, tmp_path):
+        # unset, rank_bins is min(10, m + 1): at m = 4 the run equals --rank-bins 5
+        for out, extra in (("default", []), ("five", ["--rank-bins", "5"])):
+            assert run(["diagnose", "--locations", fixture_dir / "locations.csv",
+                        "--rainfall", fixture_dir / "rainfall.csv",
+                        "--marginals", fixture_dir / "marginals.csv",
+                        "--ensemble", ensemble_path, *extra, "--out", tmp_path / out]) == 0
+        assert len((tmp_path / "default" / "rank_hist.csv").read_text().splitlines()) == 1 + 5
+        for name in ("rank_hist.csv", "diagnostics.json"):
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "five" / name).read_bytes()
 
 
 class TestSimulateAndDiagnose:
@@ -983,6 +995,17 @@ class TestIngestValidation:
                   "--rainfall", tmp_path / "none2.csv", "--out", tmp_path])
         assert rc == 2
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: None, "config file not found: {path}"),
+        (lambda path: path.mkdir(), "--config: {path} is a directory, not a file"),
+    ], ids=["missing", "directory"])
+    def test_config_path_exit_2(self, tmp_path, capsys, make, message):
+        cfg = tmp_path / "run.cfg"
+        make(cfg)
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=cfg)}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv,where", [
         (["fit-marginals", "--locations", "{dir}", "--rainfall", "{dir}"], "--locations"),
         (["synth", "--config", "{dir}"], "--config"),
@@ -1016,3 +1039,23 @@ class TestIngestValidation:
         rc = run(["synth", "--config", cfg, "--out", tmp_path / "out"])
         assert rc == 2
         assert f"{cfg}: line 2: byte 9 is not UTF-8" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """main maps what a stage raises to the exit code and the stderr prefix."""
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (numerics.NotPositiveDefinite("not positive definite at jitter 1e-06"), 3,
+         "numerical error: "),
+        (OverflowError("math range error"), 3, "numerical error: "),
+        (ValueError("need at least two locations"), 2, "invalid input: "),
+        (RuntimeError("an invariant broke"), 4, "internal error: RuntimeError: "),
+    ], ids=["not-positive-definite", "overflow", "value-error", "runtime-error"])
+    def test_stage_error_sets_code_and_prefix(self, tmp_path, capsys, monkeypatch, exc, code,
+                                              prefix):
+        def fail(spec):
+            raise exc
+
+        monkeypatch.setattr(cli, "simulate_dataset", fail)
+        assert run(["synth", "--out", tmp_path, "--n-locations", "4", "--days", "6"]) == code
+        assert capsys.readouterr().err == f"{prefix}{exc}\n"

@@ -6,7 +6,8 @@ per stream; panel alone turns a float cell into text and reads a data file;
 every name a module exports is used in the package or the benchmark; no
 function keeps state in a closure through nonlocal; the package pins OpenBLAS
 to one thread and fixes the allocator's thresholds before any of its modules
-loads, and only numerics.map_chunks builds a thread pool.
+loads, and only numerics.map_chunks builds a thread pool; cli.COMMANDS is the
+one table of the commands.
 """
 
 import ast
@@ -188,3 +189,15 @@ def test_only_map_chunks_builds_a_thread_pool():
                 for node in ast.walk(fn)
                 if isinstance(node, ast.Name) and node.id.endswith("PoolExecutor")}
     assert builders == {("numerics", "map_chunks")}
+
+
+def test_commands_is_the_one_table_of_commands():
+    # each command's parser and dispatch come from its COMMANDS entry, so a
+    # command added there cannot miss a second table keyed by command names
+    tree = MODULES["cli"]
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["COMMANDS"])
+    names = {ast.literal_eval(key) for key in table.keys}
+    keyed = [node for node in ast.walk(tree) if isinstance(node, ast.Dict)
+             and names & {key.value for key in node.keys if isinstance(key, ast.Constant)}]
+    assert keyed == [table]

@@ -6,12 +6,15 @@ share code with the implementation under test. The Bessel values are those
 of scipy.special.kv, which the general-order Matérn kernel calls directly.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from raincop import numerics
 from raincop.marginals import GammaMixture, mixture_cdf
 from raincop.numerics import NotPositiveDefinite, is_symmetric, map_chunks, spd_factorize
 from raincop.spatial import MaternParams, matern_kernel
@@ -213,7 +216,34 @@ class TestIsSymmetric:
 
 class TestMapChunks:
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_results_in_chunk_order(self, threads):
+    def test_results_in_chunk_order(self, threads, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool runs on a 1-core host too
         chunks = [slice(s, s + 3) for s in range(0, 30, 3)]
         assert map_chunks(lambda sl: (sl.start, sl.stop), chunks, threads) == \
             [(sl.start, sl.stop) for sl in chunks]
+
+    @pytest.mark.parametrize("threads, cores, workers", [
+        (1000, 2, 2), (32, 8, 8), (3, 8, 3), (2, 1, None), (4, None, None),
+    ], ids=["thousand-on-2", "32-on-8", "3-on-8", "2-on-1", "cores-unknown"])
+    def test_pool_capped_at_the_core_count(self, monkeypatch, threads, cores, workers):
+        # a fake executor records the pool size without starting a thread;
+        # None: the chunks are mapped inline
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(numerics, "ThreadPoolExecutor", Recorder)
+        assert map_chunks(lambda c: 2 * c, range(40), threads) == [2 * c for c in range(40)]
+        assert sizes == ([] if workers is None else [workers])

@@ -9,7 +9,7 @@ from raincop.cli import main
 from raincop import panel as panel_module
 from raincop.marginals import GammaMixture, MarginalField
 from raincop.panel import (IngestError, RainPanel, read_features_csv,
-                           read_marginals_csv, read_rain_csv, write_features_csv,
+                           read_kv, read_marginals_csv, read_rain_csv, write_features_csv,
                            write_marginals_csv, write_rain_csv)
 from raincop.spatial import LocationTable, read_locations
 
@@ -97,6 +97,17 @@ class TestRainPanel:
         message = f"{path}: row 5: date '2001-01-02' repeats an earlier row"
         with pytest.raises(IngestError, match=re.escape(message)):
             read_rain_csv(path, locs)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("out=res#2\n", {"out": (1, "res#2")}),
+    ("days=6   # comment\n", {"days": (1, "6")}),
+    ("seed=1\t#tab\n# a line\n  # indented\nm=#3\n", {"seed": (1, "1"), "m": (4, "#3")}),
+], ids=["hash-in-value", "inline-comment", "comment-lines"])
+def test_read_kv_hash_starts_a_comment_after_whitespace(tmp_path, text, want):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert read_kv(path) == want
 
 
 @pytest.fixture(scope="module")
