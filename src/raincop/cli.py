@@ -86,11 +86,11 @@ _BOOLEAN = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 class Settings(dict):
     """Every setting of a command, converted: CLI flag > config file > built-in default.
 
-    A config key must be a default or a flag of the running command. Each
-    flag of the command is converted as soon as the settings are read, from
-    whichever source it came; a value that does not convert is reported with
-    that flag or config line. settings[key] is the converted value, None
-    where nothing set it.
+    A config key must be a default or a flag of the running command other
+    than --config. Each flag of the command is converted as soon as the
+    settings are read, from whichever source it came; a value that does not
+    convert is reported with that flag or config line. settings[key] is the
+    converted value, None where nothing set it.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -99,7 +99,7 @@ class Settings(dict):
         self["config"] = self.config = self.cli.get("config")  # for path, before the rest
         if self.config:
             self.file = read_kv(self.path("config"))
-            known = (set(DEFAULTS) | set(self.cli)) - {"command"}
+            known = (set(DEFAULTS) | set(self.cli)) - {"command", "config"}
             for key, (line_no, _) in self.file.items():
                 if key not in known:
                     raise IngestError(f"{self.config}: line {line_no}: unknown key '{key}'")

@@ -16,13 +16,14 @@ through read_kv.
 
 _csv_blocks takes the file in blocks of about _CHARS_PER_COLUMN characters
 per column, at most _BLOCK_CHARS, and parses each with one np.loadtxt call
-into text keys and float64 cells. Any token float() accepts gets float()'s
-value: a block that loadtxt rejects (1_0, non-ASCII digits, a wrong field
-count, a non-numeric cell) or that holds a character of _BULK_UNSAFE goes
-through the line parser, which reads each line with str.split and float()
-and words every error. The line parser runs on no other block. The readers count data rows;
-a message that names a file row finds it with file_row, which reads the file
-again.
+into object arrays of str keys, each the file's text at any length, and
+float64 cells. Any token float() accepts gets float()'s value: a block that
+loadtxt rejects (1_0, non-ASCII digits, a wrong field count, a non-numeric
+cell) or that holds a character of _BULK_UNSAFE goes through the line
+parser, which reads each line with str.split and float(), gives the same
+keys and words every error. The line parser runs on no other block. The
+readers count data rows; a message that names a file row finds it with
+file_row, which reads the file again.
 
 Every CSV the package writes goes through write_csv, and every float cell
 in it through float_text: the repr of a Python float (the shortest text that
@@ -42,8 +43,8 @@ import numpy as np
 
 from .numerics import day_chunks
 
-__all__ = ["IngestError", "RainPanel", "read_csv", "file_row", "read_kv", "write_csv",
-           "write_json", "float_text",
+__all__ = ["IngestError", "RainPanel", "read_csv", "file_row", "reject_cells", "reject_repeat",
+           "read_kv", "write_csv", "write_json", "float_text",
            "read_rain_csv", "write_rain_csv",
            "read_long_csv", "read_features_csv", "write_features_csv",
            "read_marginals_csv", "write_marginals_csv"]
@@ -54,12 +55,10 @@ __all__ = ["IngestError", "RainPanel", "read_csv", "file_row", "read_kv", "write
 # and parsed record) takes about 7 bytes a character: _BLOCK_CHARS caps it.
 _CHARS_PER_COLUMN = 4096
 _BLOCK_CHARS = 1 << 17
-_KEY_WIDTH = 32  # a key this long sends its block to the line parser
-# What the bulk parse would read differently from the line parser: NUL, which
-# numpy's fixed-width text drops from the end of a key, and the separators
-# \x1c-\x1f, which np.loadtxt strips around a number as whitespace and
-# float() rejects.
-_BULK_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
+# What the bulk parse would read differently from the line parser: the
+# separators \x1c-\x1f, which np.loadtxt strips around a number as whitespace
+# and float() rejects.
+_BULK_UNSAFE = "\x1c\x1d\x1e\x1f"
 
 
 class IngestError(ValueError):
@@ -131,23 +130,20 @@ def _parse_lines(path, header, n_keys: int, lines, row_no: int):
 def _parse_block(path, header, n_keys: int, dtype: np.dtype, text: str, row_no: int):
     """(keys, values) of a block of whole lines of a CSV body, the first at file row row_no.
 
-    keys holds one array per key column and values the (rows, cells) floats.
-    One np.loadtxt call parses the block unless it holds a character of
-    _BULK_UNSAFE, loadtxt rejects it or a key fills its column's width in dtype;
-    such a block goes through the line parser, which words the error of a
-    wrong field count or a non-numeric cell.
+    keys holds one object array of str per key column and values the (rows,
+    cells) floats. One np.loadtxt call parses the block unless it holds a
+    character of _BULK_UNSAFE or loadtxt rejects it; such a block goes through
+    the line parser, which words the error of a wrong field count or a
+    non-numeric cell.
     """
     lines = text.split("\n")
-    rec = None
     if any(lines) and not any(c in text for c in _BULK_UNSAFE):
         try:
             rec = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                              quotechar=None, ndmin=1)
+            return [rec[f"k{i}"] for i in range(n_keys)], np.ascontiguousarray(rec["v"])
         except ValueError:
             pass
-    if rec is not None and all(np.char.str_len(rec[f"k{i}"]).max(initial=0)
-                               < dtype[f"k{i}"].itemsize // 4 for i in range(n_keys)):
-        return [rec[f"k{i}"] for i in range(n_keys)], np.ascontiguousarray(rec["v"])
     keys, values = _parse_lines(path, header, n_keys, lines, row_no)
     return [np.array(column, dtype=object) for column in keys], values
 
@@ -187,7 +183,7 @@ def _utf8_text(path, line_word: str):
         raise
 
 
-def _csv_blocks(path, n_keys: int, check_header, nonnegative: bool = False, key_widths=None):
+def _csv_blocks(path, n_keys: int, check_header, nonnegative: bool = False):
     """Yield the header of a CSV of n_keys text key columns then float cells, then its blocks.
 
     check_header(header) raises IngestError for a header of the wrong format
@@ -207,8 +203,7 @@ def _csv_blocks(path, n_keys: int, check_header, nonnegative: bool = False, key_
         header = fh.readline().rstrip("\r\n").split(",")
         check_header(header)
         yield header
-        widths = key_widths or (_KEY_WIDTH,) * n_keys
-        dtype = np.dtype([*((f"k{i}", f"U{width}") for i, width in enumerate(widths)),
+        dtype = np.dtype([*((f"k{i}", object) for i in range(n_keys)),
                           ("v", "f8", (len(header) - n_keys,))])
         n_rows, row_no, bad = 0, 2, None  # bad: (data row, column, value) of the first bad cell
         block_chars = min(_CHARS_PER_COLUMN * len(header), _BLOCK_CHARS)
@@ -235,6 +230,27 @@ def _csv_blocks(path, n_keys: int, check_header, nonnegative: bool = False, key_
                           f"({header[col - 1]})")
 
 
+def reject_cells(path, header, values, wrong, words) -> None:
+    """Reject the first cell, in file order, where wrong holds, naming its row and column.
+
+    values and wrong are the (data rows, cells) of header's last columns; the
+    message gives the cell's value, then words[k] for a cell of column k."""
+    if wrong.any():
+        r, k = np.unravel_index(np.argmax(wrong), wrong.shape)
+        col = len(header) - values.shape[1] + k + 1
+        raise IngestError(f"{path}: row {file_row(path, r)}: value {float(values[r, k])!r} "
+                          f"{words[k]} in column {col} ({header[col - 1]})")
+
+
+def reject_repeat(path, keys, what) -> None:
+    """Reject the first of keys (one a data row) that repeats an earlier one, naming its row."""
+    if len(set(keys)) < len(keys):
+        seen = set()
+        r = next(r for r, key in enumerate(keys) if key in seen or seen.add(key))
+        raise IngestError(f"{path}: row {file_row(path, r)}: {what} {keys[r]!r} "
+                          "repeats an earlier row")
+
+
 def read_csv(path, check_header, nonnegative: bool = False):
     """(keys, values) of a whole CSV of one text key column then float cells.
 
@@ -244,7 +260,7 @@ def read_csv(path, check_header, nonnegative: bool = False):
     blocks = _csv_blocks(path, 1, check_header, nonnegative)
     keys, cells, width = [], array("d"), len(next(blocks)) - 1
     for block_keys, values, _ in blocks:
-        keys.extend(block_keys[0].tolist())
+        keys.extend(block_keys[0])
         cells.frombytes(memoryview(values.ravel()).cast("B"))
         del block_keys, values  # before the next block is read
     return keys, np.frombuffer(cells, dtype=float).reshape(len(keys), width)
@@ -319,11 +335,7 @@ def read_rain_csv(path, locs) -> RainPanel:
     labels, values = read_csv(path, check_header, nonnegative=True)
     if not labels:
         raise IngestError(f"{path}: no data rows")
-    if len(set(labels)) < len(labels):
-        seen = set()
-        r = next(r for r, label in enumerate(labels) if label in seen or seen.add(label))
-        raise IngestError(f"{path}: row {file_row(path, r)}: date {labels[r]!r} "
-                          "repeats an earlier row")
+    reject_repeat(path, labels, "date")
     return RainPanel(values=values, location_ids=locs.ids, day_labels=labels)
 
 
@@ -346,19 +358,13 @@ def write_features_csv(path, panel: RainPanel, features: np.ndarray) -> None:
                     lambda days: x[days.start * n:days.stop * n])
 
 
-def _key_array(keys) -> np.ndarray:
-    """Keys as an array that compares exactly: numpy text drops a trailing NUL."""
-    return np.array(keys, dtype=object if any("\x00" in k for k in keys) else str)
-
-
 def _first_day(blocks):
     """(k, the same blocks): k the first day's row count, from the blocks up to its end."""
     held, day = [], []
     for block in blocks:
         held.append(block)
-        keys = block[0][0].tolist()  # str sees NULs
-        day.extend(keys)
-        if any(key != day[0] for key in keys):
+        day.extend(block[0][0])
+        if any(key != day[0] for key in block[0][0]):
             break
     k = next((r for r, key in enumerate(day) if key != day[0]), len(day))
     return k, chain((held.pop(0) for _ in range(len(held))), blocks)  # each let go once read
@@ -379,15 +385,16 @@ def _keyed_in_order(keys, first, outer_keys, inner_keys, header):
         return len(rows), None
     r = int(np.argmax(bad[0] | bad[1]))
     c = 0 if bad[0][r] else 1
-    return r, (first + r, f"{header[c]} {str(keys[c][r])!r} does not match panel order "
-                          f"(expected {str(wants[c][r])!r})")
+    return r, (first + r, f"{header[c]} {keys[c][r]!r} does not match panel order "
+                          f"(expected {wants[c][r]!r})")
 
 
 def read_long_csv(path, check_header, outer, inner=None, nonnegative=False):
     """Yield the row blocks of a long CSV whose data row r is keyed (outer[r // k], inner[r % k]).
 
     outer is the panel's days; inner=None stands for the replicate numbers
-    "0", ..., str(k - 1), k the first day's row count. check_header and
+    "0", ..., str(k - 1), k the first day's row count. A key matches only
+    its exact text, whatever its length and characters. check_header and
     nonnegative are as in read_csv. Each block comes as (values, first, k):
     the (rows, cells) values of data rows first, first + 1, ..., every one
     keyed in order, in file order up to the first row out of order. It holds
@@ -398,14 +405,13 @@ def read_long_csv(path, check_header, outer, inner=None, nonnegative=False):
     read, a non-finite or negative cell, then a row count other than
     len(outer) * k, then the first row out of order and its wrong key.
     """
-    widths = [max(map(len, outer), default=0) + 1,
-              _KEY_WIDTH if inner is None else max(map(len, inner), default=0) + 1]
-    blocks = _csv_blocks(path, 2, check_header, nonnegative, widths)
+    blocks = _csv_blocks(path, 2, check_header, nonnegative)
     header = next(blocks)
     if inner is None:
         k, blocks = _first_day(blocks)
         inner = list(map(str, range(k)))
-    outer_keys, inner_keys, k = _key_array(outer), _key_array(inner), len(inner)
+    outer_keys, inner_keys = np.array(outer, dtype=object), np.array(inner, dtype=object)
+    k = len(inner)
     n_rows, misordered = 0, None
     for keys, values, first in blocks:
         n_rows = first + len(values)
@@ -453,9 +459,12 @@ def write_marginals_csv(path, panel: RainPanel, field) -> None:
 
 
 def read_marginals_csv(path, panel: RainPanel):
-    """Read a marginal cache back into a MarginalField aligned with the panel."""
+    """Read a marginal cache into a MarginalField aligned with the panel, each cell in range."""
     from .marginals import MarginalField
 
     values = _read_panel_cells(path, panel, value_names=["p", "mu", "phi"])
-    return MarginalField(*(values[:, k].reshape(panel.n_days, panel.n_locations)
-                           for k in range(3)))
+    p, mu, phi = values.T
+    reject_cells(path, ["date", "loc", "p", "mu", "phi"], values,
+                 np.stack([(p < 0.0) | (p > 1.0), mu <= 0.0, phi <= 0.0], axis=1),
+                 ["outside [0, 1]", "not above 0", "not above 0"])
+    return MarginalField(*(v.reshape(panel.n_days, panel.n_locations) for v in (p, mu, phi)))

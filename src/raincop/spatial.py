@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .numerics import SpdFactor, is_symmetric, spd_factorize
-from .panel import IngestError, float_text, read_csv, write_csv
+from .panel import IngestError, float_text, read_csv, reject_cells, reject_repeat, write_csv
 
 __all__ = [
     "LocationTable",
@@ -292,9 +292,13 @@ def read_locations(path) -> LocationTable:
             raise IngestError(f"{path}: expected header 'id,lat,lon,elev', got {header}")
 
     ids, values = read_csv(path, check_header)
+    ids = [loc_id.strip() for loc_id in ids]
+    reject_repeat(path, ids, "id")
+    reject_cells(path, ["id", "lat", "lon", "elev"], values,  # elevation has no bound
+                 np.abs(values) > [90.0, 180.0, np.inf],
+                 ["outside [-90, 90]", "outside [-180, 180]", ""])
     lat, lon, elev = values.T.copy()
-    return LocationTable(ids=tuple(loc_id.strip() for loc_id in ids), lat=lat, lon=lon,
-                         elev=elev)
+    return LocationTable(ids=tuple(ids), lat=lat, lon=lon, elev=elev)
 
 
 def write_locations(path, locs: LocationTable) -> None:

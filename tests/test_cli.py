@@ -936,6 +936,32 @@ class TestIngestValidation:
     ])
     def test_non_finite_rejected_with_location(self, fixture_dir, ensemble_path, tmp_path,
                                                capsys, name, line, field, token):
+        assert self._run_with_cell(fixture_dir, ensemble_path, tmp_path,
+                                   name, line, field, token) == 2
+        err = capsys.readouterr().err
+        what = (f"non-numeric value {token!r}" if token == "abc"
+                else f"non-finite value {float(token)!r}")
+        assert f"{name}: row {line + 1}: {what} in column {field + 1}" in err
+
+    @pytest.mark.parametrize("name,line,field,token,what", [
+        ("marginals.csv", 7, 2, "1.5", "value 1.5 outside [0, 1] in column 3 (p)"),
+        ("marginals.csv", 30, 2, "-0.25", "value -0.25 outside [0, 1] in column 3 (p)"),
+        ("marginals.csv", 12, 3, "0", "value 0.0 not above 0 in column 4 (mu)"),
+        ("marginals.csv", 40, 4, "-2", "value -2.0 not above 0 in column 5 (phi)"),
+        ("locations.csv", 3, 1, "95", "value 95.0 outside [-90, 90] in column 2 (lat)"),
+        ("locations.csv", 6, 2, "-180.5",
+         "value -180.5 outside [-180, 180] in column 3 (lon)"),
+        ("locations.csv", 5, 0, "s0001", "id 's0001' repeats an earlier row"),
+    ], ids=["p-above", "p-below", "mu", "phi", "lat", "lon", "id-repeated"])
+    def test_out_of_range_rejected_with_location(self, fixture_dir, ensemble_path, tmp_path,
+                                                 capsys, name, line, field, token, what):
+        assert self._run_with_cell(fixture_dir, ensemble_path, tmp_path,
+                                   name, line, field, token) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / name}: row {line + 1}: {what}\n"
+
+    @staticmethod
+    def _run_with_cell(fixture_dir, ensemble_path, tmp_path, name, line, field, token):
+        """The exit code of a stage that reads name with field of line (from 0) set to token."""
         from raincop.panel import read_rain_csv, write_features_csv
         from raincop.spatial import read_locations
 
@@ -967,13 +993,8 @@ class TestIngestValidation:
         else:
             argv = ["estimate-theta", "--marginals", paths["marginals"],
                     "--grid", "3", "--m", "4"]
-        rc = run([*argv, "--locations", paths["locations"],
-                  "--rainfall", paths["rainfall"], "--out", tmp_path / "out"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        what = (f"non-numeric value {token!r}" if token == "abc"
-                else f"non-finite value {float(token)!r}")
-        assert f"{name}: row {line + 1}: {what} in column {field + 1}" in err
+        return run([*argv, "--locations", paths["locations"],
+                    "--rainfall", paths["rainfall"], "--out", tmp_path / "out"])
 
     def test_negative_ensemble_cell_rejected(self, fixture_dir, ensemble_path, tmp_path,
                                              capsys):
@@ -1032,6 +1053,13 @@ class TestIngestValidation:
         row = data.count(b"\n", 0, at) + 1
         assert (f"{bad}: row {row}: byte {at} is not UTF-8 (invalid start byte)"
                 in capsys.readouterr().err)
+
+    def test_config_line_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=1\nconfig=nowhere.cfg\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: unknown key 'config'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_names_line_and_byte(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

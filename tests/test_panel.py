@@ -99,6 +99,38 @@ class TestRainPanel:
             read_rain_csv(path, locs)
 
 
+def test_long_and_nul_keys_parse_in_bulk(tmp_path, monkeypatch):
+    """Keys of any length, NUL included, come from np.loadtxt as the line parser gives them."""
+    ids = ["k" * 40, "site\x00", "b"]
+    path = tmp_path / "locations.csv"
+    path.write_text("id,lat,lon,elev\n" + "".join(f"{loc_id},{50 + r}.5,-1.25,{10 * r}\n"
+                                                 for r, loc_id in enumerate(ids)))
+
+    def parse():
+        blocks = panel_module._csv_blocks(path, 1, lambda header: None)
+        next(blocks)
+        ((keys, values, _),) = blocks
+        assert keys[0].dtype == object
+        return keys[0].tolist(), values
+
+    def loadtxt_rejects(*args, **kwargs):
+        raise ValueError("rejected")
+
+    def line_parser_runs(*args):
+        raise AssertionError("the block went to the line parser")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", loadtxt_rejects)
+        line_keys, line_values = parse()
+    monkeypatch.setattr(panel_module, "_parse_lines", line_parser_runs)
+    bulk_keys, bulk_values = parse()
+    assert bulk_keys == line_keys == ids
+    assert bulk_values.tobytes() == line_values.tobytes()
+    back = read_locations(path)
+    assert back.ids == tuple(ids)
+    assert np.stack([back.lat, back.lon, back.elev], axis=1).tobytes() == line_values.tobytes()
+
+
 @pytest.mark.parametrize("text, want", [
     ("out=res#2\n", {"out": (1, "res#2")}),
     ("days=6   # comment\n", {"days": (1, "6")}),

@@ -218,9 +218,23 @@ def check_long_keys(path, names, keys, row_nos, outer, inner):
 
 
 def line_read_long(path, panel):
+    """(values, row_nos) of a long CSV keyed (date, loc) over the panel's cells."""
     _, keys, values, row_nos = line_read(path, 2)
     check_long_keys(path, ["date", "loc"], keys, row_nos, panel.day_labels,
                     panel.location_ids)
+    return values, row_nos
+
+
+def line_read_marginals(path, panel):
+    """The (p, mu, phi) cells of a marginal cache: the first cell, in file order, with p
+    outside [0, 1] or mu or phi not above 0 is rejected naming its row and column."""
+    values, row_nos = line_read_long(path, panel)
+    for row_no, row in zip(row_nos, values.tolist()):
+        for col, name, v in zip((3, 4, 5), ("p", "mu", "phi"), row):
+            if not (0.0 <= v <= 1.0 if name == "p" else v > 0.0):
+                words = "outside [0, 1]" if name == "p" else "not above 0"
+                raise IngestError(f"{path}: row {row_no}: value {v!r} {words} "
+                                  f"in column {col} ({name})")
     return values
 
 
@@ -377,9 +391,9 @@ def test_long_csv_bulk_parse_matches_line_parser(n, t, kind, data):
         return [result.p, result.mu, result.phi] if kind == "marginals" else result
 
     def want(path):
-        values = line_read_long(path, panel)
         if kind == "features":
-            return values
+            return line_read_long(path, panel)[0]
+        values = line_read_marginals(path, panel)
         field = MarginalField(*(column.reshape(t, n) for column in values.T))
         return [field.p, field.mu, field.phi]
 
